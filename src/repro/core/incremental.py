@@ -56,7 +56,7 @@ from .persistence import (
 from .parallel import resolve_workers
 from .pruned_dedup import PrunedDedupResult, run_level_pipeline
 from .records import Group, GroupSet, Record, RecordStore, merge_groups
-from .resilience import ExecutionPolicy
+from .resilience import ExecutionPolicy, run_is_clean
 from .verification import VerificationContext
 
 
@@ -220,9 +220,10 @@ class IncrementalTopK:
         self._key_members: dict[Hashable, list[int]] = defaultdict(list)
         self._version = 0
         self._entries_applied = 0
-        # Keyed by (kind, k, policy, workers) plus the interval-specific
-        # (r, min_probability) tail; values are (version, result).
-        self._query_cache: dict[tuple, tuple[int, object]] = {}
+        # Clean answers of the current version only (see query()), keyed
+        # by (k, workers) or ("interval", k, workers, r, min_probability);
+        # emptied whenever the version advances.
+        self._query_cache: dict[tuple, object] = {}
         self._dead_letters: deque[DeadLetter] = deque()
         self._dead_letter_limit = dead_letter_limit
         self._dead_letters_dropped = 0
@@ -369,6 +370,7 @@ class IncrementalTopK:
         for key in keys:
             self._key_members[key].append(record.record_id)
         self._version += 1
+        self._query_cache.clear()
         return record.record_id
 
     def _divert(
@@ -460,9 +462,13 @@ class IncrementalTopK:
         per-entity count intervals and top-K membership probabilities
         (entities below *min_probability* membership mass are pruned).
 
-        Results are cached per ``(kind, k, policy, workers[, r,
-        min_probability])`` until the next insert.  With a *policy*, the
-        query degrades anytime exactly like the batch engine: on
+        Clean results (:func:`~repro.core.resilience.run_is_clean`: not
+        degraded, no containment) are cached per ``(kind, k, workers[,
+        r, min_probability])`` until the next insert.  The key leaves
+        the policy out — a clean answer is the same under any policy —
+        and degraded or containment-touched answers are never cached,
+        so a later request always gets a fresh run.  With a *policy*,
+        the query degrades anytime exactly like the batch engine: on
         deadline/budget exhaustion it returns the best answer derivable
         from the current collapsed state, flagged ``degraded``.
         *workers* > 1 shards the level pipeline
@@ -480,14 +486,12 @@ class IncrementalTopK:
             )
         n_workers = resolve_workers(workers)
         if kind == "interval":
-            cache_key: tuple = (
-                "interval", k, policy, n_workers, r, min_probability
-            )
+            cache_key: tuple = ("interval", k, n_workers, r, min_probability)
         else:
-            cache_key = (k, policy, n_workers)
+            cache_key = (k, n_workers)
         cached = self._query_cache.get(cache_key)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
+        if cached is not None:
+            return cached
 
         d = len(self._records)
         context = self._verification
@@ -533,6 +537,7 @@ class IncrementalTopK:
                 )
             else:
                 result = pruning
+            run = context.counters.delta(before_run)
         metrics = context.metrics
         if metrics.enabled:
             if kind == "interval":
@@ -548,7 +553,8 @@ class IncrementalTopK:
                         reason=result.degraded_reason,
                     ).inc()
                 context.publish_pipeline_metrics(result.counters)
-        self._query_cache[cache_key] = (self._version, result)
+        if run_is_clean(result.degraded, run):
+            self._query_cache[cache_key] = result
         return result
 
     # -- durability ----------------------------------------------------

@@ -31,11 +31,14 @@ inherited by the children.  Where ``fork`` is unavailable the layer
 falls back to serial execution — never to different results.
 
 Composition with :class:`~repro.core.resilience.ExecutionPolicy`:
-guarded predicates travel into the workers with their armed state, so
-deadline checks and role-safe fault containment apply inside each
-worker exactly as they would serially (``time.perf_counter`` is the
-system-wide CLOCK_MONOTONIC on the supported platforms, so an inherited
-deadline stays valid across ``fork``).  A worker that reports policy
+guarded predicates — and the guarded batch engines built over them —
+travel into the workers with their armed state by fork inheritance
+(never through the shared-memory array export, which would shed the
+guard), so deadline checks and role-safe fault containment apply
+inside each worker exactly as they would serially
+(``time.perf_counter`` is the system-wide CLOCK_MONOTONIC on the
+supported platforms, so an inherited deadline stays valid across
+``fork``).  A worker that reports policy
 exhaustion degrades the whole stage — the serial semantics — while a
 worker that *dies* degrades only its shard: the parent recomputes that
 shard serially (counted in ``PipelineCounters.shards_degraded``) and
@@ -878,12 +881,16 @@ def prime_neighbor_index(
 
     engine = index.batch_engine
     pack = None
-    if engine is not None:
+    if engine is not None and not isinstance(necessary, GuardedPredicate):
         # Batch path: workers rebuild the engine from one shared-memory
         # segment of flat arrays and never touch a Record object, so
         # their resident working set is the genuinely shared pages plus
         # the (compact, CSR) result.  A failed segment creation falls
         # back to the record-sharing payload — slower, same answers.
+        # A guarded engine stays off this path: its rule carries the
+        # armed policy state, which the array export would shed, so it
+        # takes the record-sharing payload and reaches workers by fork
+        # inheritance, where the deadline and block containment hold.
         arrays, engine_params = engine.export_state()
         try:
             pack = SharedArrayPack.create(arrays)

@@ -23,14 +23,22 @@ or corrupt a whole query.  This module contains such failures:
   result is returned flagged ``degraded`` with a per-stage
   :class:`StageRecord` trail instead of hanging or raising.
 
+Vectorized verification keeps the same contract at a coarser grain:
+the guard forwards the inner predicate's batch count rule and verifier
+wrapped so each *candidate block* is one guarded call.  The block ticks
+the budget by its pair count (the budget unit stays "pair verdicts"),
+the deadline is checked before it, the per-call timeout scales with its
+size, and a raising block is replaced wholesale by role-safe fallback
+verdicts, each counted.
+
 Timeouts are **cooperative**: pure-Python code cannot preempt a call
 that never returns.  The per-call timeout marks calls that exceeded the
 budget after the fact (their verdict is replaced by the role-safe
-fallback), and the deadline is checked before every guarded call, so a
-*bounded* stall delays the query by at most one stall before the
-deadline fires.  A truly infinite loop inside a predicate is out of
-scope for in-process containment (run under ``pytest-timeout`` or an
-external supervisor for that).
+fallback), and the deadline is checked before every guarded call or
+block, so a *bounded* stall delays the query by at most one stall
+before the deadline fires.  A truly infinite loop inside a predicate is
+out of scope for in-process containment (run under ``pytest-timeout``
+or an external supervisor for that).
 
 With no policy installed, none of this machinery engages and pipeline
 results are bit-identical to the unguarded ones.
@@ -41,6 +49,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace as _dc_replace
 from typing import TYPE_CHECKING, Callable, TypeVar
+
+import numpy as np
 
 from ..predicates.base import Predicate, PredicateLevel
 from ..scoring.pairwise import PairwiseScorer
@@ -80,11 +90,13 @@ class ExecutionPolicy:
             descending predicate levels and returns the best answer
             derivable from the current collapsed state, flagged
             ``degraded``.  None = no deadline.
-        max_stage_evaluations: Cap on guarded predicate/scorer calls per
-            pipeline stage; exhaustion degrades exactly like a deadline.
-            None = unlimited.
+        max_stage_evaluations: Cap on guarded pair verdicts and scorer
+            calls per pipeline stage (a vectorized candidate block
+            counts its pairs); exhaustion degrades exactly like a
+            deadline.  None = unlimited.
         call_timeout_seconds: Per-call wall budget for user predicates
-            and scorers.  A call that returns but took longer is deemed
+            and scorers (a vectorized block gets this times its pair
+            count).  A call that returns but took longer is deemed
             unreliable and its verdict replaced with the role-safe
             fallback (cooperative — see the module docstring).  None =
             no per-call timeout.
@@ -132,7 +144,8 @@ class ExecutionState:
     One state spans one query run (for ``topk_count_query`` it covers
     both the pruning pipeline and the scoring stage, so the deadline is
     global).  Guarded wrappers call :meth:`tick` once per user-code
-    call; stage boundaries call :meth:`begin_stage`/:meth:`check`.
+    call (with the pair count for a vectorized block); stage boundaries
+    call :meth:`begin_stage`/:meth:`check`.
     """
 
     def __init__(self, policy: ExecutionPolicy, counters: "PipelineCounters"):
@@ -150,9 +163,10 @@ class ExecutionState:
         """Reset the per-stage evaluation budget."""
         self._stage_calls = 0
 
-    def tick(self) -> None:
-        """Account one guarded call; raise when the policy is exhausted."""
-        self._stage_calls += 1
+    def tick(self, count: int = 1) -> None:
+        """Account *count* guarded pair verdicts (or scorer calls);
+        raise when the policy is exhausted."""
+        self._stage_calls += count
         budget = self.policy.max_stage_evaluations
         if budget is not None and self._stage_calls > budget:
             self._exhaust(REASON_STAGE_BUDGET)
@@ -185,12 +199,16 @@ class GuardedPredicate(Predicate):
     counts :attr:`keying_failures` and the pipelines stand pruning down
     for any level whose necessary guard reports one.
 
-    The signature / count-filtering fast paths are deliberately not
-    forwarded: every verdict must pass through the guarded ``evaluate``
-    so faults cannot bypass containment.  ``symmetric`` is forced False
-    so fallback verdicts are never written into the cross-stage
-    pair-verdict cache (they are policy artifacts, not pure functions
-    of the records).
+    The vectorized hooks (:meth:`batch_count_rule`,
+    :meth:`batch_verifier`) are forwarded with each candidate-block call
+    contained as one unit (:meth:`contain_block`); a failure while
+    building the inner rule or verifier, or while encoding a probe,
+    yields None so that index or probe falls back to the scalar path.
+    The scalar signature / count-filtering fast paths are not
+    forwarded, so that fallback is always the contained ``evaluate``.
+    ``symmetric`` is forced False so fallback verdicts are never written
+    into the cross-stage pair-verdict cache or shared between probes
+    (they are policy artifacts, not pure functions of the records).
     """
 
     symmetric = False
@@ -239,6 +257,91 @@ class GuardedPredicate(Predicate):
             state.counters.keying_errors_contained += 1
             self.keying_failures += 1
             return []
+
+    @property
+    def supports_batch(self) -> bool:
+        return self._inner.supports_batch
+
+    def batch_count_rule(self, records):
+        rule = _build_quietly(self._inner.batch_count_rule, records)
+        return None if rule is None else _GuardedBlocks(rule, self)
+
+    def batch_verifier(self, records):
+        verifier = _build_quietly(self._inner.batch_verifier, records)
+        return None if verifier is None else _GuardedBlocks(verifier, self)
+
+    def contain_block(self, n_pairs: int, decide: Callable[[], np.ndarray]):
+        """Run one vectorized block decision of *n_pairs* verdicts under
+        the policy, exactly as :meth:`evaluate` runs one pair: tick and
+        deadline check first, then the role-safe fallback for the whole
+        block on an exception or when the block overran the per-call
+        timeout scaled by *n_pairs*."""
+        state = self._state
+        state.tick(n_pairs)
+        timeout = state.policy.call_timeout_seconds
+        started = time.perf_counter() if timeout is not None else 0.0
+        try:
+            verdicts = decide()
+        except Exception:
+            if state.policy.on_error == "raise":
+                raise
+            state.counters.predicate_errors_contained += n_pairs
+            return np.full(n_pairs, self.fallback_verdict)
+        if (
+            timeout is not None
+            and time.perf_counter() - started > timeout * n_pairs
+        ):
+            state.counters.predicate_timeouts_contained += n_pairs
+            return np.full(n_pairs, self.fallback_verdict)
+        return verdicts
+
+
+def _build_quietly(hook: Callable, *args):
+    """Call a rule/verifier/probe encoder; None when it raises (the
+    caller then takes the guarded scalar path, which owns the error)."""
+    try:
+        return hook(*args)
+    except Exception:
+        return None
+
+
+class _GuardedBlocks:
+    """A batch count rule or pairwise verifier (see
+    :mod:`repro.predicates.batch`) whose block decisions each run as one
+    guarded call; probe states pass through, and a probe that fails to
+    encode yields None (scalar fallback for that probe)."""
+
+    def __init__(self, inner, guard: GuardedPredicate):
+        self._inner = inner
+        self._guard = guard
+
+    def member_state(self, position: int):
+        return self._inner.member_state(position)
+
+    def encode_probe(self, record: "Record"):
+        return _build_quietly(self._inner.encode_probe, record)
+
+    def accepts(
+        self, shared, n_probe_keys, candidate_key_counts, probe_mask, candidates
+    ):
+        return self._guard.contain_block(
+            len(candidates),
+            lambda: self._inner.accepts(
+                shared, n_probe_keys, candidate_key_counts, probe_mask, candidates
+            ),
+        )
+
+    def verify_block(self, probe_state, candidates):
+        return self._guard.contain_block(
+            len(candidates),
+            lambda: self._inner.verify_block(probe_state, candidates),
+        )
+
+    def verify_member_block(self, position: int, candidates):
+        return self._guard.contain_block(
+            len(candidates),
+            lambda: self._inner.verify_member_block(position, candidates),
+        )
 
 
 class GuardedScorer(PairwiseScorer):
@@ -379,6 +482,18 @@ def guard_levels(
         )
         for level in levels
     ]
+
+
+def run_is_clean(degraded: bool, counters: "PipelineCounters") -> bool:
+    """True when a run's answer does not depend on the policy it ran
+    under: the run completed and no guard replaced a verdict, a key set
+    or a score (*counters* is the run's own work, scorer included).
+
+    A clean answer equals the unguarded one bit for bit, so answer
+    caches may keep it and serve it to any later request of the same
+    state, policy-armed or not; anything else must be recomputed.
+    """
+    return not degraded and counters.total_contained == 0
 
 
 def necessary_compromised(level: PredicateLevel) -> bool:

@@ -114,10 +114,13 @@ class Predicate(ABC):
         :class:`~repro.predicates.batch.SetSimilarityBatch` here; bulk
         evaluators (NeighborIndex, closure) then verify whole candidate
         blocks in NumPy instead of one pair per Python call.  The
-        default — returning None — keeps the scalar path.  Wrapper
-        predicates (resilience guards, chaos) deliberately do not
-        forward this hook: falling back to scalar keeps every call
-        inside their interception machinery.
+        default — returning None — keeps the scalar path.  The
+        resilience guard forwards this hook (and
+        :meth:`batch_count_rule`) with each block call contained as one
+        unit — budget ticks by pair count, deadline and scaled timeout
+        per block, role-safe fallback for a raising block — so
+        policy-armed runs stay vectorized.  Chaos wrappers do not
+        forward it: their per-pair fault draws need the scalar path.
         """
         return None
 

@@ -23,17 +23,27 @@ differential-oracle and parallel property suites assert the equality
 end-to-end on every dataset family.
 
 Predicates opt in via :meth:`~repro.predicates.base.Predicate.batch_verifier`
-/ :meth:`~repro.predicates.base.Predicate.batch_count_rule`; wrappers
-(resilience guards, chaos) deliberately do not forward the hooks, so
-guarded runs fall back to the scalar path and fault containment keeps
-intercepting every predicate call.  The ``REPRO_VECTORIZE`` environment
-variable (``0``/``false``/``off`` to disable) forces the scalar path
-globally — the lever the equivalence tests use.
+/ :meth:`~repro.predicates.base.Predicate.batch_count_rule`.  The
+resilience guard (:class:`~repro.core.resilience.GuardedPredicate`)
+forwards both hooks with every block call wrapped in its containment —
+ticks, deadline, per-block timeout and role-safe fallback verdicts — so
+policy-armed queries keep the kernels.  Chaos wrappers do not forward
+them: their per-pair fault draws need the scalar path.  The
+``REPRO_VECTORIZE`` environment variable (``0``/``false``/``off`` to
+disable) forces the scalar path globally — the lever the equivalence
+tests use.
+
+Rules and verifiers share one probe protocol: ``member_state(position)``
+for indexed members and ``encode_probe(record)`` for external probes,
+each returning an opaque probe state (None from ``encode_probe`` means
+"cannot encode", and the caller falls back to the scalar strategy).
 
 Engines are built from plain arrays and parameter dicts
 (:meth:`BatchNeighborEngine.export_state`), so the parallel layer can
 ship them to workers through ``multiprocessing.shared_memory`` instead
-of pickling records.
+of pickling records.  Guarded engines never travel that way: their
+containment state lives in parent objects, which reach workers by fork
+inheritance instead.
 """
 
 from __future__ import annotations
@@ -396,9 +406,17 @@ class OverlapCountRule:
             bitmask_probe(self._post_probe(record), self._bit_of_token)
         )
 
-    @property
-    def probe_encodable(self) -> bool:
-        return self.masks is None or self._post_probe is not None
+    def encode_probe(self, record: Record):
+        """Probe state ``(mask,)`` of an external probe, or None when
+        this instance cannot encode it (worker rebuilds drop the
+        post-check encoding)."""
+        if self.masks is not None and self._post_probe is None:
+            return None
+        return (self.probe_mask(record),)
+
+    def member_state(self, position: int):
+        """Probe state ``(mask,)`` of the indexed record at *position*."""
+        return (self.masks[position] if self.masks is not None else None,)
 
     def accepts(
         self,
@@ -477,6 +495,11 @@ class BatchNeighborEngine:
     def count_mode(self) -> bool:
         return self.count_rule is not None
 
+    @property
+    def _rule(self):
+        """The block decider: the count rule, else the verifier."""
+        return self.count_rule if self.count_rule is not None else self.verifier
+
     @classmethod
     def build(
         cls,
@@ -485,14 +508,15 @@ class BatchNeighborEngine:
         key_index: dict[Hashable, list[int]],
     ) -> "BatchNeighborEngine | None":
         """Build from a predicate's posting lists; None when the
-        predicate offers no batch capability (scalar fallback)."""
-        count_rule = None
+        predicate offers no batch capability (scalar fallback).
+
+        The count rule wins whenever the predicate offers one — keyed
+        on the hook, not on ``count_verifiable``, so a wrapper that
+        forwards the hook without the scalar count path still gets it.
+        """
         verifier = None
-        if predicate.count_verifiable:
-            count_rule = predicate.batch_count_rule(records)
-            if count_rule is None:
-                return None
-        else:
+        count_rule = predicate.batch_count_rule(records)
+        if count_rule is None:
             verifier = predicate.batch_verifier(records)
             if verifier is None:
                 return None
@@ -569,7 +593,6 @@ class BatchNeighborEngine:
         candidates: np.ndarray,
         shared: np.ndarray,
         n_probe_keys: int,
-        probe_mask,
         probe_state,
         counters,
     ) -> list[int]:
@@ -582,7 +605,11 @@ class BatchNeighborEngine:
                 - self.key_indptr[candidates]
             )
             ok = self.count_rule.accepts(
-                shared, n_probe_keys, candidate_key_counts, probe_mask, candidates
+                shared,
+                n_probe_keys,
+                candidate_key_counts,
+                probe_state[0],
+                candidates,
             )
         else:
             counters.signature_evaluations += len(candidates)
@@ -596,20 +623,11 @@ class BatchNeighborEngine:
             self.key_indptr[position] : self.key_indptr[position + 1]
         ]
         candidates, shared = self._candidates(probe_key_ids, position)
-        probe_mask = None
-        if self.count_rule is not None and self.count_rule.masks is not None:
-            probe_mask = self.count_rule.masks[position]
-        probe_state = (
-            self.verifier.member_state(position)
-            if self.verifier is not None
-            else None
-        )
         return self._verify(
             candidates,
             shared,
             len(probe_key_ids),
-            probe_mask,
-            probe_state,
+            self._rule.member_state(position),
             counters,
         )
 
@@ -625,16 +643,9 @@ class BatchNeighborEngine:
         strategy)."""
         if self._key_id_of is None:
             return None
-        probe_mask = None
-        probe_state = None
-        if self.count_rule is not None:
-            if not self.count_rule.probe_encodable:
-                return None
-            probe_mask = self.count_rule.probe_mask(probe)
-        else:
-            probe_state = self.verifier.encode_probe(probe)
-            if probe_state is None:
-                return None
+        probe_state = self._rule.encode_probe(probe)
+        if probe_state is None:
+            return None
         key_id_of = self._key_id_of
         probe_key_ids = np.fromiter(
             (
@@ -648,7 +659,7 @@ class BatchNeighborEngine:
         # n_probe counts *all* probe keys, unknown ones included — they
         # cannot intersect but they do enter min(n_a, n_b).
         return self._verify(
-            candidates, shared, len(probe_keys), probe_mask, probe_state, counters
+            candidates, shared, len(probe_keys), probe_state, counters
         )
 
     def member_neighbors_block(
@@ -705,23 +716,11 @@ class BatchNeighborEngine:
                 if hits:
                     counters.cache_hits += hits
                 keep = ~skip
-                probe_mask = None
-                if (
-                    self.count_rule is not None
-                    and self.count_rule.masks is not None
-                ):
-                    probe_mask = self.count_rule.masks[p]
-                probe_state = (
-                    self.verifier.member_state(p)
-                    if self.verifier is not None
-                    else None
-                )
                 accepted = self._verify(
                     candidates[keep],
                     shared[keep],
                     len(probe_key_ids),
-                    probe_mask,
-                    probe_state,
+                    self._rule.member_state(p),
                     counters,
                 )
                 for q in accepted:

@@ -326,8 +326,9 @@ class NeighborIndex:
                 predicate.count_post_signature(record) for record in records
             ]
         # Batch engine: whole-candidate-block verification in NumPy.
-        # Wrapper predicates (guards, chaos) don't expose the hooks, so
-        # they land on the scalar strategies below automatically.
+        # Resilience guards forward the hooks with per-block containment;
+        # chaos wrappers and custom predicates don't expose them, so they
+        # land on the scalar strategies below automatically.
         self._engine: BatchNeighborEngine | None = None
         if (
             not predicate.key_implies_match

@@ -34,7 +34,7 @@ from ..core.rank_query import (
     topk_rank_query,
 )
 from ..core.records import Group, GroupSet, RecordStore, merge_groups
-from ..core.resilience import ExecutionPolicy
+from ..core.resilience import ExecutionPolicy, run_is_clean
 from ..core.verification import VerificationContext
 
 
@@ -47,8 +47,12 @@ class EngineSnapshot:
     :class:`~repro.core.verification.VerificationContext` per call
     (readers run on worker threads; nothing here is shared-mutable
     between concurrent queries except the answer cache, which is
-    lock-guarded).  Identical policy-free queries are cached per
-    snapshot: the state can never change under it.
+    lock-guarded).  Identical queries are cached per snapshot — the
+    state can never change under it — whenever the run was clean
+    (:func:`~repro.core.resilience.run_is_clean`: not degraded, no
+    containment).  A clean answer is the same under any policy, so the
+    key leaves the policy out and the service's deadline-stamped
+    requests share one entry; a degraded answer is never cached.
 
     The cache is **bounded** (``cache_limit`` distinct keys): a client
     sweeping ``k`` or ``min_weight`` across a long-lived snapshot must
@@ -195,11 +199,16 @@ class EngineSnapshot:
             return len(self._cache)
 
     def _cached(self, key: tuple, compute):
+        """The cached answer for *key*, else *compute*'s — which returns
+        ``(result, run counters)`` — cached only when the run was
+        clean."""
         with self._cache_lock:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        result = compute()
+        result, counters = compute()
+        if not run_is_clean(result.degraded, counters):
+            return result
         evicted = 0
         with self._cache_lock:
             self._cache.setdefault(key, result)
@@ -229,14 +238,14 @@ class EngineSnapshot:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
 
-        def compute() -> PrunedDedupResult:
+        def compute():
             context = VerificationContext(metrics=metrics)
             with context.span("query", kind="server-topk", k=k):
                 before_run = context.counters.snapshot()
                 with context.span("collapse"):
                     with context.stage("collapse"):
                         groups = self._collapsed_groups()
-                return run_level_pipeline(
+                result = run_level_pipeline(
                     groups,
                     k,
                     self._levels,
@@ -248,10 +257,9 @@ class EngineSnapshot:
                     before_run=before_run,
                     workers=workers,
                 )
+            return result, context.counters
 
-        if policy is None and workers == 1:
-            return self._cached(("topk", k), compute)
-        return compute()
+        return self._cached(("topk", k, workers), compute)
 
     def query_interval(
         self,
@@ -319,15 +327,12 @@ class EngineSnapshot:
                 )
             if context.metrics.enabled:
                 publish_interval_metrics(context, result, None)
-            return result
+            return result, context.counters
 
-        if policy is None and workers == 1:
-            # min_probability + 0.0 canonicalises -0.0 (see
-            # query_threshold).
-            return self._cached(
-                ("interval", k, r, min_probability + 0.0), compute
-            )
-        return compute()
+        # min_probability + 0.0 canonicalises -0.0 (see query_threshold).
+        return self._cached(
+            ("interval", k, r, min_probability + 0.0, workers), compute
+        )
 
     def query_rank(
         self,
@@ -340,10 +345,10 @@ class EngineSnapshot:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
 
-        def compute() -> RankQueryResult:
+        def compute():
             store = RecordStore(list(self._state.records))
             context = VerificationContext(metrics=metrics)
-            return topk_rank_query(
+            result = topk_rank_query(
                 store,
                 k,
                 self._levels,
@@ -352,10 +357,9 @@ class EngineSnapshot:
                 policy=policy,
                 workers=workers,
             )
+            return result, context.counters
 
-        if policy is None and workers == 1:
-            return self._cached(("rank", k), compute)
-        return compute()
+        return self._cached(("rank", k, workers), compute)
 
     def query_threshold(
         self,
@@ -379,10 +383,10 @@ class EngineSnapshot:
                 f"min_weight must be finite, got {min_weight!r}"
             )
 
-        def compute() -> RankQueryResult:
+        def compute():
             store = RecordStore(list(self._state.records))
             context = VerificationContext(metrics=metrics)
-            return thresholded_rank_query(
+            result = thresholded_rank_query(
                 store,
                 min_weight,
                 self._levels,
@@ -391,13 +395,13 @@ class EngineSnapshot:
                 policy=policy,
                 workers=workers,
             )
+            return result, context.counters
 
-        if policy is None and workers == 1:
-            # min_weight + 0.0 maps -0.0 to +0.0 (all other finite
-            # floats are unchanged), so both spellings of zero share
-            # one cache slot.
-            return self._cached(("threshold", min_weight + 0.0), compute)
-        return compute()
+        # min_weight + 0.0 maps -0.0 to +0.0 (all other finite floats
+        # are unchanged), so both spellings of zero share one cache slot.
+        return self._cached(
+            ("threshold", min_weight + 0.0, workers), compute
+        )
 
 
 class SnapshotPublisher:

@@ -36,14 +36,16 @@ from repro.baselines import full_dedup_pipeline
 from repro.core.parallel import fork_available, group_fingerprint
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
-from repro.core.resilience import ExecutionPolicy
+from repro.core.resilience import ExecutionPolicy, guard_levels
 from repro.core.topk import topk_count_query
+from repro.core.verification import PipelineCounters
 from repro.experiments.harness import (
     address_pipeline,
     citation_pipeline,
     student_pipeline,
     train_scorer_for,
 )
+from repro.predicates.blocking import NeighborIndex
 from tests.conftest import vectorize_mode
 
 K = 5
@@ -264,6 +266,49 @@ class TestVectorizedPathIdentity:
                 )
                 assert result.groups.weights() == scalar.groups.weights()
                 assert result.counters.shards_degraded == 0
+
+    def test_guarded_vectorized_sharded_identical(self, kind, seed):
+        # A clean policy-armed run keeps the vectorized kernels (the
+        # guard forwards them with per-block containment) and must
+        # answer exactly what the unguarded scalar reference answers,
+        # for every query type at every worker count.
+        store, levels, _ = pipeline_for(kind, seed)
+        threshold = kth_weight(closure_groups(kind, seed))
+        policy = ExecutionPolicy()
+        with vectorize_mode(False):
+            count = pruned_dedup(store, K, levels, workers=1)
+            rank = topk_rank_query(store, K, levels, workers=1)
+            above = thresholded_rank_query(store, threshold, levels, workers=1)
+        worker_counts = (1, 2, 4) if fork_available() else (1,)
+        with vectorize_mode(True):
+            guarded = guard_levels(levels, policy.start(PipelineCounters()))
+            for level in guarded:
+                index = NeighborIndex(level.necessary, list(store))
+                assert index.batch_engine is not None, level.name
+            for workers in worker_counts:
+                got = pruned_dedup(
+                    store, K, levels, policy=policy, workers=workers
+                )
+                assert not got.degraded
+                assert group_fingerprint(got.groups) == group_fingerprint(
+                    count.groups
+                ), (kind, seed, workers)
+                assert got.groups.weights() == count.groups.weights()
+                got_rank = topk_rank_query(
+                    store, K, levels, policy=policy, workers=workers
+                )
+                assert not got_rank.degraded
+                assert got_rank.ranking == rank.ranking
+                assert got_rank.certain == rank.certain
+                assert group_fingerprint(got_rank.groups) == group_fingerprint(
+                    rank.groups
+                )
+                got_above = thresholded_rank_query(
+                    store, threshold, levels, policy=policy, workers=workers
+                )
+                assert not got_above.degraded
+                assert got_above.ranking == above.ranking
+                assert got_above.certain == above.certain
 
     def test_count_query_identical(self, kind, seed):
         store, levels, scorer = pipeline_for(kind, seed)

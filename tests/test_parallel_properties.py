@@ -19,8 +19,10 @@ import pytest
 from repro.core.parallel import fork_available, group_fingerprint
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
-from repro.core.resilience import ExecutionPolicy
+from repro.core.resilience import ExecutionPolicy, guard_levels
+from repro.core.verification import PipelineCounters
 from repro.experiments import citation_pipeline, student_pipeline
+from repro.predicates.blocking import NeighborIndex
 from repro.testing import FaultPlan, chaos_levels
 from tests.conftest import vectorize_mode
 
@@ -165,3 +167,65 @@ def test_rank_queries_scalar_vs_vectorized_sharded(dataset, seed):
             )
             assert threshold.ranking == scalar_threshold.ranking
             assert threshold.certain == scalar_threshold.certain
+
+
+@pytest.mark.parametrize("dataset", ["citations", "students"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_guarded_vectorized_sharded_bit_identical(dataset, seed):
+    # A clean policy-armed run keeps the vectorized kernels; the guarded
+    # engine reaches the workers by fork inheritance instead of the
+    # shared-memory export.  Neither may show in the answer.
+    pipeline = _pipeline(dataset, seed)
+    policy = ExecutionPolicy()
+    with vectorize_mode(False):
+        scalar = pruned_dedup(pipeline.store, K, pipeline.levels, workers=1)
+        scalar_rank = topk_rank_query(
+            pipeline.store, K, pipeline.levels, workers=1
+        )
+        scalar_threshold = thresholded_rank_query(
+            pipeline.store, 5.0, pipeline.levels, workers=1
+        )
+    with vectorize_mode(True):
+        guarded = guard_levels(
+            pipeline.levels, policy.start(PipelineCounters())
+        )
+        assert all(
+            NeighborIndex(level.necessary, list(pipeline.store)).batch_engine
+            is not None
+            for level in guarded
+        )
+        for workers in (1, *WORKER_COUNTS):
+            result = pruned_dedup(
+                pipeline.store, K, pipeline.levels, policy=policy,
+                workers=workers,
+            )
+            assert not result.degraded
+            assert group_fingerprint(result.groups) == group_fingerprint(
+                scalar.groups
+            ), (dataset, seed, workers)
+            assert result.groups.weights() == scalar.groups.weights()
+            assert result.counters.shards_degraded == 0
+            assert result.counters.total_contained == 0
+            rank = topk_rank_query(
+                pipeline.store, K, pipeline.levels, policy=policy,
+                workers=workers,
+            )
+            assert rank.ranking == scalar_rank.ranking
+            assert rank.certain == scalar_rank.certain
+            threshold = thresholded_rank_query(
+                pipeline.store, 5.0, pipeline.levels, policy=policy,
+                workers=workers,
+            )
+            assert threshold.ranking == scalar_threshold.ranking
+            assert threshold.certain == scalar_threshold.certain
+
+
+def test_chaos_wrapped_levels_stay_scalar_under_a_guard():
+    # Chaos faults are per-pair draws, so chaos runs must keep the
+    # scalar path even when a guard forwards the batch hooks.
+    pipeline = _pipeline("citations", 0)
+    levels = chaos_levels(pipeline.levels, FaultPlan(seed=0, error_rate=0.05))
+    state = ExecutionPolicy().start(PipelineCounters())
+    for level in guard_levels(levels, state):
+        index = NeighborIndex(level.necessary, list(pipeline.store))
+        assert index.batch_engine is None

@@ -8,9 +8,12 @@ no faults changes nothing about the pipeline's answers.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalTopK
+from repro.core.parallel import fork_available, prime_neighbor_index
+from repro.core.prune import prune
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
 from repro.core.records import GroupSet
@@ -28,6 +31,8 @@ from repro.core.resilience import (
 from repro.core.topk import topk_count_query
 from repro.core.verification import PipelineCounters, VerificationContext
 from repro.predicates.base import FunctionPredicate, PredicateLevel
+from repro.predicates.blocking import NeighborIndex, closure
+from repro.predicates.library import JaccardPredicate, NgramOverlapPredicate
 from repro.scoring.pairwise import PairwiseScorer
 from tests.conftest import exact_name_predicate, make_store, shared_word_predicate
 
@@ -492,12 +497,49 @@ class TestIncrementalResilience:
         degraded = stream.query(1, policy=ExecutionPolicy(deadline_seconds=0.0))
         clean = stream.query(1)
         assert degraded.degraded and not clean.degraded
-        # Both results stay cached independently.
+        # Only the clean result is cached, keyed without its policy: a
+        # degraded answer is never re-served, the request runs afresh
+        # and finds the clean answer of this version.
         assert stream.query(1) is clean
-        assert (
-            stream.query(1, policy=ExecutionPolicy(deadline_seconds=0.0))
-            is degraded
+        rerun = stream.query(1, policy=ExecutionPolicy(deadline_seconds=0.0))
+        assert rerun is not degraded
+        assert rerun is clean
+
+    def test_degraded_answer_is_never_cached(self):
+        stream = IncrementalTopK(default_levels())
+        for name in ["ann smith", "ann smith", "bob jones"]:
+            stream.add({"name": name})
+        expired = ExecutionPolicy(deadline_seconds=0.0)
+        first = stream.query(1, policy=expired)
+        again = stream.query(1, policy=expired)
+        assert first.degraded and again.degraded
+        assert again is not first  # a fresh run, not a re-serve
+
+    def test_cache_holds_one_clean_entry_per_version(self):
+        stream = IncrementalTopK(default_levels())
+        for name in ["ann smith", "ann smith", "bob jones"]:
+            stream.add({"name": name})
+        base = ExecutionPolicy()
+        answers = [
+            stream.query(1, policy=base.with_deadline(60.0 + i))
+            for i in range(20)
+        ]
+        assert all(answer is answers[0] for answer in answers)
+        assert len(stream._query_cache) == 1
+        stream.add({"name": "cara lee"})
+        assert len(stream._query_cache) == 0  # the insert evicted it
+        assert stream.query(1) is not answers[0]
+
+    def test_contained_answer_is_never_cached(self):
+        stream = IncrementalTopK(
+            [PredicateLevel(exact_name_predicate(), raising_predicate())]
         )
+        for name in ["ann smith", "ann smith", "ann jones", "bob jones"]:
+            stream.add({"name": name})
+        first = stream.query(1, policy=ExecutionPolicy())
+        assert not first.degraded
+        assert first.counters.predicate_errors_contained > 0
+        assert stream.query(1, policy=ExecutionPolicy()) is not first
 
     def test_policy_without_faults_matches_plain_query(self):
         plain = IncrementalTopK(default_levels())
@@ -628,3 +670,300 @@ class TestVerdictCacheFifo:
         assert sorted(r for g in groups for r in g.member_ids) == list(
             range(len(tiny_store))
         )
+
+
+# -- block-level containment on the vectorized path --------------------
+
+
+class FaultyBlocks:
+    """A library batch rule or verifier that raises on every candidate
+    block touching a poisoned position, and optionally stalls on its
+    first block call; everything else is delegated to the real one."""
+
+    def __init__(self, inner, poisoned, stall_seconds=0.0):
+        self._inner = inner
+        self._poisoned = poisoned
+        self._stall = stall_seconds
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def _enter(self, candidates):
+        if self._stall:
+            time.sleep(self._stall)
+            self._stall = 0.0
+        if self._poisoned[candidates].any():
+            raise RuntimeError("block exploded")
+
+    def accepts(self, shared, n_probe_keys, counts, probe_mask, candidates):
+        self._enter(candidates)
+        return self._inner.accepts(
+            shared, n_probe_keys, counts, probe_mask, candidates
+        )
+
+    def verify_block(self, probe_state, candidates):
+        self._enter(candidates)
+        return self._inner.verify_block(probe_state, candidates)
+
+    def verify_member_block(self, position, candidates):
+        self._enter(candidates)
+        return self._inner.verify_member_block(position, candidates)
+
+
+def _poisoned(records, trigger="poison"):
+    return np.array([trigger in r["name"] for r in records], dtype=bool)
+
+
+class BlockFaultNgram(NgramOverlapPredicate):
+    """Library n-gram overlap (count-rule shape) with faulty blocks."""
+
+    def __init__(self, stall_seconds=0.0, trigger="poison"):
+        super().__init__(field="name", threshold=0.5)
+        self.stall_seconds = stall_seconds
+        self.trigger = trigger
+
+    def batch_count_rule(self, records):
+        return FaultyBlocks(
+            super().batch_count_rule(records),
+            _poisoned(records, self.trigger),
+            self.stall_seconds,
+        )
+
+
+class BlockFaultJaccard(JaccardPredicate):
+    """Library word Jaccard (pairwise-verifier shape) with faulty blocks."""
+
+    def __init__(self):
+        super().__init__(field="name", threshold=0.9)
+
+    def batch_verifier(self, records):
+        return FaultyBlocks(super().batch_verifier(records), _poisoned(records))
+
+
+class UnbuildableNgram(NgramOverlapPredicate):
+    """Library n-gram overlap whose batch hooks fail to build."""
+
+    def __init__(self):
+        super().__init__(field="name", threshold=0.5)
+
+    def batch_count_rule(self, records):
+        raise RuntimeError("cannot encode")
+
+    def batch_verifier(self, records):
+        raise RuntimeError("cannot encode")
+
+
+class UnprobeableRule(FaultyBlocks):
+    def encode_probe(self, record):
+        raise RuntimeError("cannot encode probe")
+
+
+class UnprobeableNgram(NgramOverlapPredicate):
+    """Library n-gram overlap whose count rule cannot encode probes."""
+
+    def __init__(self):
+        super().__init__(field="name", threshold=0.5)
+
+    def batch_count_rule(self, records):
+        return UnprobeableRule(
+            super().batch_count_rule(records),
+            np.zeros(len(records), dtype=bool),
+        )
+
+
+def name_grid():
+    firsts = ("ann", "anne", "annie", "bob", "rob", "robert", "cara", "carla")
+    lasts = ("smith", "smyth", "jones", "jonas", "brown", "browne")
+    names = [f"{first} {last}" for first in firsts for last in lasts]
+    return names + ["ann smith poison", "bob jones poison"]
+
+
+class TestBlockContainment:
+    def test_guard_forwards_hooks_but_stays_asymmetric(self):
+        records = list(make_store(name_grid()))
+        state = armed_state()
+        guard = GuardedPredicate(BlockFaultNgram(), "necessary", state)
+        assert guard.supports_batch
+        assert not guard.count_verifiable and not guard.symmetric
+        engine = NeighborIndex(guard, records, vectorize=True).batch_engine
+        assert engine is not None and engine.count_mode
+        assert not engine.symmetric
+        # Scalar-only wrappers keep the scalar path.
+        scalar = GuardedPredicate(shared_word_predicate(), "necessary", state)
+        assert not scalar.supports_batch
+        assert NeighborIndex(scalar, records).batch_engine is None
+
+    def test_sufficient_guard_never_merges(self):
+        # Nine identical poisoned names and nine identical clean ones:
+        # every closure block of the poisoned names raises, so the whole
+        # row falls back to False; the clean block still merges.
+        names = ["ann smith poison"] * 9 + ["bob jones"] * 9
+        records = list(make_store(names))
+        counters = PipelineCounters()
+        guard = GuardedPredicate(
+            BlockFaultJaccard(), "sufficient", armed_state(counters)
+        )
+        uf = closure(guard, records, vectorize=True)
+        assert all(uf.find(i) == i for i in range(9))
+        assert len({uf.find(i) for i in range(9, 18)}) == 1
+        # Three poisoned keys, each a 9-member block of 36 pairs.
+        assert counters.predicate_errors_contained == 3 * 36
+        result = pruned_dedup(
+            make_store(names),
+            len(names),
+            [PredicateLevel(BlockFaultJaccard(), shared_word_predicate())],
+            policy=ExecutionPolicy(),
+        )
+        poisoned = [g for g in result.groups if g.size != 9]
+        assert len(poisoned) == 9 and all(g.size == 1 for g in poisoned)
+
+    def test_necessary_guard_keeps_block_edges(self):
+        records = list(make_store(name_grid()))
+        poisoned = _poisoned(records)
+        plain = NeighborIndex(NgramOverlapPredicate("name", 0.5), records)
+        counters = PipelineCounters()
+        guard = GuardedPredicate(
+            BlockFaultNgram(), "necessary", armed_state(counters)
+        )
+        guarded = NeighborIndex(guard, records, vectorize=True)
+        expected_contained = 0
+        for position, record in enumerate(records):
+            candidates = plain.candidate_positions(record) - {position}
+            got = guarded.neighbors(record, exclude_position=position)
+            if poisoned[sorted(candidates)].any():
+                # The raising block kept every candidate as an edge.
+                assert got == sorted(candidates)
+                expected_contained += len(candidates)
+            else:
+                assert got == plain.neighbors(record, exclude_position=position)
+        assert expected_contained > 0
+        assert counters.predicate_errors_contained == expected_contained
+
+    def test_fallback_verdicts_are_never_cached_or_shared(self):
+        context = VerificationContext()
+        state = ExecutionPolicy().start(context.counters)
+        guard = GuardedPredicate(BlockFaultNgram(), "necessary", state)
+        groups = GroupSet.singletons(make_store(name_grid()))
+        index = context.neighbor_index(guard, groups)
+        index.neighbors_batch(list(range(len(groups))))
+        assert index.batch_engine is not None
+        assert context.counters.predicate_errors_contained > 0
+        assert context.cached_verdicts(guard) == 0
+        assert context.counters.cache_hits == 0
+
+    def test_necessary_block_faults_never_over_prune(self):
+        store = make_store(name_grid() * 2)
+        faulty = [PredicateLevel(exact_name_predicate(), BlockFaultNgram())]
+        result = pruned_dedup(store, 3, faulty, policy=ExecutionPolicy())
+        assert not result.degraded
+        assert result.counters.predicate_errors_contained > 0
+        clean = pruned_dedup(
+            store,
+            3,
+            [
+                PredicateLevel(
+                    exact_name_predicate(), NgramOverlapPredicate("name", 0.5)
+                )
+            ],
+        )
+        kept = {r for g in result.groups for r in g.member_ids}
+        assert {r for g in clean.groups for r in g.member_ids} <= kept
+
+    def test_on_error_raise_propagates_from_block(self):
+        store = make_store(name_grid() * 2)
+        levels = [PredicateLevel(exact_name_predicate(), BlockFaultNgram())]
+        with pytest.raises(RuntimeError, match="block exploded"):
+            pruned_dedup(
+                store, 3, levels, policy=ExecutionPolicy(on_error="raise")
+            )
+
+    @pytest.mark.parametrize("per_pair, timed_out", [(0.01, False), (1e-9, True)])
+    def test_block_timeout_scales_with_block_size(self, per_pair, timed_out):
+        records = list(make_store(name_grid()))
+        probe = records[0]
+        plain = NeighborIndex(NgramOverlapPredicate("name", 0.5), records)
+        candidates = plain.candidate_positions(probe) - {0}
+        assert len(candidates) * 0.01 > 0.1  # block budget beats the stall
+        counters = PipelineCounters()
+        guard = GuardedPredicate(
+            BlockFaultNgram(stall_seconds=0.05, trigger="-never-"),
+            "necessary",
+            armed_state(counters, call_timeout_seconds=per_pair),
+        )
+        got = NeighborIndex(guard, records).neighbors(probe, exclude_position=0)
+        if timed_out:
+            # Over (timeout x size): every candidate becomes a kept
+            # edge, counted once per pair.
+            assert got == sorted(candidates)
+            assert counters.predicate_timeouts_contained == len(candidates)
+        else:
+            # A 0.05 s stall is over the per-pair timeout but within the
+            # block's scaled budget: the verdicts stand.
+            assert got == plain.neighbors(probe, exclude_position=0)
+            assert counters.predicate_timeouts_contained == 0
+
+    def test_build_or_probe_failure_falls_back_to_scalar(self):
+        records = list(make_store(name_grid()))
+        state = armed_state()
+        plain = NeighborIndex(NgramOverlapPredicate("name", 0.5), records)
+        unbuilt = GuardedPredicate(UnbuildableNgram(), "necessary", state)
+        assert NeighborIndex(unbuilt, records).batch_engine is None
+        guard = GuardedPredicate(UnprobeableNgram(), "necessary", state)
+        index = NeighborIndex(guard, records, vectorize=True)
+        assert index.batch_engine is not None
+        probe = make_store(["annie smyth"])[0]
+        assert index.neighbors(probe) == plain.neighbors(probe)
+        assert state.counters.total_contained == 0
+
+    def test_budget_exhausts_mid_prune(self):
+        store = make_store(name_grid())
+        context = VerificationContext()
+        state = ExecutionPolicy(max_stage_evaluations=5).start(context.counters)
+        guard = GuardedPredicate(
+            NgramOverlapPredicate("name", 0.5), "necessary", state
+        )
+        groups = GroupSet.singletons(store)
+        runner = StageRunner(context, state)
+        value = runner.run(
+            "level-1",
+            "prune",
+            lambda: prune(groups, guard, 10.0, context=context),
+        )
+        assert value is None and runner.aborted
+        assert runner.reason == REASON_STAGE_BUDGET
+        assert context.neighbor_index(guard, groups).batch_engine is not None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reason", [REASON_STAGE_BUDGET, REASON_DEADLINE])
+    def test_exhaustion_in_block_verification_degrades(self, workers, reason):
+        if workers > 1 and not fork_available():
+            pytest.skip("platform has no fork start method")
+        store = make_store(name_grid())
+        if reason == REASON_STAGE_BUDGET:
+            necessary = NgramOverlapPredicate("name", 0.5)
+            policy = ExecutionPolicy(max_stage_evaluations=5)
+        else:
+            # The first block stalls past the deadline; the next block's
+            # tick (in the parent or inside each forked worker) fires it.
+            necessary = BlockFaultNgram(stall_seconds=0.6)
+            policy = ExecutionPolicy(deadline_seconds=0.5)
+        levels = [PredicateLevel(exact_name_predicate(), necessary)]
+        result = pruned_dedup(store, 2, levels, policy=policy, workers=workers)
+        assert result.degraded and result.degraded_reason == reason
+        [abandoned] = [r for r in result.stage_records if not r.completed]
+        verifying = ("lower_bound", "prune") if workers == 1 else ("neighbors",)
+        assert abandoned.stage in verifying and abandoned.reason == reason
+
+    @pytest.mark.skipif(not fork_available(), reason="no fork start method")
+    def test_guarded_engine_reaches_workers_by_fork(self):
+        # A guarded engine is never exported to shared memory: its block
+        # containment keeps counting inside the forked workers.
+        store = make_store(name_grid())
+        context = VerificationContext()
+        state = ExecutionPolicy().start(context.counters)
+        guard = GuardedPredicate(BlockFaultNgram(), "necessary", state)
+        groups = GroupSet.singletons(store)
+        index = prime_neighbor_index(groups, guard, 2, context)
+        assert index.batch_engine is not None
+        assert context.counters.shards_degraded == 0
+        assert context.counters.predicate_errors_contained > 0

@@ -192,8 +192,17 @@ def test_policy_free_queries_are_cached_per_snapshot():
     first = snapshot.query_topk(2)
     assert snapshot.query_topk(2) is first  # cache hit: identical object
     assert snapshot.query_topk(1) is not first  # different key
-    # A policy-carrying query (deadlines are per request) bypasses it.
-    assert snapshot.query_topk(2, policy=ExecutionPolicy()) is not first
+    # A clean policy-armed answer is a cache hit: a clean answer is the
+    # same under any policy, so the key leaves the policy out.
+    assert snapshot.query_topk(2, policy=ExecutionPolicy()) is first
+    # A degraded answer never is: every request runs afresh.
+    fresh = EngineSnapshot.freeze(engine)
+    expired = ExecutionPolicy(deadline_seconds=0.0)
+    degraded = fresh.query_topk(1, policy=expired)
+    assert degraded.degraded
+    again = fresh.query_topk(1, policy=expired)
+    assert again.degraded and again is not degraded
+    assert fresh.cache_size == 0
     assert snapshot.query_rank(2) is snapshot.query_rank(2)
     assert snapshot.query_threshold(1.5) is snapshot.query_threshold(1.5)
 
