@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.collapse import collapse, collapse_records
 from ..core.records import Group, GroupSet, RecordStore, merge_groups
 from ..graphs.union_find import UnionFind
 from ..predicates.base import Predicate, PredicateLevel
-from ..predicates.blocking import candidate_pairs
+from ..predicates.blocking import candidate_pair_arrays
 from ..scoring.pairwise import PairwiseScorer
 
 
@@ -49,22 +51,22 @@ class DedupOutcome:
 
 def _cluster_positive_pairs(
     group_set: GroupSet,
-    pairs: list[tuple[int, int]],
+    pairs: tuple[np.ndarray, np.ndarray],
     scorer: PairwiseScorer,
 ) -> tuple[GroupSet, int]:
-    """Score *pairs* of group positions; merge positives transitively."""
-    representatives = group_set.representatives()
+    """Score the ``(left, right)`` group-position *pairs* in one block;
+    merge positives transitively."""
+    left, right = pairs
+    scores = scorer.score_pairs(group_set.representatives(), left, right)
     uf = UnionFind(len(group_set))
-    n_scored = 0
-    for i, j in pairs:
-        n_scored += 1
-        if scorer.score(representatives[i], representatives[j]) > 0:
-            uf.union(i, j)
+    positive = scores > 0
+    for i, j in zip(left[positive].tolist(), right[positive].tolist()):
+        uf.union(i, j)
     merged = [
         merge_groups(group_set.store, [group_set[i] for i in component])
         for component in uf.components()
     ]
-    return GroupSet(store=group_set.store, groups=merged), n_scored
+    return GroupSet(store=group_set.store, groups=merged), len(left)
 
 
 def _topk(group_set: GroupSet, k: int) -> GroupSet:
@@ -74,8 +76,7 @@ def _topk(group_set: GroupSet, k: int) -> GroupSet:
 def none_pipeline(store: RecordStore, k: int, scorer: PairwiseScorer) -> DedupOutcome:
     """Cartesian product -> P -> transitive clustering -> K largest."""
     group_set = GroupSet.singletons(store)
-    n = len(group_set)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = np.triu_indices(len(group_set), k=1)
     clustered, n_scored = _cluster_positive_pairs(group_set, pairs, scorer)
     return DedupOutcome(
         topk=_topk(clustered, k), n_pairs_scored=n_scored, n_groups=len(clustered)
@@ -90,8 +91,7 @@ def canopy_pipeline(
 ) -> DedupOutcome:
     """Canopy (necessary predicate) pairs -> P -> clustering -> K largest."""
     group_set = GroupSet.singletons(store)
-    representatives = group_set.representatives()
-    pairs = list(candidate_pairs(necessary, representatives, verify=True))
+    pairs = candidate_pair_arrays(necessary, group_set.representatives())
     clustered, n_scored = _cluster_positive_pairs(group_set, pairs, scorer)
     return DedupOutcome(
         topk=_topk(clustered, k), n_pairs_scored=n_scored, n_groups=len(clustered)
@@ -128,9 +128,8 @@ def full_dedup_pipeline(
         clustered = collapse(clustered, level.sufficient)
     n_scored = 0
     if scorer is not None:
-        representatives = clustered.representatives()
-        pairs = list(
-            candidate_pairs(levels[-1].necessary, representatives, verify=True)
+        pairs = candidate_pair_arrays(
+            levels[-1].necessary, clustered.representatives()
         )
         clustered, n_scored = _cluster_positive_pairs(clustered, pairs, scorer)
     return DedupOutcome(
@@ -150,8 +149,7 @@ def canopy_collapse_pipeline(
 ) -> DedupOutcome:
     """Sufficient-collapse, then the canopy pipeline on representatives."""
     collapsed = collapse_records(store, sufficient)
-    representatives = collapsed.representatives()
-    pairs = list(candidate_pairs(necessary, representatives, verify=True))
+    pairs = candidate_pair_arrays(necessary, collapsed.representatives())
     clustered, n_scored = _cluster_positive_pairs(collapsed, pairs, scorer)
     return DedupOutcome(
         topk=_topk(clustered, k), n_pairs_scored=n_scored, n_groups=len(clustered)

@@ -50,7 +50,7 @@ from .observability import (
 from .predicates.base import PredicateLevel
 from .predicates.library import ExactFieldsPredicate, NgramOverlapPredicate
 from .scoring.pairwise import CachedScorer, WeightedScorer
-from .similarity.vectorize import PairFeaturizer
+from .similarity.vectorize import JaroWinklerFeature, PairFeaturizer, SetFeature
 
 
 def load_csv(
@@ -115,29 +115,13 @@ def generic_levels(field: str, ngram_threshold: float) -> list[PredicateLevel]:
 
 
 def generic_scorer(field: str, bias: float) -> CachedScorer:
-    """Hand-weighted similarity scorer over the query field."""
-    from .similarity.measures import jaccard
-    from .similarity.strings import jaro_winkler
-    from .similarity.tokenize import cached_ngram_set, cached_word_set, normalize
-
+    """Hand-weighted similarity scorer over the query field: 3-gram
+    Jaccard, word Jaccard and Jaro-Winkler, each scored in blocks."""
     featurizer = PairFeaturizer(
         [
-            (
-                "3gram_jaccard",
-                lambda a, b: jaccard(
-                    cached_ngram_set(a[field]), cached_ngram_set(b[field])
-                ),
-            ),
-            (
-                "word_jaccard",
-                lambda a, b: jaccard(
-                    cached_word_set(a[field]), cached_word_set(b[field])
-                ),
-            ),
-            (
-                "jaro_winkler",
-                lambda a, b: jaro_winkler(normalize(a[field]), normalize(b[field])),
-            ),
+            ("3gram_jaccard", SetFeature(field, "ngram")),
+            ("word_jaccard", SetFeature(field, "word")),
+            ("jaro_winkler", JaroWinklerFeature(field)),
         ]
     )
     return CachedScorer(

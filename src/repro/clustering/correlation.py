@@ -16,9 +16,11 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from ..core.records import Record
 from ..predicates.base import Predicate
-from ..predicates.blocking import candidate_pairs
+from ..predicates.blocking import candidate_pair_arrays
 from ..scoring.pairwise import PairwiseScorer
 
 
@@ -62,11 +64,33 @@ class ScoreMatrix:
         self._adjacency[i].add(j)
         self._adjacency[j].add(i)
 
+    def set_pairs(
+        self, left: np.ndarray, right: np.ndarray, scores: np.ndarray
+    ) -> None:
+        """``set(left[t], right[t], scores[t])`` for every *t*, in order."""
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        if len(left) == 0:
+            return
+        if (left == right).any():
+            raise ValueError("self-pair in block")
+        low = np.minimum(left, right)
+        high = np.maximum(left, right)
+        if low.min() < 0 or high.max() >= self._n:
+            raise IndexError(f"pair outside range 0..{self._n - 1}")
+        low = low.tolist()
+        high = high.tolist()
+        self._scores.update(zip(zip(low, high), np.asarray(scores).tolist()))
+        adjacency = self._adjacency
+        for i, j in zip(low, high):
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+
     def get(self, i: int, j: int) -> float:
         """Return the score of (i, j); the default when never stored."""
         if i == j:
             raise ValueError(f"self-pair ({i}, {i})")
-        return self._scores.get(self._key(i, j), self._default)
+        return self._scores.get((i, j) if i < j else (j, i), self._default)
 
     def has(self, i: int, j: int) -> bool:
         """Return True when (i, j) was explicitly scored."""
@@ -81,6 +105,18 @@ class ScoreMatrix:
         for (i, j), score in self._scores.items():
             yield i, j, score
 
+    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored pairs as ``(i, j, score)`` arrays, i < j, in the
+        order :meth:`scored_pairs` yields them."""
+        count = len(self._scores)
+        ends = np.fromiter(
+            (end for pair in self._scores for end in pair),
+            dtype=np.int64,
+            count=2 * count,
+        ).reshape(count, 2)
+        scores = np.fromiter(self._scores.values(), dtype=np.float64, count=count)
+        return ends[:, 0], ends[:, 1], scores
+
     @classmethod
     def from_scorer(
         cls,
@@ -91,17 +127,18 @@ class ScoreMatrix:
     ) -> "ScoreMatrix":
         """Score all pairs passing *necessary* (or all pairs when None).
 
-        Passing ``necessary=None`` enumerates the full Cartesian set —
-        only sensible for small inputs (e.g. the Figure-7 datasets).
+        The pairs are scored as one block
+        (:meth:`~repro.scoring.pairwise.PairwiseScorer.score_pairs`) and
+        stored in ascending ``(i, j)`` order.  Passing ``necessary=None``
+        enumerates the full Cartesian set — only sensible for small
+        inputs (e.g. the Figure-7 datasets).
         """
         matrix = cls(len(records), default=default)
         if necessary is None:
-            for i, record_a in enumerate(records):
-                for j in range(i + 1, len(records)):
-                    matrix.set(i, j, scorer.score(record_a, records[j]))
+            left, right = np.triu_indices(len(records), k=1)
         else:
-            for i, j in candidate_pairs(necessary, records, verify=True):
-                matrix.set(i, j, scorer.score(records[i], records[j]))
+            left, right = candidate_pair_arrays(necessary, records)
+        matrix.set_pairs(left, right, scorer.score_pairs(records, left, right))
         return matrix
 
 

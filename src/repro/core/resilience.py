@@ -29,7 +29,9 @@ wrapped so each *candidate block* is one guarded call.  The block ticks
 the budget by its pair count (the budget unit stays "pair verdicts"),
 the deadline is checked before it, the per-call timeout scales with its
 size, and a raising block is replaced wholesale by role-safe fallback
-verdicts, each counted.
+verdicts, each counted.  The scorer is guarded at its own grain: a
+scorer that implements only ``score(a, b)`` is contained pair by pair,
+and a block-native one in guarded calls of at most ``PAIR_CHUNK`` pairs.
 
 Timeouts are **cooperative**: pure-Python code cannot preempt a call
 that never returns.  The per-call timeout marks calls that exceeded the
@@ -54,6 +56,7 @@ import numpy as np
 
 from ..predicates.base import Predicate, PredicateLevel
 from ..scoring.pairwise import PairwiseScorer
+from ..similarity.vectorize import PAIR_CHUNK
 
 if TYPE_CHECKING:
     from ..core.records import Record
@@ -90,16 +93,16 @@ class ExecutionPolicy:
             descending predicate levels and returns the best answer
             derivable from the current collapsed state, flagged
             ``degraded``.  None = no deadline.
-        max_stage_evaluations: Cap on guarded pair verdicts and scorer
-            calls per pipeline stage (a vectorized candidate block
-            counts its pairs); exhaustion degrades exactly like a
-            deadline.  None = unlimited.
+        max_stage_evaluations: Cap on guarded pair verdicts and scored
+            pairs per pipeline stage (a vectorized candidate block or a
+            scored block counts its pairs); exhaustion degrades exactly
+            like a deadline.  None = unlimited.
         call_timeout_seconds: Per-call wall budget for user predicates
-            and scorers (a vectorized block gets this times its pair
-            count).  A call that returns but took longer is deemed
-            unreliable and its verdict replaced with the role-safe
-            fallback (cooperative — see the module docstring).  None =
-            no per-call timeout.
+            and scorers (a vectorized or scored block gets this times
+            its pair count).  A call that returns but took longer is
+            deemed unreliable and its verdict replaced with the
+            role-safe fallback (cooperative — see the module docstring).
+            None = no per-call timeout.
         on_error: ``"degrade"`` substitutes role-safe fallbacks for
             exceptions raised by user predicates/scorers (counted in the
             pipeline counters); ``"raise"`` propagates them unchanged.
@@ -144,8 +147,8 @@ class ExecutionState:
     One state spans one query run (for ``topk_count_query`` it covers
     both the pruning pipeline and the scoring stage, so the deadline is
     global).  Guarded wrappers call :meth:`tick` once per user-code
-    call (with the pair count for a vectorized block); stage boundaries
-    call :meth:`begin_stage`/:meth:`check`.
+    call (with the pair count for a vectorized or scored block); stage
+    boundaries call :meth:`begin_stage`/:meth:`check`.
     """
 
     def __init__(self, policy: ExecutionPolicy, counters: "PipelineCounters"):
@@ -164,7 +167,7 @@ class ExecutionState:
         self._stage_calls = 0
 
     def tick(self, count: int = 1) -> None:
-        """Account *count* guarded pair verdicts (or scorer calls);
+        """Account *count* guarded pair verdicts (or scored pairs);
         raise when the policy is exhausted."""
         self._stage_calls += count
         budget = self.policy.max_stage_evaluations
@@ -347,10 +350,20 @@ class _GuardedBlocks:
 class GuardedScorer(PairwiseScorer):
     """Fault-containment wrapper around the final pairwise criterion P.
 
-    A raising or over-slow scorer call yields the neutral score
-    *fallback* (default 0.0: no attraction, no repulsion), so one bad
-    pair cannot crash the scoring stage or skew a segmentation with a
-    garbage magnitude.
+    A guarded call ticks the budget by its pair count and checks the
+    deadline first; a raising call, or one that overran the per-call
+    timeout scaled by its pair count, scores the neutral *fallback*
+    (default 0.0: no attraction, no repulsion) for each of its pairs,
+    each counted in ``scorer_errors_contained``.  One bad pair cannot
+    crash the scoring stage or skew a segmentation with a garbage
+    magnitude.
+
+    A guarded call is one pair when the inner scorer implements only
+    ``score(a, b)`` (a raising pair zeroes only its own score, and the
+    deadline is checked between pairs), and at most :data:`PAIR_CHUNK`
+    pairs of a :meth:`score_pairs` block when the inner scorer is
+    block-native, as :meth:`GuardedPredicate.contain_block` does for
+    predicates.
     """
 
     def __init__(
@@ -363,22 +376,50 @@ class GuardedScorer(PairwiseScorer):
         self._state = state
         self._fallback = fallback
 
+    def score_pairs(self, records, left, right) -> np.ndarray:
+        inner = self._inner
+        out = np.empty(len(left), dtype=np.float64)
+        if inner.scores_in_blocks:
+            for start in range(0, len(left), PAIR_CHUNK):
+                rows = slice(start, start + PAIR_CHUNK)
+                out[rows] = self._contain(
+                    len(out[rows]),
+                    lambda: np.asarray(
+                        inner.score_pairs(records, left[rows], right[rows]),
+                        dtype=np.float64,
+                    ),
+                )
+        else:
+            for row, (i, j) in enumerate(zip(left.tolist(), right.tolist())):
+                out[row] = self._contain(
+                    1, lambda: float(inner.score(records[i], records[j]))
+                )
+        return out
+
     def score(self, a: "Record", b: "Record") -> float:
+        return self.score_one(a, b)
+
+    def _contain(self, n_pairs: int, compute: Callable[[], object]):
+        """Run one guarded call of *n_pairs* scores: the result of
+        *compute*, or the fallback on an exception or a timeout."""
         state = self._state
-        state.tick()
+        state.tick(n_pairs)
         timeout = state.policy.call_timeout_seconds
         started = time.perf_counter() if timeout is not None else 0.0
         try:
-            value = float(self._inner.score(a, b))
+            scores = compute()
         except Exception:
             if state.policy.on_error == "raise":
                 raise
-            state.counters.scorer_errors_contained += 1
+            state.counters.scorer_errors_contained += n_pairs
             return self._fallback
-        if timeout is not None and time.perf_counter() - started > timeout:
-            state.counters.scorer_errors_contained += 1
+        if (
+            timeout is not None
+            and time.perf_counter() - started > timeout * n_pairs
+        ):
+            state.counters.scorer_errors_contained += n_pairs
             return self._fallback
-        return value
+        return scores
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..clustering.correlation import ScoreMatrix
 from ..embedding.greedy import LinearEmbedding, greedy_embedding
 from ..embedding.segmentation import TopKAnswer, auto_max_span, top_k_answers
@@ -349,9 +351,9 @@ def group_score_matrix(
     if not aggregate:
         return matrix
     scaled = ScoreMatrix(matrix.n, default=matrix.default)
-    sizes = [group.size for group in groups]
-    for i, j, score in matrix.scored_pairs():
-        scaled.set(i, j, score * sizes[i] * sizes[j])
+    sizes = np.array([group.size for group in groups], dtype=np.int64)
+    i, j, scores = matrix.pair_arrays()
+    scaled.set_pairs(i, j, scores * sizes[i] * sizes[j])
     return scaled
 
 

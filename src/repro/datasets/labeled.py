@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.records import Record
 from ..predicates.base import Predicate
-from ..predicates.blocking import candidate_pairs
+from ..predicates.blocking import candidate_pair_arrays
 from .base import SyntheticDataset
 
 LabeledPairs = tuple[list[tuple[Record, Record]], list[int]]
@@ -62,7 +62,8 @@ def sample_labeled_pairs(
     """
     rng = np.random.default_rng(seed)
     ids = list(range(len(dataset.store))) if record_ids is None else list(record_ids)
-    id_set = set(ids)
+    if not ids:
+        raise ValueError("no records to sample from")
 
     by_entity: dict[int, list[int]] = defaultdict(list)
     for record_id in ids:
@@ -81,24 +82,31 @@ def sample_labeled_pairs(
     negatives: list[tuple[int, int]] = []
     if candidate_predicate is not None:
         records = [dataset.store[i] for i in ids]
-        local_to_global = {local: global_id for local, global_id in enumerate(ids)}
-        near_misses: list[tuple[int, int]] = []
-        # The pair stream's order depends on hash-randomized set
-        # iteration; collect and sort so training is reproducible across
-        # processes, then subsample with the seeded generator.
-        for local_a, local_b in candidate_pairs(candidate_predicate, records):
-            a = local_to_global[local_a]
-            b = local_to_global[local_b]
-            if dataset.labels[a] != dataset.labels[b]:
-                near_misses.append((a, b))
-        near_misses.sort()
+        global_ids = np.asarray(ids, dtype=np.int64)
+        entity = np.asarray(dataset.labels)[global_ids]
+        left, right = candidate_pair_arrays(candidate_predicate, records)
+        cross = entity[left] != entity[right]
+        first = global_ids[left[cross]]
+        second = global_ids[right[cross]]
+        # Sort by global id (*record_ids* may come in any order), then
+        # subsample with the seeded generator.
+        order = np.lexsort((second, first))
+        near_misses = list(zip(first[order].tolist(), second[order].tolist()))
         if len(near_misses) > n_negatives:
             chosen = rng.choice(
                 len(near_misses), size=n_negatives, replace=False
             )
             near_misses = [near_misses[int(i)] for i in sorted(chosen)]
         negatives.extend(near_misses)
-    while len(negatives) < n_negatives and len(ids) >= 2:
+    if len(negatives) < n_negatives and len(by_entity) < 2:
+        # Random draws could never find a cross-entity pair: stop here
+        # instead of sampling forever.
+        raise ValueError(
+            f"cannot sample {n_negatives - len(negatives)} random negatives: "
+            f"all {len(ids)} records belong to one entity, so no "
+            "cross-entity pair exists"
+        )
+    while len(negatives) < n_negatives:
         a, b = (int(x) for x in rng.choice(len(ids), size=2, replace=False))
         a, b = ids[a], ids[b]
         if dataset.labels[a] != dataset.labels[b]:
@@ -108,6 +116,4 @@ def sample_labeled_pairs(
         (dataset.store[a], dataset.store[b]) for a, b in positives + negatives
     ]
     labels = [1] * len(positives) + [0] * len(negatives)
-    if not id_set:
-        raise ValueError("no records to sample from")
     return pairs, labels

@@ -19,8 +19,8 @@ items are *weighted* collapsed groups rather than unit records:
   embedding *break* (the "not considering any cluster including too many
   dissimilar points" speed-up the paper describes).
 
-Scores are the group-decomposable Eq. 2 terms, computed incrementally so
-the whole segment-score table costs O(n * max_span * avg_degree).
+Scores are the group-decomposable Eq. 2 terms; the whole segment-score
+table is O(pairs + n * max_span) NumPy work over a banded score array.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..clustering.correlation import ScoreMatrix
 from .greedy import LinearEmbedding
@@ -96,7 +98,27 @@ def auto_max_span(scores: ScoreMatrix, slack: int = 4, cap: int | None = None) -
 
 
 class SegmentScoreTable:
-    """Incrementally computed Eq. 2 scores of contiguous segments."""
+    """Eq. 2 scores of every contiguous segment of at most ``max_span``
+    items, built with NumPy over a banded score array.
+
+    Accumulation order, fixed so the table is reproducible bit for bit
+    (``tests/test_block_scoring.py`` holds it to a plain loop in this
+    order):
+
+    * ``neg_all[x]`` — the cross contribution of the singleton ``[x, x]``
+      — sums ``-P`` over x's negative scored edges in the score
+      matrix's pair order;
+    * the edges inside a segment ending at ``b`` are summed nearest
+      first (``b-1``, ``b-2``, ...), positive and negative scores in
+      separate sums ``pos_in`` and ``neg_in``;
+    * a row is then ``table[a][0] = neg_all[a]`` and ``table[a][s] =
+      table[a][s-1] + ((2 * pos_in + neg_all[b]) - 2 * neg_in)`` with
+      ``b = a + s``.
+
+    Every sum is an ``np.cumsum`` (strictly sequential) or an
+    ``np.bincount`` (input order), never ``np.sum``, whose pairwise
+    order depends on the array length.
+    """
 
     def __init__(
         self,
@@ -106,40 +128,58 @@ class SegmentScoreTable:
     ):
         if max_span < 1:
             raise ValueError(f"max_span must be >= 1, got {max_span}")
-        self._order = embedding.order
-        n = len(self._order)
-        position_of = embedding.position_of()
-
-        # neg_all[i]: total -P over i's negative scored edges (the
-        # "cross" contribution of a singleton segment).
-        neg_all = [0.0] * n
-        # Adjacency in embedding coordinates: (other_index, score).
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for orig_i, orig_j, score in scores.scored_pairs():
-            i = position_of[orig_i]
-            j = position_of[orig_j]
-            adjacency[i].append((j, score))
-            adjacency[j].append((i, score))
-            if score < 0:
-                neg_all[i] -= score
-                neg_all[j] -= score
-
-        # table[a][s] = Eq. 2 score of the segment [a, a+s] (inclusive).
-        self._table: list[list[float]] = []
-        for a in range(n):
-            row = [neg_all[a]]
-            limit = min(n - 1, a + max_span - 1)
-            for b in range(a + 1, limit + 1):
-                pos_in = 0.0
-                neg_in = 0.0
-                for other, score in adjacency[b]:
-                    if a <= other < b:
-                        if score > 0:
-                            pos_in += score
-                        else:
-                            neg_in -= score
-                row.append(row[-1] + 2.0 * pos_in + neg_all[b] - 2.0 * neg_in)
-            self._table.append(row)
+        order = np.asarray(embedding.order, dtype=np.int64)
+        n = len(order)
+        position = np.empty(scores.n, dtype=np.int64)
+        position[order] = np.arange(n, dtype=np.int64)
+        first, second, values = scores.pair_arrays()
+        i, j = position[first], position[second]
+        negative = values < 0
+        neg_all = np.bincount(
+            np.stack((i, j), axis=1)[negative].ravel(),
+            weights=np.repeat(-values[negative], 2),
+            minlength=n,
+        )
+        # No segment is longer than the embedding, so the band is at most
+        # n wide.  band[x][d]: the score of the edge (x - d, x), d < width.
+        width = max(1, min(max_span, n))
+        high = np.maximum(i, j)
+        distance = np.abs(i - j)
+        near = distance < width
+        pos_band = np.zeros((n, width), dtype=np.float64)
+        neg_band = np.zeros((n, width), dtype=np.float64)
+        near_values = values[near]
+        pos_band[high[near], distance[near]] = np.where(
+            near_values > 0, near_values, 0.0
+        )
+        neg_band[high[near], distance[near]] = np.where(
+            near_values < 0, -near_values, 0.0
+        )
+        # Column d of the cumulative bands: the edges of b reaching back
+        # at most d items, nearest first.
+        np.cumsum(pos_band, axis=1, out=pos_band)
+        np.cumsum(neg_band, axis=1, out=neg_band)
+        # Row a, column s reads the segment end b = a + s (clipped past
+        # the end; those cells are dropped below).
+        span = np.arange(width, dtype=np.int64)
+        end = np.minimum(np.arange(n, dtype=np.int64)[:, None] + span, n - 1)
+        # (2 * pos_in + neg_all[b]) - 2 * neg_in, in place, each band
+        # freed once read.
+        table = pos_band[end, span]
+        del pos_band
+        table *= 2.0
+        table += neg_all[end]
+        neg_in = neg_band[end, span]
+        del neg_band, end
+        neg_in *= 2.0
+        table -= neg_in
+        del neg_in
+        table[:, 0] = neg_all
+        np.cumsum(table, axis=1, out=table)
+        # Row a holds the segments [a, a + s] that fit: s < n - a.
+        self._table: list[list[float]] = [
+            table[a, : n - a].tolist() for a in range(n)
+        ]
 
     def score(self, a: int, b: int) -> float:
         """Eq. 2 score of the inclusive segment [a, b] in embedding order."""

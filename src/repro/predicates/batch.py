@@ -687,12 +687,16 @@ class BatchNeighborEngine:
             return {p: self.member_neighbors(p, counters) for p in order}
         in_batch = np.zeros(self.n_records, dtype=bool)
         in_batch[order] = True
+        batch_member = in_batch.tolist()  # per-item reads, Python speed
         known_mask = None
         if known:
             known_mask = np.zeros(self.n_records, dtype=bool)
             known_mask[
                 np.fromiter(known.keys(), dtype=np.int64, count=len(known))
             ] = True
+            # A batch member is probed here, so its pairs are decided by
+            # the sweep alone, never also through *known*.
+            known_mask[order] = False
         verified: dict[int, list[int]] = {}
         # Verdicts recovered without verification: reverse edges from
         # earlier in-batch probes plus membership in `known` sets.
@@ -724,18 +728,16 @@ class BatchNeighborEngine:
                     counters,
                 )
                 for q in accepted:
-                    if q > p and in_batch[q]:
+                    if q > p and batch_member[q]:
                         recovered[q].append(p)
             verified[p] = accepted
-        results: dict[int, list[int]] = {}
-        for p in order:
-            extras = recovered[p]
-            results[p] = (
-                sorted(set(verified[p]) | set(extras))
-                if extras
-                else verified[p]
-            )
-        return results
+        # A recovered neighbour was skipped by p's own verification (a
+        # batch member below p, or a known member), so the two lists are
+        # disjoint.
+        return {
+            p: sorted(recovered[p] + verified[p]) if recovered[p] else verified[p]
+            for p in order
+        }
 
     def member_neighbors_csr(
         self, positions: Sequence[int], counters

@@ -162,49 +162,61 @@ def _verify_sorted_neighborhood(
                 uf.union(pos_a, pos_b)
 
 
+def candidate_pair_arrays(
+    predicate: Predicate,
+    records: Sequence[Record],
+    verify: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every position pair sharing a key (N-verified when *verify*), as
+    ``(left, right)`` int64 arrays in ascending ``(i, j)`` order, i < j.
+
+    The pairs are the member neighbour lists of a :class:`NeighborIndex`
+    over *records* (:meth:`NeighborIndex.neighbors_batch`): the
+    vectorized batch engine's symmetric sweep, which verifies each pair
+    once, whenever the predicate offers one, else the index's scalar
+    strategies.  A verified pair ``(i, j)`` is decided as
+    ``predicate.evaluate(records[i], records[j])``.  Only the upper half
+    of each list is kept, as arrays, so the result holds 16 bytes per
+    pair.
+    """
+    n = len(records)
+    # The scalar pair strategy shares symmetric verdicts through a cache
+    # keyed by record id, sound only when the ids are distinct.
+    share_verdicts = getattr(predicate, "symmetric", True) and n == len(
+        {record.record_id for record in records}
+    )
+    index = NeighborIndex(
+        predicate, records, verdicts={} if share_verdicts else None
+    )
+    if verify:
+        found = index.neighbors_batch(range(n))
+    else:
+        found = (sorted(index.candidate_positions(record)) for record in records)
+    lefts = [np.empty(0, dtype=np.int64)]
+    rights = [np.empty(0, dtype=np.int64)]
+    for position, neighbors in enumerate(found):
+        neighbors = np.asarray(neighbors, dtype=np.int64)
+        neighbors = neighbors[neighbors > position]
+        lefts.append(np.full(len(neighbors), position, dtype=np.int64))
+        rights.append(neighbors)
+    return np.concatenate(lefts), np.concatenate(rights)
+
+
 def candidate_pairs(
     predicate: Predicate,
     records: Sequence[Record],
     verify: bool = True,
 ) -> Iterator[tuple[int, int]]:
-    """Yield each position pair sharing a key (optionally N-verified) once.
+    """Yield each position pair sharing a key (optionally N-verified) once,
+    in ascending ``(i, j)`` order with i < j.
 
     This is the canopy-style pair enumeration used by the baseline
     pipelines and by the final stage of Algorithm 2 ("apply criteria P on
-    pairs in D_{L+1} for which N_L is true").
+    pairs in D_{L+1} for which N_L is true"); see
+    :func:`candidate_pair_arrays` for how the pairs are found.
     """
-    index = build_key_index(predicate, records)
-    # Dedupe by ownership instead of a global pair set: each pair is
-    # yielded only from the first key (in index order) the two records
-    # share.  Memory drops from O(cross-key pairs) to O(postings).
-    key_ordinals: list[set[int]] = [set() for _ in range(len(records))]
-    for ordinal, positions in enumerate(index.values()):
-        for position in positions:
-            key_ordinals[position].add(ordinal)
-    verifying = verify and not predicate.key_implies_match
-    signatures = None
-    if verifying and predicate.supports_signatures:
-        signatures = [predicate.signature(record) for record in records]
-    for ordinal, positions in enumerate(index.values()):
-        if len(positions) < 2:
-            continue
-        for i, pos_a in enumerate(positions):
-            keys_a = key_ordinals[pos_a]
-            record_a = records[pos_a]
-            sig_a = signatures[pos_a] if signatures is not None else None
-            for pos_b in positions[i + 1 :]:
-                shared = keys_a & key_ordinals[pos_b]
-                if len(shared) > 1 and min(shared) != ordinal:
-                    continue  # owned by an earlier shared key
-                if verifying:
-                    if signatures is not None:
-                        if not predicate.evaluate_signatures(
-                            sig_a, signatures[pos_b]
-                        ):
-                            continue
-                    elif not predicate.evaluate(record_a, records[pos_b]):
-                        continue
-                yield (pos_a, pos_b) if pos_a < pos_b else (pos_b, pos_a)
+    left, right = candidate_pair_arrays(predicate, records, verify)
+    return zip(left.tolist(), right.tolist())
 
 
 class _DiscardCounters:

@@ -97,4 +97,4 @@ def canopy_pairs(
     from .blocking import candidate_pairs
 
     canopy = TfIdfCanopy.from_records(records, field, threshold)
-    return sorted(candidate_pairs(canopy, records, verify=True))
+    return list(candidate_pairs(canopy, records, verify=True))

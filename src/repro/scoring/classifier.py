@@ -96,10 +96,6 @@ class LogisticRegression:
         """Return hard 0/1 labels for rows of *x*."""
         return (self.decision_function(x) > 0.0).astype(int)
 
-    def score_pair(self, features: np.ndarray) -> float:
-        """Return the signed log-odds of a single feature vector."""
-        return float(self.decision_function(features.reshape(1, -1))[0])
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""

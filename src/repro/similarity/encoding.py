@@ -12,20 +12,23 @@ module is the substrate of the vectorized alternative:
   (``indptr``/``token_ids``), so a whole corpus of sets is two flat
   NumPy arrays;
 * the kernel functions below compute intersection sizes between one
-  probe set and a *block* of candidate rows in O(total candidate
-  tokens) NumPy work — no per-pair Python.
+  probe set and a *block* of candidate rows (:func:`intersection_counts`),
+  or between the two rows of each pair in a block of pairs
+  (:func:`pair_common_tokens`), in O(total gathered tokens) NumPy work —
+  no per-pair Python.
 
 Bit-identity contract: the block measures (:func:`overlap_block`,
 :func:`jaccard_block`) replicate :mod:`repro.similarity.measures`
 exactly, including the both-empty → 1.0 / one-empty → 0.0 conventions
 and IEEE-754 division (``int64/int64`` under NumPy true division is the
 same correctly-rounded float64 a Python ``/`` produces), so a
-vectorized verdict can never differ from the scalar one.
+vectorized verdict or feature can never differ from the scalar one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Collection, Hashable, Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -54,17 +57,20 @@ class TokenDictionary:
     def add(self, token: Hashable) -> int:
         """Return the id of *token*, assigning the next free id if new."""
         ids = self._ids
-        token_id = ids.get(token)
-        if token_id is None:
-            token_id = len(ids)
-            ids[token] = token_id
-        return token_id
+        return ids.setdefault(token, len(ids))
+
+    def tokens(self) -> list[Hashable]:
+        """Every known token, in id order (``tokens()[i]`` has id i)."""
+        return list(self._ids)
 
     def encode(self, tokens: Iterable[Hashable]) -> np.ndarray:
         """Encode *tokens* (adding new ones) as an int32 id array."""
-        add = self.add
+        ids = self._ids
+        assign = ids.setdefault
+        # ``len(ids)`` is read before the insert: a new token gets the
+        # next free id, as in :meth:`add`.
         return np.fromiter(
-            (add(token) for token in tokens), dtype=np.int32
+            (assign(token, len(ids)) for token in tokens), dtype=np.int32
         )
 
     def lookup_ids(self, tokens: Iterable[Hashable]) -> np.ndarray:
@@ -102,21 +108,18 @@ class EncodedSetCorpus:
     @classmethod
     def from_sets(
         cls,
-        sets: Sequence[Iterable[Hashable]],
+        sets: Sequence[Collection[Hashable]],
         dictionary: TokenDictionary | None = None,
     ) -> "EncodedSetCorpus":
         """Encode *sets* row by row, growing *dictionary* as needed."""
         dictionary = dictionary if dictionary is not None else TokenDictionary()
-        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-        rows: list[np.ndarray] = []
-        for position, token_set in enumerate(sets):
-            row = dictionary.encode(token_set)
-            rows.append(row)
-            indptr[position + 1] = indptr[position] + len(row)
-        token_ids = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int32)
+        lengths = np.fromiter(
+            (len(token_set) for token_set in sets), dtype=np.int64, count=len(sets)
         )
-        return cls(dictionary, indptr, token_ids.astype(np.int32, copy=False))
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        token_ids = dictionary.encode(chain.from_iterable(sets))
+        return cls(dictionary, indptr, token_ids)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -188,38 +191,73 @@ def intersection_counts(
     return counts
 
 
-def overlap_block(
-    inter: np.ndarray, probe_size: int, sizes: np.ndarray
-) -> np.ndarray:
+def pair_common_tokens(
+    indptr: np.ndarray,
+    token_ids: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every token the CSR rows of a pair share, for a block of pairs.
+
+    Returns ``(pair, token)``: entry *e* says row ``left[pair[e]]`` and
+    row ``right[pair[e]]`` both hold ``token[e]``.  Entries are sorted
+    by ``(pair, token)``.  Rows are sets, so a ``(pair, token)`` key
+    occurs once per side and a shared token is exactly a key seen
+    twice; one sort of both sides' keys finds them all.
+    """
+    flat_left, lengths_left = gather_rows(indptr, token_ids, left)
+    flat_right, lengths_right = gather_rows(indptr, token_ids, right)
+    if len(flat_left) == 0 or len(flat_right) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    pair_ids = np.arange(len(left), dtype=np.int64)
+    width = np.int64(max(flat_left.max(), flat_right.max()) + 1)
+    keys = np.concatenate(
+        (
+            np.repeat(pair_ids, lengths_left) * width + flat_left,
+            np.repeat(pair_ids, lengths_right) * width + flat_right,
+        )
+    )
+    keys.sort()
+    shared = keys[1:][keys[1:] == keys[:-1]]
+    return shared // width, shared % width
+
+
+def pair_intersection_counts(pair: np.ndarray, n_pairs: int) -> np.ndarray:
+    """``|left row ∩ right row|`` per pair from :func:`pair_common_tokens`."""
+    return np.bincount(pair, minlength=n_pairs).astype(np.int64, copy=False)
+
+
+def overlap_block(inter: np.ndarray, size_a, sizes: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.similarity.measures.overlap_coefficient`.
 
     ``|a ∩ b| / min(|a|, |b|)`` with both-empty → 1.0 and one-empty →
-    0.0, bit-identical to the scalar measure per element.
+    0.0, bit-identical to the scalar measure per element.  *size_a* is
+    one probe's size or an array of sizes parallel to *sizes*.
     """
     out = np.zeros(len(sizes), dtype=np.float64)
-    if probe_size == 0:
-        out[sizes == 0] = 1.0
-        return out
-    nonzero = sizes > 0
-    denominator = np.minimum(probe_size, sizes)
-    np.divide(inter, denominator, out=out, where=nonzero)
+    empty_a = np.asarray(size_a) == 0
+    empty_b = sizes == 0
+    out[empty_a & empty_b] = 1.0
+    np.divide(
+        inter, np.minimum(size_a, sizes), out=out, where=~(empty_a | empty_b)
+    )
     return out
 
 
-def jaccard_block(
-    inter: np.ndarray, probe_size: int, sizes: np.ndarray
-) -> np.ndarray:
+def jaccard_block(inter: np.ndarray, size_a, sizes: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.similarity.measures.jaccard`.
 
-    ``|a ∩ b| / |a ∪ b|`` with both-empty → 1.0 and one-empty → 0.0.
+    ``|a ∩ b| / |a ∪ b|`` with both-empty → 1.0 and one-empty → 0.0;
+    *size_a* is a scalar or an array, as in :func:`overlap_block`.
     """
     out = np.zeros(len(sizes), dtype=np.float64)
-    if probe_size == 0:
-        out[sizes == 0] = 1.0
-        return out
-    nonzero = sizes > 0
-    union = probe_size + sizes - inter
-    np.divide(inter, union, out=out, where=nonzero)
+    empty_a = np.asarray(size_a) == 0
+    empty_b = sizes == 0
+    out[empty_a & empty_b] = 1.0
+    np.divide(
+        inter, size_a + sizes - inter, out=out, where=~(empty_a | empty_b)
+    )
     return out
 
 

@@ -32,10 +32,10 @@ class TestLogisticRegression:
         scores = clf.decision_function(x)
         assert np.array_equal(clf.predict(x), (scores > 0).astype(int))
 
-    def test_score_pair_single_vector(self):
+    def test_decision_function_single_row(self):
         x, y = separable_data()
         clf = LogisticRegression().fit(x, y)
-        score = clf.score_pair(np.array([5.0, 5.0]))
+        [score] = clf.decision_function(np.array([[5.0, 5.0]]))
         assert score > 0
 
     def test_unfitted_raises(self):

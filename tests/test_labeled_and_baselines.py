@@ -8,6 +8,7 @@ from repro.baselines.full_dedup import (
     none_pipeline,
 )
 from repro.datasets import generate_citations, sample_labeled_pairs, split_groups
+from repro.datasets.base import SyntheticDataset
 from repro.scoring.pairwise import WeightedScorer
 from repro.similarity.vectorize import name_only_featurizer
 from tests.conftest import exact_name_predicate, make_store, shared_word_predicate
@@ -71,6 +72,31 @@ class TestSampleLabeledPairs:
         train_set = set(train)
         for a, b in pairs:
             assert a.record_id in train_set and b.record_id in train_set
+
+    @pytest.mark.timeout(10)
+    def test_one_entity_raises_instead_of_hanging(self):
+        # Regression: with no cross-entity pair among the chosen records
+        # the random-negative loop never exited.
+        ds = SyntheticDataset(
+            store=make_store(["ann smith"] * 3 + ["a smith", "ann smyth"]),
+            labels=[0] * 5,
+        )
+        with pytest.raises(ValueError, match="one entity"):
+            sample_labeled_pairs(ds, seed=0)
+        with pytest.raises(ValueError, match="one entity"):
+            sample_labeled_pairs(
+                ds, candidate_predicate=shared_word_predicate(), seed=0
+            )
+        # Without negatives to draw there is nothing to refuse.
+        pairs, labels = sample_labeled_pairs(
+            ds, negatives_per_positive=0.0, seed=0
+        )
+        assert labels == [1] * len(pairs) == [1] * 10
+
+    def test_no_records_raises_up_front(self):
+        ds = generate_citations(n_records=50, seed=0)
+        with pytest.raises(ValueError, match="no records"):
+            sample_labeled_pairs(ds, record_ids=[], seed=0)
 
 
 def simple_scorer() -> WeightedScorer:

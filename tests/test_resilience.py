@@ -17,6 +17,7 @@ from repro.core.prune import prune
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
 from repro.core.records import GroupSet
+from repro.core import resilience
 from repro.core.resilience import (
     REASON_DEADLINE,
     REASON_STAGE_BUDGET,
@@ -33,7 +34,7 @@ from repro.core.verification import PipelineCounters, VerificationContext
 from repro.predicates.base import FunctionPredicate, PredicateLevel
 from repro.predicates.blocking import NeighborIndex, closure
 from repro.predicates.library import JaccardPredicate, NgramOverlapPredicate
-from repro.scoring.pairwise import PairwiseScorer
+from repro.scoring.pairwise import CachedScorer, PairwiseScorer
 from tests.conftest import exact_name_predicate, make_store, shared_word_predicate
 
 
@@ -76,6 +77,22 @@ class ConstantScorer(PairwiseScorer):
 class RaisingScorer(PairwiseScorer):
     def score(self, a, b):
         raise RuntimeError("scorer exploded")
+
+
+class OneBadPairScorer(PairwiseScorer):
+    """Scores 1.0 per pair, implementing only ``score(a, b)``; the pair
+    of the two *bad* names raises, or stalls *stall_seconds* instead."""
+
+    def __init__(self, bad=("bob x", "cara x"), stall_seconds=0.0):
+        self.bad = set(bad)
+        self.stall_seconds = stall_seconds
+
+    def score(self, a, b):
+        if {a["name"], b["name"]} == self.bad:
+            if not self.stall_seconds:
+                raise RuntimeError("scorer exploded")
+            time.sleep(self.stall_seconds)
+        return 1.0
 
 
 def armed_state(counters=None, **policy_kwargs):
@@ -220,6 +237,35 @@ class TestGuardedScorer:
         a, b = records_ab()
         guard = GuardedScorer(ConstantScorer(2.5), armed_state())
         assert guard.score(a, b) == 2.5
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_one_raising_pair_zeroes_only_its_own_score(self, cached):
+        # A scorer that implements only score(a, b) is guarded pair by
+        # pair, through a cache too: its block is the inherited map.
+        records = list(make_store(["ann x", "bob x", "dan x", "cara x"]))
+        inner = OneBadPairScorer()
+        if cached:
+            inner = CachedScorer(inner)
+        counters = PipelineCounters()
+        guard = GuardedScorer(inner, armed_state(counters))
+        left, right = np.triu_indices(len(records), k=1)
+        scores = guard.score_pairs(records, left, right).tolist()
+        bad_pair = list(zip(left.tolist(), right.tolist())).index((1, 3))
+        assert scores == [0.0 if row == bad_pair else 1.0 for row in range(6)]
+        assert counters.scorer_errors_contained == 1
+
+    def test_call_timeout_is_per_pair_for_a_pair_scorer(self):
+        records = list(make_store(["ann x", "bob x", "dan x", "cara x"]))
+        counters = PipelineCounters()
+        guard = GuardedScorer(
+            OneBadPairScorer(stall_seconds=0.05),
+            armed_state(counters, call_timeout_seconds=0.02),
+        )
+        left, right = np.triu_indices(len(records), k=1)
+        # Six pairs x 0.02 s would hide the stall in a block budget.
+        scores = guard.score_pairs(records, left, right).tolist()
+        assert scores.count(0.0) == 1
+        assert counters.scorer_errors_contained == 1
 
 
 class TestStageRunner:
@@ -381,6 +427,7 @@ class TestAnytimeDegradation:
                 time.sleep(0.4)
                 return 1.0
 
+        started = time.perf_counter()
         result = topk_count_query(
             store,
             2,
@@ -389,8 +436,12 @@ class TestAnytimeDegradation:
             label_field="name",
             policy=ExecutionPolicy(deadline_seconds=0.3),
         )
+        elapsed = time.perf_counter() - started
         assert result.degraded
         assert result.degraded_reason == REASON_DEADLINE
+        # The deadline is checked between pairs, so the query overruns
+        # it by about one stall (0.3 + 0.4 s), not the 15 pairs' 6 s.
+        assert elapsed < 2.0
         scoring = [
             r for r in result.pruning.stage_records if r.level_name == "scoring"
         ]
@@ -967,3 +1018,223 @@ class TestBlockContainment:
         assert index.batch_engine is not None
         assert context.counters.shards_degraded == 0
         assert context.counters.predicate_errors_contained > 0
+
+
+# -- block-level containment of the scorer ------------------------------
+
+
+class BlockScorer(PairwiseScorer):
+    """Scores *value* per pair, one block per call; a block touching a
+    record whose name holds *trigger* raises, and each block can stall."""
+
+    def __init__(self, value=1.0, trigger="poison", stall_seconds=0.0):
+        self.value = value
+        self.trigger = trigger
+        self.stall_seconds = stall_seconds
+        self.blocks = []
+
+    def score(self, a, b):
+        return self.score_one(a, b)
+
+    def score_pairs(self, records, left, right):
+        self.blocks.append(len(left))
+        if self.stall_seconds:
+            time.sleep(self.stall_seconds)
+        touched = np.concatenate((left, right)).tolist()
+        if any(self.trigger in records[i]["name"] for i in touched):
+            raise RuntimeError("scorer block exploded")
+        return np.full(len(left), self.value)
+
+
+def key_implies_levels():
+    # The necessary predicate decides by shared key alone, so pruning
+    # makes no guarded evaluations: every tick lands in scoring.
+    necessary = FunctionPredicate(
+        evaluate_fn=lambda a, b: True,
+        keys_fn=lambda r: r["name"].split()[-1:],
+        name="same-last-word",
+        key_implies_match=True,
+    )
+    return [PredicateLevel(exact_name_predicate(), necessary)]
+
+
+SCORED_NAMES = ["a x", "b x", "c x", "d x", "e x", "f x"]
+
+
+def upper_pairs(n):
+    left, right = np.triu_indices(n, k=1)
+    return left, right
+
+
+class TestScorerBlockContainment:
+    def test_raising_block_scores_neutral_for_each_pair(self):
+        records = list(make_store(["ann x", "bob x", "poison x", "cara x"]))
+        counters = PipelineCounters()
+        guard = GuardedScorer(BlockScorer(), armed_state(counters))
+        left, right = upper_pairs(len(records))
+        assert guard.score_pairs(records, left, right).tolist() == [0.0] * 6
+        assert counters.scorer_errors_contained == 6
+        clean = guard.score_pairs(records, np.array([0, 1]), np.array([1, 3]))
+        assert clean.tolist() == [1.0, 1.0]
+        assert counters.scorer_errors_contained == 6
+        # score(a, b) is the one-pair block.
+        assert guard.score(records[0], records[2]) == 0.0
+        assert counters.scorer_errors_contained == 7
+
+    def test_block_native_scorer_is_guarded_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(resilience, "PAIR_CHUNK", 2)
+        records = list(make_store(["ann x", "bob x", "poison x", "cara x"]))
+        counters = PipelineCounters()
+        inner = BlockScorer()
+        guard = GuardedScorer(inner, armed_state(counters))
+        # Chunks (0,1),(0,3) | (1,3),(2,3) | (1,2): the middle and last
+        # touch the poison record.
+        left, right = np.array([0, 0, 1, 2, 1]), np.array([1, 3, 3, 3, 2])
+        scores = guard.score_pairs(records, left, right).tolist()
+        assert scores == [1.0, 1.0, 0.0, 0.0, 0.0]
+        assert inner.blocks == [2, 2, 1]
+        assert counters.scorer_errors_contained == 3
+
+    def test_deadline_checked_between_chunks(self, monkeypatch):
+        monkeypatch.setattr(resilience, "PAIR_CHUNK", 3)
+        records = list(make_store(SCORED_NAMES))
+        inner = BlockScorer(stall_seconds=0.2)
+        guard = GuardedScorer(inner, armed_state(deadline_seconds=0.1))
+        left, right = upper_pairs(len(records))
+        with pytest.raises(ResilienceExhausted) as raised:
+            guard.score_pairs(records, left, right)
+        assert raised.value.reason == REASON_DEADLINE
+        assert inner.blocks == [3]  # one chunk of the 15 pairs ran
+
+    def test_on_error_raise_propagates_from_block(self):
+        records = list(make_store(["ann x", "poison x"]))
+        guard = GuardedScorer(BlockScorer(), armed_state(on_error="raise"))
+        with pytest.raises(RuntimeError, match="scorer block exploded"):
+            guard.score_pairs(records, np.array([0]), np.array([1]))
+
+    def test_stage_budget_checked_per_block(self):
+        records = list(make_store(SCORED_NAMES))
+        inner = BlockScorer()
+        state = armed_state(max_stage_evaluations=5)
+        guard = GuardedScorer(inner, state)
+        block = (np.array([0, 0, 1]), np.array([1, 2, 2]))
+        assert guard.score_pairs(records, *block).tolist() == [1.0] * 3
+        with pytest.raises(ResilienceExhausted) as raised:
+            guard.score_pairs(records, *block)
+        assert raised.value.reason == REASON_STAGE_BUDGET
+        assert inner.blocks == [3]  # the over-budget block never ran
+
+    def test_deadline_checked_per_block(self):
+        records = list(make_store(SCORED_NAMES))
+        inner = BlockScorer(stall_seconds=0.2)
+        guard = GuardedScorer(inner, armed_state(deadline_seconds=0.1))
+        block = (np.array([0, 0, 1]), np.array([1, 2, 2]))
+        # Checked before the block, so the block runs to the end...
+        assert guard.score_pairs(records, *block).tolist() == [1.0] * 3
+        # ...and the next block finds the deadline spent.
+        with pytest.raises(ResilienceExhausted) as raised:
+            guard.score_pairs(records, *block)
+        assert raised.value.reason == REASON_DEADLINE
+        assert inner.blocks == [3]
+
+    @pytest.mark.parametrize("per_pair, timed_out", [(0.02, False), (1e-9, True)])
+    def test_call_timeout_scales_with_block_size(self, per_pair, timed_out):
+        records = list(make_store(SCORED_NAMES))
+        left, right = upper_pairs(len(records))
+        assert len(left) * 0.02 > 0.1  # block budget beats the stall
+        counters = PipelineCounters()
+        guard = GuardedScorer(
+            BlockScorer(value=2.5, stall_seconds=0.05),
+            armed_state(counters, call_timeout_seconds=per_pair),
+        )
+        scores = guard.score_pairs(records, left, right).tolist()
+        if timed_out:
+            assert scores == [0.0] * len(left)
+            assert counters.scorer_errors_contained == len(left)
+        else:
+            # Over the per-pair timeout, within the block's budget.
+            assert scores == [2.5] * len(left)
+            assert counters.scorer_errors_contained == 0
+
+    @pytest.mark.parametrize("query", ["topk", "interval"])
+    @pytest.mark.parametrize("reason", [REASON_STAGE_BUDGET, REASON_DEADLINE])
+    def test_exhaustion_in_scoring_degrades(self, query, reason):
+        from repro.uncertainty.query import topk_interval_query
+
+        store = make_store(SCORED_NAMES)
+        if reason == REASON_STAGE_BUDGET:
+            scorer = BlockScorer()
+            policy = ExecutionPolicy(max_stage_evaluations=3)
+        else:
+            # Pruning is instant; the one scoring block stalls past the
+            # deadline, which the stage's next check finds spent.
+            scorer = BlockScorer(stall_seconds=0.4)
+            policy = ExecutionPolicy(deadline_seconds=0.2)
+        if query == "topk":
+            result = topk_count_query(
+                store, 2, key_implies_levels(), scorer, policy=policy
+            )
+            records = result.pruning.stage_records
+        else:
+            result = topk_interval_query(
+                store, 2, key_implies_levels(), scorer, r=4, policy=policy
+            )
+            assert result.worlds_enumerated == 0
+            records = result.pruning.stage_records
+        assert result.degraded and result.degraded_reason == reason
+        scoring = [r for r in records if r.level_name == "scoring"]
+        assert scoring and scoring[-1].completed is False
+        assert len(scorer.blocks) == (0 if reason == REASON_STAGE_BUDGET else 1)
+
+    def test_clean_guarded_answer_equals_unguarded(self):
+        from repro.datasets import (
+            author_idf,
+            author_string_idf,
+            generate_citations,
+            suggest_min_idf,
+        )
+        from repro.experiments.harness import train_scorer_for
+        from repro.predicates import citation_levels
+        from repro.uncertainty.query import topk_interval_query
+
+        dataset = generate_citations(n_records=400, seed=6)
+        idf = author_idf(dataset.store)
+        levels = citation_levels(
+            idf, suggest_min_idf(idf), anchor_idf=author_string_idf(dataset.store)
+        )
+        scorer = train_scorer_for(dataset, "citation", levels, seed=6)
+        for r in (1, 3):
+            plain = topk_count_query(dataset.store, 4, levels, scorer.fresh(), r=r)
+            guarded = topk_count_query(
+                dataset.store, 4, levels, scorer.fresh(), r=r,
+                policy=ExecutionPolicy(),
+            )
+            assert not guarded.degraded
+            assert guarded.pruning.counters.total_contained == 0
+            assert [(a.entities, a.score, a.probability) for a in guarded.answers] == [
+                (a.entities, a.score, a.probability) for a in plain.answers
+            ]
+        plain = topk_interval_query(dataset.store, 4, levels, scorer.fresh(), r=4)
+        guarded = topk_interval_query(
+            dataset.store, 4, levels, scorer.fresh(), r=4, policy=ExecutionPolicy()
+        )
+        assert not guarded.degraded
+        assert guarded.entities == plain.entities
+
+    def test_contained_answer_is_never_cached(self):
+        names = ["ann lee", "an lee", "bob roy", "bob roi", "poison lee", "carl day"]
+        engine = IncrementalTopK(key_implies_levels(), scorer=BlockScorer())
+        for name in names:
+            engine.add({"name": name}, 1.0)
+        first = engine.query(2, kind="interval", r=4, policy=ExecutionPolicy())
+        second = engine.query(2, kind="interval", r=4, policy=ExecutionPolicy())
+        assert first is not second
+        assert engine._query_cache == {}
+        assert engine.verification.counters.scorer_errors_contained > 0
+        clean = IncrementalTopK(
+            key_implies_levels(), scorer=BlockScorer(trigger="-never-")
+        )
+        for name in names:
+            clean.add({"name": name}, 1.0)
+        answer = clean.query(2, kind="interval", r=4, policy=ExecutionPolicy())
+        assert clean.query(2, kind="interval", r=4, policy=ExecutionPolicy()) is answer
