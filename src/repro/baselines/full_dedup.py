@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.collapse import collapse, collapse_records
-from ..core.records import Group, GroupSet, RecordStore, merge_groups
+from ..core.records import GroupSet, RecordStore, merge_groups
 from ..graphs.union_find import UnionFind
 from ..predicates.base import Predicate, PredicateLevel
 from ..predicates.blocking import candidate_pair_arrays

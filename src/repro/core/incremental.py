@@ -54,7 +54,7 @@ from .persistence import (
     as_policy,
 )
 from .parallel import resolve_workers
-from .pruned_dedup import PrunedDedupResult, run_level_pipeline
+from .pruned_dedup import run_level_pipeline
 from .records import Group, GroupSet, Record, RecordStore, merge_groups
 from .resilience import ExecutionPolicy, run_is_clean
 from .verification import VerificationContext

@@ -15,7 +15,9 @@ encoded once at index-build time:
 * :class:`BatchNeighborEngine` — member/probe neighbor computation
   over CSR postings: gather the probe's posting rows, count shared
   keys per candidate with one ``np.unique``, verify the whole
-  candidate block with the rule or verifier.
+  candidate block with the rule or verifier.  Its symmetric sweep
+  does the same for a chunk of member probes at once, keyed by
+  ``(probe, candidate)`` pair.
 
 Every kernel replicates the scalar semantics bit-for-bit (see
 :mod:`repro.similarity.encoding` for the float contract); the
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Hashable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -63,7 +66,18 @@ from ..similarity.encoding import (
     intersection_counts,
     jaccard_block,
     overlap_block,
+    pair_common_tokens,
+    pair_intersection_counts,
 )
+from ..similarity.vectorize import PAIR_CHUNK
+
+#: Posting entries one chunk of :meth:`BatchNeighborEngine`'s symmetric
+#: sweep gathers at most (a probe whose own entries exceed it is a chunk
+#: alone).  The sweep's working arrays, about ten of them, grow with
+#: this: 1M-entry chunks raised the batch-citations set-up's peak RSS
+#: from 122 to 141 MB, while 4k-256k entries left it flat and ran about
+#: as fast.
+SWEEP_ENTRY_BUDGET = 65_536
 
 #: Environment variable disabling the vectorized path (set to ``0``,
 #: ``false`` or ``off``); anything else — including unset — enables it.
@@ -281,41 +295,64 @@ class SetSimilarityBatch:
             ok &= self.gate_ids[candidates] == gate
         if self.masks is not None:
             ok &= (self.masks[candidates] & mask) != np.uint64(0)
+
+        def overlaps(indptr, token_ids, scratch, probe_ids, size):
+            inter = intersection_counts(
+                probe_ids, indptr, token_ids, candidates, scratch
+            )
+            sizes = indptr[candidates + np.int64(1)] - indptr[candidates]
+            return inter, size, sizes
+
+        return self._apply_rule(
+            ok,
+            lambda: overlaps(
+                self._indptr1, self._ids1, self._scratch1, ids1, size1
+            ),
+            lambda: overlaps(
+                self._indptr2, self._ids2, self._scratch2, ids2, size2
+            ),
+        )
+
+    def verify_pairs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Verdict per member pair ``(left[e], right[e])`` — the rule of
+        :meth:`verify_block` on per-pair sizes, so each verdict equals
+        ``verify_member_block(left[e], right[e:e + 1])``."""
+        ok = np.ones(len(left), dtype=bool)
+        if self.gate_ids is not None:
+            ok &= self.gate_ids[left] == self.gate_ids[right]
+        if self.masks is not None:
+            ok &= (self.masks[left] & self.masks[right]) != np.uint64(0)
+        return self._apply_rule(
+            ok,
+            lambda: _pair_overlaps(self._indptr1, self._ids1, left, right),
+            lambda: _pair_overlaps(self._indptr2, self._ids2, left, right),
+        )
+
+    def _apply_rule(self, ok: np.ndarray, overlaps1, overlaps2) -> np.ndarray:
+        """*ok* (the gate and mask checks) and the rule's condition.
+
+        ``overlaps1()`` / ``overlaps2()`` return ``(|a ∩ b|, |a|, |b|)``
+        on the first / second token corpus, each size one probe's or
+        one per row; they run only when the rule reads that corpus.
+        """
         rule = self.rule
         if rule == "initials_any":
             return ok
-        inter1 = intersection_counts(
-            ids1, self._indptr1, self._ids1, candidates, self._scratch1
-        )
-        sizes1 = (
-            self._indptr1[candidates + np.int64(1)] - self._indptr1[candidates]
-        )
+        inter, size_a, size_b = overlaps1()
         if rule == "overlap_ge":
-            ok &= (
-                overlap_block(inter1, size1, sizes1)
-                >= self.params["threshold"]
-            )
+            ok &= overlap_block(inter, size_a, size_b) >= self.params["threshold"]
         elif rule == "inter_ge":
-            ok &= inter1 >= self.params["min_common"]
+            ok &= inter >= self.params["min_common"]
         elif rule == "jaccard_ge":
-            ok &= (
-                jaccard_block(inter1, size1, sizes1)
-                >= self.params["threshold"]
-            )
+            ok &= jaccard_block(inter, size_a, size_b) >= self.params["threshold"]
         else:  # address_s1
             ok &= (
-                overlap_block(inter1, size1, sizes1)
+                overlap_block(inter, size_a, size_b)
                 > self.params["name_threshold"]
             )
-            inter2 = intersection_counts(
-                ids2, self._indptr2, self._ids2, candidates, self._scratch2
-            )
-            sizes2 = (
-                self._indptr2[candidates + np.int64(1)]
-                - self._indptr2[candidates]
-            )
+            inter, size_a, size_b = overlaps2()
             ok &= (
-                overlap_block(inter2, size2, sizes2)
+                overlap_block(inter, size_a, size_b)
                 >= self.params["address_threshold"]
             )
         return ok
@@ -377,6 +414,26 @@ class SetSimilarityBatch:
         return verifier
 
 
+def _pair_overlaps(
+    indptr: np.ndarray,
+    token_ids: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(|left ∩ right|, |left|, |right|)`` per pair of CSR rows.
+
+    Intersections run :data:`PAIR_CHUNK` pairs at a time, so the
+    gathered token rows stay small however many pairs there are."""
+    inter = np.empty(len(left), dtype=np.int64)
+    for start in range(0, len(left), PAIR_CHUNK):
+        rows = slice(start, start + PAIR_CHUNK)
+        pair, _ = pair_common_tokens(indptr, token_ids, left[rows], right[rows])
+        inter[rows] = pair_intersection_counts(pair, len(inter[rows]))
+    sizes_left = indptr[left + np.int64(1)] - indptr[left]
+    sizes_right = indptr[right + np.int64(1)] - indptr[right]
+    return inter, sizes_left, sizes_right
+
+
 class OverlapCountRule:
     """Vectorized count-filtering accept: the batch form of
     :meth:`~repro.predicates.base.Predicate.count_accepts` plus the
@@ -414,23 +471,27 @@ class OverlapCountRule:
             return None
         return (self.probe_mask(record),)
 
-    def member_state(self, position: int):
-        """Probe state ``(mask,)`` of the indexed record at *position*."""
+    def member_state(self, position):
+        """Probe state ``(mask,)`` of the indexed record at *position*;
+        an array of positions gives one mask per entry, the per-pair
+        probe masks of the engine's symmetric sweep."""
         return (self.masks[position] if self.masks is not None else None,)
 
     def accepts(
         self,
         shared: np.ndarray,
-        n_probe_keys: int,
+        n_probe_keys,
         candidate_key_counts: np.ndarray,
-        probe_mask: np.uint64 | None,
+        probe_mask,
         candidates: np.ndarray,
     ) -> np.ndarray:
         """Verdict per candidate from shared-key counts.
 
-        Candidates share at least one key by construction, so both key
-        counts are >= 1 and the division is always defined; ``int64 /
-        int64`` true division reproduces the scalar ``shared /
+        *n_probe_keys* and *probe_mask* are one probe's, or arrays
+        parallel to *candidates* when each row is a different probe's
+        pair.  Candidates share at least one key by construction, so
+        both key counts are >= 1 and the division is always defined;
+        ``int64 / int64`` true division reproduces the scalar ``shared /
         min(n_a, n_b)`` bit-for-bit.
         """
         ok = (
@@ -461,7 +522,10 @@ class BatchNeighborEngine:
     CSR and a key-id → positions CSR — plus either a count rule or a
     pairwise verifier.  One member query is then: gather the probe's
     posting rows, ``np.unique`` for (candidates, shared counts), verify
-    the block, done — no per-candidate Python.
+    the block, done — no per-candidate Python.  Many member queries at
+    once (:meth:`member_neighbors_block`, :meth:`member_neighbors_csr`)
+    run the same steps over a chunk of probes per NumPy call, each
+    symmetric pair verified once.
 
     Built by :meth:`build` in the parent (which keeps the key-id map
     for external probes) or rebuilt worker-side from
@@ -490,6 +554,12 @@ class BatchNeighborEngine:
         self.verifier = verifier
         self._key_id_of = key_id_of
         self.symmetric = symmetric
+        self._key_counts = np.diff(key_indptr)
+        # Posting entries a member probe gathers (the summed posting
+        # lengths of its keys), which cut the symmetric sweep's chunks.
+        entries = np.zeros(len(key_ids) + 1, dtype=np.int64)
+        np.cumsum(np.diff(post_indptr)[key_ids], out=entries[1:])
+        self._probe_entries = entries[key_indptr[1:]] - entries[key_indptr[:-1]]
 
     @property
     def count_mode(self) -> bool:
@@ -600,14 +670,10 @@ class BatchNeighborEngine:
             return []
         if self.count_rule is not None:
             counters.predicate_evaluations += len(candidates)
-            candidate_key_counts = (
-                self.key_indptr[candidates + np.int64(1)]
-                - self.key_indptr[candidates]
-            )
             ok = self.count_rule.accepts(
                 shared,
                 n_probe_keys,
-                candidate_key_counts,
+                self._key_counts[candidates],
                 probe_state[0],
                 candidates,
             )
@@ -668,101 +734,180 @@ class BatchNeighborEngine:
         counters,
         known: dict[int, set[int]] | None = None,
     ) -> dict[int, list[int]]:
-        """Neighbor lists for many members, each symmetric pair verified
-        once.
+        """Neighbor lists of many members, each symmetric pair verified
+        once — the lists of :meth:`member_neighbors_csr` keyed by
+        position, *known* as in :meth:`_sweep`.
 
-        Probing members in ascending position order, a candidate that is
-        itself in the batch and *below* the probe is skipped — its own
-        (earlier) probe already decided the pair, and the verdict flows
-        back as a reverse edge after the sweep.  *known* maps
-        already-answered member positions to their neighbor sets (the
-        index's ``_probed`` store); pairs against those are decided by
-        set membership.  Both shortcuts count as ``cache_hits``,
-        mirroring the scalar count path's probed-membership sharing.
         The sharing is only sound for symmetric predicates; asymmetric
-        engines fall back to independent per-member probes.
+        engines (every guarded one) probe each member on its own,
+        through :meth:`member_neighbors` and its per-block containment.
         """
-        order = sorted({int(position) for position in positions})
         if not self.symmetric:
-            return {p: self.member_neighbors(p, counters) for p in order}
-        in_batch = np.zeros(self.n_records, dtype=bool)
+            return {
+                p: self.member_neighbors(p, counters)
+                for p in sorted({int(position) for position in positions})
+            }
+        order, indptr, flat = self._sweep(positions, counters, known)
+        flat_list = flat.tolist()
+        bounds = indptr.tolist()
+        return {
+            p: flat_list[bounds[row] : bounds[row + 1]]
+            for row, p in enumerate(order.tolist())
+        }
+
+    def member_neighbors_csr(
+        self, positions: Sequence[int], counters
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor lists of many members as (indptr, flat int32), one
+        row per entry of *positions* — the compact shape worker shards
+        ship back to the parent.  Results are identical to per-member
+        queries; in-shard pairs of a symmetric engine are verified once.
+        """
+        rows = np.asarray(positions, dtype=np.int64)
+        if self.symmetric:
+            order, indptr, flat = self._sweep(rows, counters)
+        else:
+            order = np.unique(rows)
+            lists = [self.member_neighbors(p, counters) for p in order.tolist()]
+            indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+            np.cumsum([len(found) for found in lists], out=indptr[1:])
+            flat = np.fromiter(
+                chain.from_iterable(lists), dtype=np.int32, count=int(indptr[-1])
+            )
+        if not np.array_equal(rows, order):
+            flat, lengths = gather_rows(
+                indptr, flat, np.searchsorted(order, rows)
+            )
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=indptr[1:])
+        return indptr, flat
+
+    def _sweep(
+        self,
+        positions: Sequence[int],
+        counters,
+        known: dict[int, set[int]] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The symmetric sweep: ``(order, indptr, flat)``, the distinct
+        *positions* ascending and their neighbor lists as CSR rows
+        (ascending, int32).
+
+        Member probes run in chunks of at most
+        :data:`SWEEP_ENTRY_BUDGET` gathered posting entries.  Per chunk:
+        gather the probes' key rows and those keys' posting rows, drop
+        each probe's own position and every batch member below it —
+        that pair is decided from its lower end, and the verdict flows
+        back as a reverse edge — count shared keys per ``(probe,
+        candidate)`` with one ``np.unique``, and decide every pair in
+        one rule or verifier call.  *known* maps already-answered member
+        positions to their neighbor sets (the index's ``_probed``
+        store); pairs against those are decided by set membership
+        instead.  Both shortcuts count as ``cache_hits``, mirroring the
+        scalar count path's probed-membership sharing; a skipped lower
+        pair is counted as the in-batch upper pair it equals, because
+        key sharing is symmetric.
+        """
+        n = self.n_records
+        order = np.unique(np.asarray(positions, dtype=np.int64))
+        in_batch = np.zeros(n, dtype=bool)
         in_batch[order] = True
-        batch_member = in_batch.tolist()  # per-item reads, Python speed
         known_mask = None
         if known:
-            known_mask = np.zeros(self.n_records, dtype=bool)
+            known_mask = np.zeros(n, dtype=bool)
             known_mask[
                 np.fromiter(known.keys(), dtype=np.int64, count=len(known))
             ] = True
             # A batch member is probed here, so its pairs are decided by
             # the sweep alone, never also through *known*.
             known_mask[order] = False
-        verified: dict[int, list[int]] = {}
-        # Verdicts recovered without verification: reverse edges from
-        # earlier in-batch probes plus membership in `known` sets.
-        recovered: dict[int, list[int]] = {p: [] for p in order}
-        for p in order:
-            probe_key_ids = self.key_ids[
-                self.key_indptr[p] : self.key_indptr[p + 1]
-            ]
-            candidates, shared = self._candidates(probe_key_ids, p)
-            accepted: list[int] = []
-            if len(candidates):
-                skip = in_batch[candidates] & (candidates < p)
-                if known_mask is not None:
-                    known_here = known_mask[candidates]
-                    skip |= known_here
-                    if known_here.any():
-                        for c in candidates[known_here].tolist():
-                            if p in known[c]:
-                                recovered[p].append(c)
-                hits = int(skip.sum())
-                if hits:
-                    counters.cache_hits += hits
-                keep = ~skip
-                accepted = self._verify(
-                    candidates[keep],
-                    shared[keep],
-                    len(probe_key_ids),
-                    self._rule.member_state(p),
-                    counters,
-                )
-                for q in accepted:
-                    if q > p and batch_member[q]:
-                        recovered[q].append(p)
-            verified[p] = accepted
-        # A recovered neighbour was skipped by p's own verification (a
-        # batch member below p, or a known member), so the two lists are
-        # disjoint.
-        return {
-            p: sorted(recovered[p] + verified[p]) if recovered[p] else verified[p]
-            for p in order
-        }
+        # Edges as ``row * n + neighbor`` codes: verified pairs, their
+        # reverse edges into batch members, and `known` recoveries.
+        edges: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for chunk in self._sweep_chunks(order):
+            probes, candidates, shared = self._chunk_pairs(chunk, in_batch)
+            if known_mask is not None:
+                known_here = known_mask[candidates]
+                if known_here.any():
+                    counters.cache_hits += int(known_here.sum())
+                    edges.append(
+                        np.array(
+                            [
+                                p * n + c
+                                for p, c in zip(
+                                    probes[known_here].tolist(),
+                                    candidates[known_here].tolist(),
+                                )
+                                if p in known[c]
+                            ],
+                            dtype=np.int64,
+                        )
+                    )
+                    keep = ~known_here
+                    probes = probes[keep]
+                    candidates = candidates[keep]
+                    shared = shared[keep]
+            upper = in_batch[candidates]
+            counters.cache_hits += int(upper.sum())
+            ok = self._decide_pairs(probes, candidates, shared, counters)
+            edges.append(probes[ok] * n + candidates[ok])
+            back = ok & upper
+            edges.append(candidates[back] * n + probes[back])
+        codes = np.sort(np.concatenate(edges))
+        indptr = np.empty(len(order) + 1, dtype=np.int64)
+        indptr[:-1] = np.searchsorted(codes, order * n)
+        indptr[-1] = len(codes)
+        return order, indptr, (codes % n).astype(np.int32)
 
-    def member_neighbors_csr(
-        self, positions: Sequence[int], counters
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor lists of many members as (indptr, flat int32) — the
-        compact shape worker shards ship back to the parent.
+    def _sweep_chunks(self, order: np.ndarray):
+        """Slices of *order* gathering at most
+        :data:`SWEEP_ENTRY_BUDGET` posting entries each (at least one
+        probe per slice)."""
+        reach = np.cumsum(self._probe_entries[order])
+        start = 0
+        while start < len(order):
+            limit = SWEEP_ENTRY_BUDGET + (reach[start - 1] if start else 0)
+            stop = max(int(np.searchsorted(reach, limit, side="right")), start + 1)
+            yield order[start:stop]
+            start = stop
 
-        Uses the symmetric block sweep, so in-shard pairs are verified
-        once; results are identical to per-member queries."""
-        lists = self.member_neighbors_block(positions, counters)
-        indptr = np.zeros(len(positions) + 1, dtype=np.int64)
-        chunks: list[list[int]] = []
-        for row, position in enumerate(positions):
-            neighbors = lists[int(position)]
-            chunks.append(neighbors)
-            indptr[row + 1] = indptr[row] + len(neighbors)
-        flat = (
-            np.array(
-                [neighbor for chunk in chunks for neighbor in chunk],
-                dtype=np.int32,
-            )
-            if chunks
-            else np.empty(0, dtype=np.int32)
+    def _chunk_pairs(
+        self, chunk: np.ndarray, in_batch: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(probes, candidates, shared)`` of one sweep chunk, sorted by
+        ``(probe, candidate)``: every candidate sharing a key with a
+        probe, except the probe itself and batch members below it."""
+        key_ids, key_lengths = gather_rows(self.key_indptr, self.key_ids, chunk)
+        candidates, post_lengths = gather_rows(
+            self.post_indptr, self.post_positions, key_ids.astype(np.int64)
         )
-        return indptr, flat
+        probes = np.repeat(np.repeat(chunk, key_lengths), post_lengths)
+        keep = (candidates > probes) | ~in_batch[candidates]
+        n = np.int64(self.n_records)
+        codes, shared = np.unique(
+            probes[keep] * n + candidates[keep], return_counts=True
+        )
+        return codes // n, codes % n, shared
+
+    def _decide_pairs(
+        self,
+        probes: np.ndarray,
+        candidates: np.ndarray,
+        shared: np.ndarray,
+        counters,
+    ) -> np.ndarray:
+        """Verdict per member pair ``(probes[e], candidates[e])`` with
+        ``shared[e]`` common keys, in one rule or verifier call."""
+        if self.count_rule is not None:
+            counters.predicate_evaluations += len(candidates)
+            return self.count_rule.accepts(
+                shared,
+                self._key_counts[probes],
+                self._key_counts[candidates],
+                self.count_rule.member_state(probes)[0],
+                candidates,
+            )
+        counters.signature_evaluations += len(candidates)
+        return self.verifier.verify_pairs(probes, candidates)
 
     # -- worker transport --------------------------------------------------
 

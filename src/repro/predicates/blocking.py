@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -191,15 +192,14 @@ def candidate_pair_arrays(
     if verify:
         found = index.neighbors_batch(range(n))
     else:
-        found = (sorted(index.candidate_positions(record)) for record in records)
-    lefts = [np.empty(0, dtype=np.int64)]
-    rights = [np.empty(0, dtype=np.int64)]
-    for position, neighbors in enumerate(found):
-        neighbors = np.asarray(neighbors, dtype=np.int64)
-        neighbors = neighbors[neighbors > position]
-        lefts.append(np.full(len(neighbors), position, dtype=np.int64))
-        rights.append(neighbors)
-    return np.concatenate(lefts), np.concatenate(rights)
+        found = [sorted(index.candidate_positions(record)) for record in records]
+    lengths = np.fromiter(map(len, found), dtype=np.int64, count=n)
+    right = np.fromiter(
+        chain.from_iterable(found), dtype=np.int64, count=int(lengths.sum())
+    )
+    left = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    upper = right > left
+    return left[upper], right[upper]
 
 
 def candidate_pairs(
@@ -447,7 +447,8 @@ class NeighborIndex:
         Equivalent to ``[self.neighbors(records[p], exclude_position=p)
         for p in positions]`` — memo/probed caches included — but
         member probes skip the probe-side key recomputation and, with a
-        batch engine, verify each candidate block in one kernel call.
+        symmetric batch engine, run its symmetric sweep: a chunk of
+        probes per NumPy pass, each in-batch pair verified once.
         """
         counters = self._counters
         results: dict[int, list[int]] = {}
@@ -618,7 +619,6 @@ class NeighborIndex:
         accepts = self._predicate.count_accepts
         post_check = self._predicate.count_post_check
         counters = self._counters
-        records = self._records
         # Membership shortcuts are only sound when the probe IS the
         # excluded member: neighbor sets were computed excluding only
         # their own position, so they answer exactly "is position

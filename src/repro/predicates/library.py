@@ -32,6 +32,18 @@ from .base import Predicate, PredicateLevel
 from .batch import OverlapCountRule, SetSimilarityBatch
 
 
+def _exact_gate(fields: tuple[str, ...]):
+    """The batch verifier's gate key over exact-match *fields* (their
+    normalized values), or None when there are none."""
+    if not fields:
+        return None
+
+    def gate_key(record: Record) -> tuple:
+        return tuple(normalize(record[f]) for f in fields)
+
+    return gate_key
+
+
 class ExactFieldsPredicate(Predicate):
     """True when every listed field matches exactly (after normalization).
 
@@ -161,22 +173,18 @@ class NgramOverlapPredicate(Predicate):
         )
 
     def batch_verifier(self, records):
-        gate_key = None
-        if self._exact_fields:
-            fields = self._exact_fields
-            gate_key = lambda r: tuple(normalize(r[f]) for f in fields)
-        initials_fn = None
-        if self._require_common_initial:
-            field = self._field
-            initials_fn = lambda r: cached_initial_set(r[field])
         n = self._n
         field = self._field
+
+        def initials(record):
+            return cached_initial_set(record[field])
+
         return SetSimilarityBatch.build(
             records,
             "overlap_ge",
             {"threshold": self._threshold},
-            gate_key=gate_key,
-            initials=initials_fn,
+            gate_key=_exact_gate(self._exact_fields),
+            initials=initials if self._require_common_initial else None,
             tokens1=lambda r: cached_ngram_set(r[field], n),
         )
 
@@ -209,16 +217,12 @@ class InitialsWordOverlapPredicate(Predicate):
             yield (*prefix, initial)
 
     def batch_verifier(self, records):
-        gate_key = None
-        if self._exact_fields:
-            fields = self._exact_fields
-            gate_key = lambda r: tuple(normalize(r[f]) for f in fields)
         field = self._field
         return SetSimilarityBatch.build(
             records,
             "initials_any",
             {},
-            gate_key=gate_key,
+            gate_key=_exact_gate(self._exact_fields),
             initials=lambda r: cached_initial_set(r[field]),
         )
 

@@ -13,6 +13,9 @@ module computes, per entity:
 * ``slot_probabilities`` — per-rank mass, attributed to the cluster's
   representative position so each slot's probabilities sum to at most 1.
 
+Both probabilities are float sums of normalized masses, which can land
+an ulp above 1; each is clamped to at most 1.0.
+
 Entities are formed by merging base positions that are co-clustered in
 *every* world: such positions are indistinguishable under the enumerated
 uncertainty and reporting them separately would double-count.
@@ -173,8 +176,8 @@ def aggregate_worlds(
                 count_lo=count_lo,
                 count_hi=count_hi,
                 expected_count=expected,
-                membership_probability=membership[positions[0]],
-                slot_probabilities=tuple(slots),
+                membership_probability=min(membership[positions[0]], 1.0),
+                slot_probabilities=tuple(min(slot, 1.0) for slot in slots),
             )
         )
 

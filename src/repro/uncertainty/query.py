@@ -34,7 +34,7 @@ from ..observability.metrics import SIZE_BUCKETS
 from ..predicates.base import PredicateLevel
 from ..scoring.pairwise import PairwiseScorer
 from .intervals import aggregate_worlds
-from .worlds import World, enumerate_worlds, world_from_partition, world_masses
+from .worlds import enumerate_worlds, world_from_partition, world_masses
 
 __all__ = [
     "EntityInterval",

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.core.records import Record, RecordStore
+from repro.core.records import RecordStore
 from repro.predicates.base import FunctionPredicate, PredicateLevel
 from repro.predicates.batch import VECTORIZE_ENV_VAR
 

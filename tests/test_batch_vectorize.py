@@ -10,7 +10,9 @@ Three layers, each checked against its scalar reference:
   predicate shape, on randomized records;
 * the :class:`~repro.predicates.batch.BatchNeighborEngine` (direct,
   state-roundtripped, and via :class:`~repro.predicates.blocking.NeighborIndex`)
-  against a forced-scalar index, member and external probes alike.
+  against a forced-scalar index, member and external probes alike, and
+  its symmetric sweep against a per-member reference, counter deltas
+  included.
 
 The end-to-end equality lives in the differential-oracle and parallel
 property suites; this module pins down each layer in isolation so a
@@ -23,9 +25,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.parallel import SharedArrayPack
 from repro.core.records import RecordStore
+from repro.predicates import batch as batch_module
 from repro.predicates.base import FunctionPredicate
 from repro.predicates.batch import (
     VECTORIZE_ENV_VAR,
@@ -180,21 +185,30 @@ def _citation_rows(rng, n):
     ]
 
 
-PREDICATES = [
-    NgramOverlapPredicate(field="author", threshold=0.6),
-    NgramOverlapPredicate(
-        field="author", threshold=0.6, require_common_initial=True
-    ),
-    NgramOverlapPredicate(
-        field="name", threshold=0.5, exact_fields=("class", "school")
-    ),
-    InitialsWordOverlapPredicate(field="name", exact_fields=("class", "school")),
-    InitialsWordOverlapPredicate(field="name"),
-    CommonWordsPredicate(fields=("name", "address"), min_common=2),
-    JaccardPredicate(field="coauthors", threshold=0.4),
-    CitationS2(min_coauthors=2),
-    AddressS1(),
-]
+def _library_predicates():
+    """One fresh instance of each library predicate shape (fresh because
+    ``CommonWordsPredicate`` caches word sets per record id, so an
+    instance must stay with one store)."""
+    return [
+        NgramOverlapPredicate(field="author", threshold=0.6),
+        NgramOverlapPredicate(
+            field="author", threshold=0.6, require_common_initial=True
+        ),
+        NgramOverlapPredicate(
+            field="name", threshold=0.5, exact_fields=("class", "school")
+        ),
+        InitialsWordOverlapPredicate(
+            field="name", exact_fields=("class", "school")
+        ),
+        InitialsWordOverlapPredicate(field="name"),
+        CommonWordsPredicate(fields=("name", "address"), min_common=2),
+        JaccardPredicate(field="coauthors", threshold=0.4),
+        CitationS2(min_coauthors=2),
+        AddressS1(),
+    ]
+
+
+PREDICATES = _library_predicates()
 
 
 @pytest.mark.parametrize(
@@ -345,6 +359,244 @@ def test_engine_csr_matches_per_member_lists():
         assert flat[indptr[row] : indptr[row + 1]].tolist() == (
             engine.member_neighbors(position, _Sink())
         )
+
+
+# ---------------------------------------------------------------------------
+# The symmetric sweep vs a per-member reference
+
+
+class _VerifierOnlyNgram(NgramOverlapPredicate):
+    """Offers only the pairwise verifier, so the engine decides with the
+    ``overlap_ge`` verifier rule instead of the count rule."""
+
+    def batch_count_rule(self, records):
+        return None
+
+
+def _sweep_predicates():
+    """Every library shape plus the ``overlap_ge`` verifier: the count
+    rule and each verifier rule reach the sweep."""
+    return _library_predicates() + [
+        _VerifierOnlyNgram(
+            field="name",
+            threshold=0.5,
+            exact_fields=("class",),
+            require_common_initial=True,
+        )
+    ]
+
+
+SWEEP_IDS = [
+    f"{index}-{predicate.name}"
+    for index, predicate in enumerate(_sweep_predicates())
+]
+
+
+class _Counts:
+    """The three counters the sweep moves."""
+
+    def __init__(self):
+        self.cache_hits = 0
+        self.predicate_evaluations = 0
+        self.signature_evaluations = 0
+
+    def totals(self):
+        return (
+            self.cache_hits,
+            self.predicate_evaluations,
+            self.signature_evaluations,
+        )
+
+
+def _engine(predicate, records):
+    return BatchNeighborEngine.build(
+        predicate, records, build_key_index(predicate, records)
+    )
+
+
+def _reference_sweep(engine, records, predicate, positions, known=None):
+    """The sweep's lists and counter deltas, one member at a time.
+
+    A member's candidates are the positions sharing a key with it.  A
+    batch member below the probe is decided by the symmetric merge (the
+    lower member's own ``member_neighbors`` list) and a *known* member
+    outside the batch by membership in its set, each a cache hit; every
+    other candidate is verified from the probe's side.
+    """
+    order = sorted(set(positions))
+    batch = set(order)
+    sharing: dict[int, set[int]] = {p: set() for p in order}
+    for posting in build_key_index(predicate, records).values():
+        for p in posting:
+            if p in batch:
+                sharing[p].update(posting)
+    verified = {p: set(engine.member_neighbors(p, _Counts())) for p in order}
+    counts = _Counts()
+    evaluations = 0
+    lists = {}
+    for p in order:
+        found = []
+        for c in sorted(sharing[p] - {p}):
+            if c in batch and c < p:
+                counts.cache_hits += 1
+                keep = p in verified[c]
+            elif known is not None and c in known and c not in batch:
+                counts.cache_hits += 1
+                keep = p in known[c]
+            else:
+                evaluations += 1
+                keep = c in verified[p]
+            if keep:
+                found.append(c)
+        lists[p] = found
+    if engine.count_mode:
+        counts.predicate_evaluations = evaluations
+    else:
+        counts.signature_evaluations = evaluations
+    return lists, counts
+
+
+def _sweep_rows(seed, n):
+    """Citation-shaped rows plus records with no keys under most
+    predicates (every field empty)."""
+    rows = _citation_rows(random.Random(seed), n)
+    for index in range(0, n, 9):
+        rows[index] = {field: "" for field in rows[index]}
+    return rows
+
+
+def _check_sweep(predicate, records, positions, known):
+    """member_neighbors_block and member_neighbors_csr against the
+    per-member reference: equal lists and equal counter deltas."""
+    engine = _engine(predicate, records)
+    expected, expected_counts = _reference_sweep(
+        engine, records, predicate, positions, known
+    )
+    counts = _Counts()
+    lists = engine.member_neighbors_block(positions, counts, known=known)
+    assert lists == expected
+    assert counts.totals() == expected_counts.totals()
+    if known is None:
+        counts = _Counts()
+        indptr, flat = engine.member_neighbors_csr(positions, counts)
+        assert flat.dtype == np.int32
+        assert [
+            flat[indptr[row] : indptr[row + 1]].tolist()
+            for row in range(len(positions))
+        ] == [expected[int(p)] for p in positions]
+        assert counts.totals() == expected_counts.totals()
+
+
+@pytest.mark.parametrize("budget", [1, None, 10**12], ids=["1", "default", "huge"])
+@pytest.mark.parametrize("with_known", [False, True], ids=["plain", "known"])
+@pytest.mark.parametrize("index", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
+def test_sweep_matches_per_member_reference(
+    index, with_known, budget, monkeypatch
+):
+    if budget is not None:
+        monkeypatch.setattr(batch_module, "SWEEP_ENTRY_BUDGET", budget)
+    predicate = _sweep_predicates()[index]
+    records = list(RecordStore.from_rows(_sweep_rows(29, 90)))
+    rng = random.Random(31)
+    # A subset of the records, unsorted, with duplicates.
+    positions = rng.sample(range(len(records)), 40)
+    positions += positions[:5]
+    rng.shuffle(positions)
+    known = None
+    if with_known:
+        outside = sorted(set(range(len(records))) - set(positions))
+        known = {
+            c: set(rng.sample(range(len(records)), 25))
+            for c in outside[::2]
+        }
+    _check_sweep(predicate, records, positions, known)
+
+
+@pytest.mark.parametrize("index", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
+def test_sweep_with_true_known_sets_equals_member_lists(index):
+    """With *known* holding the members' true lists — what
+    ``NeighborIndex`` passes — every list equals ``member_neighbors``."""
+    predicate = _sweep_predicates()[index]
+    records = list(RecordStore.from_rows(_sweep_rows(37, 70)))
+    engine = _engine(predicate, records)
+    truth = [engine.member_neighbors(p, _Counts()) for p in range(len(records))]
+    known = {c: set(truth[c]) for c in range(0, len(records), 2)}
+    lists = engine.member_neighbors_block(
+        range(1, len(records), 2), _Counts(), known=known
+    )
+    assert lists == {p: truth[p] for p in range(1, len(records), 2)}
+
+
+@pytest.mark.parametrize("index", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
+def test_verify_pairs_matches_member_blocks(index):
+    predicate = _sweep_predicates()[index]
+    records = list(RecordStore.from_rows(_sweep_rows(41, 50)))
+    verifier = predicate.batch_verifier(records)
+    left, right = np.divmod(
+        np.arange(len(records) ** 2, dtype=np.int64), len(records)
+    )
+    verdicts = verifier.verify_pairs(left, right)
+    for position in range(len(records)):
+        expected = verifier.verify_member_block(
+            position, np.arange(len(records), dtype=np.int64)
+        )
+        rows = slice(position * len(records), (position + 1) * len(records))
+        assert verdicts[rows].tolist() == expected.tolist()
+
+
+_WORDS = ["ann", "anne", "bob", "rob", "ab", "ba", "x", "kim lee", ""]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=len(SWEEP_IDS) - 1),
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_WORDS), max_size=3),
+            st.lists(st.sampled_from(_WORDS), max_size=3),
+            st.sampled_from(["1", "2"]),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+    st.data(),
+)
+def test_sweep_matches_reference_on_random_corpora(index, rows, data):
+    records = list(
+        RecordStore.from_rows(
+            [
+                {
+                    "author": " ".join(first),
+                    "name": " ".join(first),
+                    "coauthors": " ".join(second),
+                    "address": " ".join(second),
+                    "class": klass,
+                    "school": "100",
+                    "dob": "1990",
+                }
+                for first, second, klass in rows
+            ]
+        )
+    )
+    n = len(records)
+    positions = data.draw(
+        st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n)
+    )
+    known = None
+    if data.draw(st.booleans()):
+        known = data.draw(
+            st.dictionaries(
+                st.integers(min_value=0, max_value=n - 1),
+                st.sets(st.integers(min_value=0, max_value=n - 1)),
+            )
+        )
+    budget = data.draw(st.sampled_from([1, 2, 7, 10**12]))
+    saved = batch_module.SWEEP_ENTRY_BUDGET
+    batch_module.SWEEP_ENTRY_BUDGET = budget
+    try:
+        _check_sweep(_sweep_predicates()[index], records, positions, known)
+    finally:
+        batch_module.SWEEP_ENTRY_BUDGET = saved
 
 
 def test_custom_predicate_without_hooks_stays_scalar():

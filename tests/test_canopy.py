@@ -102,7 +102,9 @@ class TestMongeElkan:
         assert monge_elkan(["x"], []) == 0.0
 
     def test_custom_base(self):
-        exact = lambda x, y: 1.0 if x == y else 0.0
+        def exact(x, y):
+            return 1.0 if x == y else 0.0
+
         assert monge_elkan(["a", "b"], ["b", "c"], base=exact) == 0.5
 
     def test_typo_tolerance_via_jaro_winkler(self):

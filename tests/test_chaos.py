@@ -24,7 +24,7 @@ from repro.datasets import (
 )
 from repro.experiments.chaos import chaos_checks, refines, run_chaos_sweep
 from repro.predicates import citation_levels
-from repro.predicates.base import FunctionPredicate, Predicate, PredicateLevel
+from repro.predicates.base import Predicate, PredicateLevel
 from repro.scoring.pairwise import PairwiseScorer
 from repro.testing.chaos import (
     ChaosError,
@@ -313,7 +313,7 @@ class TestChaosQuarantine:
         quarantined = len(stream.dead_letters)
         assert accepted + quarantined == len(names)
         assert 0 < quarantined < len(names)
-        assert all(l.stage == "keying" for l in stream.dead_letters)
+        assert all(letter.stage == "keying" for letter in stream.dead_letters)
         assert (
             stream.verification.counters.records_quarantined == quarantined
         )

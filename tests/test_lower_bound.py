@@ -65,10 +65,8 @@ class TestEstimateLowerBound:
     def test_figure_1_style_refinement_beats_naive(self):
         # Groups c1..c5 in weight order with the paper's Figure-1 N-graph:
         # edges c1-c2, c1-c5, c2-c3, c2-c4, c3-c4.  CPN certifies K=2 at
-        # m=3 (c1, c3 disconnected); the naive count needs all 5.
-        names = ["p q", "q r", "r2 s", "r s", "p t"]
-        # name overlaps: c1-c2 share q; c2-c3? 'q r' vs 'r2 s' share none...
-        # Build the graph explicitly through a predicate on ids instead.
+        # m=3 (c1, c3 disconnected); the naive count needs all 5.  The
+        # graph is built explicitly through a predicate on ids.
         edges = {(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)}
 
         def connected(a, b):

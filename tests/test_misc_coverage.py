@@ -1,7 +1,6 @@
 """Assorted coverage tests for smaller public surfaces."""
 
 
-from repro.core.records import RecordStore
 from tests.conftest import make_store, shared_word_predicate
 
 

@@ -96,7 +96,6 @@ def test_dp_matches_brute_force(seed, k):
 def test_fast_r1_path_matches_full_dp_weights(seed):
     """topk_count_query's r=1 fast path must return the same K largest
     weights as running the full machinery (scores permitting)."""
-    from repro.core.pruned_dedup import pruned_dedup
     from repro.core.topk import topk_count_query
     from repro.predicates.base import PredicateLevel
     from repro.scoring.pairwise import WeightedScorer

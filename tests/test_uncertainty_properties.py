@@ -27,17 +27,23 @@ from repro.clustering.exact import exact_topk_answers
 from repro.cli import generic_levels, generic_scorer
 from repro.core.incremental import IncrementalTopK
 from repro.core.parallel import fork_available
-from repro.core.records import GroupSet, RecordStore
+from repro.core.records import RecordStore
 from repro.core.verification import VerificationContext
-from repro.datasets import generate_citations
+from repro.datasets import (
+    author_idf,
+    author_string_idf,
+    generate_citations,
+    suggest_min_idf,
+)
 from repro.embedding.greedy import LinearEmbedding
 from repro.embedding.segmentation import top_r_segmentations
+from repro.experiments.harness import train_scorer_for
 from repro.observability import MetricsRegistry
+from repro.predicates import citation_levels
 from repro.uncertainty import (
     World,
     aggregate_worlds,
     enumerate_worlds,
-    interval_over_groups,
     membership_probabilities,
     topk_interval_query,
     world_masses,
@@ -384,6 +390,29 @@ class TestPruningAtScale:
         assert pruned.entities == plain.entities
         assert pruned.pruned_candidates > 0
         assert plain.pruned_candidates == 0
+
+
+class TestProbabilityCeiling:
+    def test_probabilities_never_exceed_one(self):
+        """Summed world masses can land an ulp above 1: on this corpus
+        (K=5, R=8) five entities read 1.0000000000000002 as membership
+        and as slot mass before both were clamped."""
+        dataset = generate_citations(1500, seed=1)
+        idf = author_idf(dataset.store)
+        levels = citation_levels(
+            idf,
+            suggest_min_idf(idf),
+            anchor_idf=author_string_idf(dataset.store),
+        )
+        scorer = train_scorer_for(dataset, "citation", levels, seed=1)
+        result = topk_interval_query(dataset.store, 5, levels, scorer, r=8)
+        assert result.entities
+        for entity in result.entities:
+            assert entity.membership_probability <= 1.0
+            assert all(slot <= 1.0 for slot in entity.slot_probabilities)
+        assert any(
+            entity.membership_probability == 1.0 for entity in result.entities
+        )
 
 
 class TestPolicyAndProjections:
