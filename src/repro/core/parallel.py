@@ -471,14 +471,14 @@ def _collapse_positions(
 
 
 def _neighbor_lists(
-    index: NeighborIndex, records: Sequence[Record], positions: Sequence[int]
+    index: NeighborIndex, positions: Sequence[int]
 ) -> list[list[int]]:
     """Verify the neighbor list of each probe in *positions* against the
-    shared index (member-probe semantics: the probe excludes itself)."""
-    return [
-        index.neighbors(records[position], exclude_position=position)
-        for position in positions
-    ]
+    shared index (member-probe semantics: the probe excludes itself),
+    in one :meth:`~NeighborIndex.neighbors_batch` call, so a guarded
+    engine sweeps the shard as the exported engine of
+    :func:`_neighbor_csr` does."""
+    return index.neighbors_batch(positions)
 
 
 def _neighbor_csr(
@@ -540,7 +540,7 @@ def _shard_entry(task: tuple[str, int, int]):
         elif kind == "neighbors_batch":
             data = _neighbor_csr(payload, positions, counters)
         else:
-            data = _neighbor_lists(payload["index"], records, positions)
+            data = _neighbor_lists(payload["index"], positions)
     except ResilienceExhausted as exc:
         # Policy exhaustion inside a worker degrades the whole stage —
         # exactly what the serial pipeline would do — so it is reported
@@ -931,7 +931,7 @@ def prime_neighbor_index(
         necessary,
         context,
         fallback=lambda shard_index: _neighbor_lists(
-            index, representatives, plan.shards[shard_index]
+            index, plan.shards[shard_index]
         ),
         plan=plan,
     )

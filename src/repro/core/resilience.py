@@ -29,9 +29,15 @@ wrapped so each *candidate block* is one guarded call.  The block ticks
 the budget by its pair count (the budget unit stays "pair verdicts"),
 the deadline is checked before it, the per-call timeout scales with its
 size, and a raising block is replaced wholesale by role-safe fallback
-verdicts, each counted.  The scorer is guarded at its own grain: a
-scorer that implements only ``score(a, b)`` is contained pair by pair,
-and a block-native one in guarded calls of at most ``PAIR_CHUNK`` pairs.
+verdicts, each counted.  The batch engine's symmetric sweep, which
+decides a chunk of member probes' pairs in one call and shares each
+verdict between both ends, runs under a guard too: each chunk's call is
+one guarded block, and a chunk that falls back shares nothing — its
+probes are decided again one block each, so a fallback verdict only
+reaches the list of the probe whose own block fell back.  The scorer is
+guarded at its own grain: a scorer that implements only ``score(a, b)``
+is contained pair by pair, and a block-native one in guarded calls of
+at most ``PAIR_CHUNK`` pairs.
 
 Timeouts are **cooperative**: pure-Python code cannot preempt a call
 that never returns.  The per-call timeout marks calls that exceeded the
@@ -209,9 +215,16 @@ class GuardedPredicate(Predicate):
     yields None so that index or probe falls back to the scalar path.
     The scalar signature / count-filtering fast paths are not
     forwarded, so that fallback is always the contained ``evaluate``.
+
     ``symmetric`` is forced False so fallback verdicts are never written
-    into the cross-stage pair-verdict cache or shared between probes
-    (they are policy artifacts, not pure functions of the records).
+    into the cross-stage pair-verdict cache or a neighbor index's
+    probed-set store (they are policy artifacts, not pure functions of
+    the records).  The forwarded blocks state the inner predicate's
+    symmetry instead, so over a symmetric inner predicate the batch
+    engine still runs its symmetric sweep, each pair decided once within
+    one call: each sweep chunk's decision is one guarded block
+    (:meth:`attempt_block`), and a chunk that fell back shares none of
+    its verdicts — its probes are decided again one block each.
     """
 
     symmetric = False
@@ -273,12 +286,26 @@ class GuardedPredicate(Predicate):
         verifier = _build_quietly(self._inner.batch_verifier, records)
         return None if verifier is None else _GuardedBlocks(verifier, self)
 
-    def contain_block(self, n_pairs: int, decide: Callable[[], np.ndarray]):
+    def contain_block(
+        self, n_pairs: int, decide: Callable[[], np.ndarray]
+    ) -> np.ndarray:
         """Run one vectorized block decision of *n_pairs* verdicts under
         the policy, exactly as :meth:`evaluate` runs one pair: tick and
         deadline check first, then the role-safe fallback for the whole
         block on an exception or when the block overran the per-call
         timeout scaled by *n_pairs*."""
+        verdicts = self.attempt_block(n_pairs, decide)
+        if verdicts is None:
+            return np.full(n_pairs, self.fallback_verdict)
+        return verdicts
+
+    def attempt_block(
+        self, n_pairs: int, decide: Callable[[], np.ndarray]
+    ) -> np.ndarray | None:
+        """:meth:`contain_block` without the substitution: the block's
+        verdicts, or None when it fell back (raised, or overran its
+        scaled timeout).  A block that fell back counts each of its
+        *n_pairs* as contained, whatever the caller does next."""
         state = self._state
         state.tick(n_pairs)
         timeout = state.policy.call_timeout_seconds
@@ -289,13 +316,13 @@ class GuardedPredicate(Predicate):
             if state.policy.on_error == "raise":
                 raise
             state.counters.predicate_errors_contained += n_pairs
-            return np.full(n_pairs, self.fallback_verdict)
+            return None
         if (
             timeout is not None
             and time.perf_counter() - started > timeout * n_pairs
         ):
             state.counters.predicate_timeouts_contained += n_pairs
-            return np.full(n_pairs, self.fallback_verdict)
+            return None
         return verdicts
 
 
@@ -312,11 +339,17 @@ class _GuardedBlocks:
     """A batch count rule or pairwise verifier (see
     :mod:`repro.predicates.batch`) whose block decisions each run as one
     guarded call; probe states pass through, and a probe that fails to
-    encode yields None (scalar fallback for that probe)."""
+    encode yields None (scalar fallback for that probe).
+
+    ``symmetric`` is the inner predicate's, so the engine may sweep; the
+    sweep's per-chunk call (the inner rule's ``accepts`` or the inner
+    verifier's ``verify_pairs``) goes through :meth:`contain_chunk`.
+    """
 
     def __init__(self, inner, guard: GuardedPredicate):
         self._inner = inner
         self._guard = guard
+        self.symmetric = guard.inner.symmetric
 
     def member_state(self, position: int):
         return self._inner.member_state(position)
@@ -345,6 +378,15 @@ class _GuardedBlocks:
             len(candidates),
             lambda: self._inner.verify_member_block(position, candidates),
         )
+
+    def contain_chunk(
+        self, n_pairs: int, decide: Callable[[object], np.ndarray]
+    ) -> np.ndarray | None:
+        """One sweep chunk's decision, ``decide(inner)`` over *n_pairs*
+        pairs, as one guarded block: its verdicts, or None when it fell
+        back.  The engine then discards the chunk and decides its probes
+        again one block each, so no fallback verdict is shared."""
+        return self._guard.attempt_block(n_pairs, lambda: decide(self._inner))
 
 
 class GuardedScorer(PairwiseScorer):

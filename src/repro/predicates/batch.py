@@ -29,7 +29,10 @@ Predicates opt in via :meth:`~repro.predicates.base.Predicate.batch_verifier`
 resilience guard (:class:`~repro.core.resilience.GuardedPredicate`)
 forwards both hooks with every block call wrapped in its containment —
 ticks, deadline, per-block timeout and role-safe fallback verdicts — so
-policy-armed queries keep the kernels.  Chaos wrappers do not forward
+policy-armed queries keep the kernels, the symmetric sweep included:
+a guarded decider contains each sweep chunk's one decision call as one
+block (``contain_chunk``), and a chunk that fell back shares nothing
+(see :meth:`BatchNeighborEngine._sweep`).  Chaos wrappers do not forward
 them: their per-pair fault draws need the scalar path.  The
 ``REPRO_VECTORIZE`` environment variable (``0``/``false``/``off`` to
 disable) forces the scalar path globally — the lever the equivalence
@@ -75,9 +78,22 @@ from ..similarity.vectorize import PAIR_CHUNK
 #: sweep gathers at most (a probe whose own entries exceed it is a chunk
 #: alone).  The sweep's working arrays, about ten of them, grow with
 #: this: 1M-entry chunks raised the batch-citations set-up's peak RSS
-#: from 122 to 141 MB, while 4k-256k entries left it flat and ran about
-#: as fast.
+#: from 122 to 141 MB, while 4k-256k entries left it flat.  Smaller
+#: chunks cost more NumPy calls: a full sweep of 5,000 citation records
+#: (5.4M gathered entries) takes 0.28 s at 65,536 and 0.36 s at 8,192
+#: on 2 vCPUs.
 SWEEP_ENTRY_BUDGET = 65_536
+
+#: The chunk budget of a guarded engine's sweep (one whose decider
+#: contains each chunk's call).  A chunk that falls back is decided
+#: again probe by probe, so a smaller chunk bounds the work one fault
+#: discards, and the deadline is checked between chunks.  Served
+#: queries run guarded, on a small working set that the chunk's arrays
+#: would otherwise set the peak of: against the parent commit, the
+#: serve-citations peak RSS rose by 3.7 MB at 65,536 entries, by 0.4 MB
+#: at 16,384 and by 0.1 MB, within run-to-run noise, at 8,192
+#: (docs/performance.md § Why a budget).
+GUARDED_SWEEP_ENTRY_BUDGET = 8_192
 
 #: Environment variable disabling the vectorized path (set to ``0``,
 #: ``false`` or ``off``); anything else — including unset — enables it.
@@ -525,7 +541,8 @@ class BatchNeighborEngine:
     the block, done — no per-candidate Python.  Many member queries at
     once (:meth:`member_neighbors_block`, :meth:`member_neighbors_csr`)
     run the same steps over a chunk of probes per NumPy call, each
-    symmetric pair verified once.
+    symmetric pair verified once — under a guard too, which contains
+    each chunk's call as one block.
 
     Built by :meth:`build` in the parent (which keeps the key-id map
     for external probes) or rebuilt worker-side from
@@ -554,6 +571,8 @@ class BatchNeighborEngine:
         self.verifier = verifier
         self._key_id_of = key_id_of
         self.symmetric = symmetric
+        # A guarded decider's hook containing one sweep chunk's call.
+        self._contain_chunk = getattr(self._rule, "contain_chunk", None)
         self._key_counts = np.diff(key_indptr)
         # Posting entries a member probe gathers (the summed posting
         # lengths of its keys), which cut the symmetric sweep's chunks.
@@ -583,6 +602,12 @@ class BatchNeighborEngine:
         The count rule wins whenever the predicate offers one — keyed
         on the hook, not on ``count_verifiable``, so a wrapper that
         forwards the hook without the scalar count path still gets it.
+
+        The engine sweeps when its decisions are symmetric: the
+        predicate's ``symmetric``, unless the rule or verifier states
+        its own.  A guard's blocks do (their inner predicate's), while
+        the guard itself stays asymmetric so that no cache across calls
+        ever holds one of its verdicts.
         """
         verifier = None
         count_rule = predicate.batch_count_rule(records)
@@ -590,6 +615,7 @@ class BatchNeighborEngine:
             verifier = predicate.batch_verifier(records)
             if verifier is None:
                 return None
+        decider = count_rule if count_rule is not None else verifier
 
         n = len(records)
         keys = list(key_index)
@@ -631,7 +657,9 @@ class BatchNeighborEngine:
             count_rule=count_rule,
             verifier=verifier,
             key_id_of=key_id_of,
-            symmetric=getattr(predicate, "symmetric", True),
+            symmetric=getattr(
+                decider, "symmetric", getattr(predicate, "symmetric", True)
+            ),
         )
 
     # -- queries -----------------------------------------------------------
@@ -685,11 +713,18 @@ class BatchNeighborEngine:
     def member_neighbors(self, position: int, counters) -> list[int]:
         """Verified neighbor list of the indexed member at *position*
         (``exclude_position=position`` semantics), ascending."""
+        return self._member_neighbors(position, counters)[1]
+
+    def _member_neighbors(
+        self, position: int, counters
+    ) -> tuple[np.ndarray, list[int]]:
+        """(candidates, verified neighbors) of the member at
+        *position*, decided in one block."""
         probe_key_ids = self.key_ids[
             self.key_indptr[position] : self.key_indptr[position + 1]
         ]
         candidates, shared = self._candidates(probe_key_ids, position)
-        return self._verify(
+        return candidates, self._verify(
             candidates,
             shared,
             len(probe_key_ids),
@@ -738,9 +773,9 @@ class BatchNeighborEngine:
         once — the lists of :meth:`member_neighbors_csr` keyed by
         position, *known* as in :meth:`_sweep`.
 
-        The sharing is only sound for symmetric predicates; asymmetric
-        engines (every guarded one) probe each member on its own,
-        through :meth:`member_neighbors` and its per-block containment.
+        The sharing is only sound for symmetric decisions; an
+        asymmetric engine probes each member on its own, through
+        :meth:`member_neighbors`.
         """
         if not self.symmetric:
             return {
@@ -793,7 +828,8 @@ class BatchNeighborEngine:
         (ascending, int32).
 
         Member probes run in chunks of at most
-        :data:`SWEEP_ENTRY_BUDGET` gathered posting entries.  Per chunk:
+        :data:`SWEEP_ENTRY_BUDGET` gathered posting entries
+        (:data:`GUARDED_SWEEP_ENTRY_BUDGET` under a guard).  Per chunk:
         gather the probes' key rows and those keys' posting rows, drop
         each probe's own position and every batch member below it —
         that pair is decided from its lower end, and the verdict flows
@@ -806,6 +842,16 @@ class BatchNeighborEngine:
         scalar count path's probed-membership sharing; a skipped lower
         pair is counted as the in-batch upper pair it equals, because
         key sharing is symmetric.
+
+        A guarded decider contains each chunk's decision call as one
+        block (``contain_chunk``) and reports a block that fell back.
+        Such a chunk shares nothing: its verdicts are discarded, its
+        probes leave the batch (later chunks then decide their pairs
+        with them from the far side), and each probe is decided again
+        on its own, exactly as :meth:`member_neighbors` does
+        (:meth:`_decide_alone`).  A fallback verdict thus only ever
+        reaches the list of the probe whose own block fell back.  (A
+        guarded index has no probed store, so *known* is then empty.)
         """
         n = self.n_records
         order = np.unique(np.asarray(positions, dtype=np.int64))
@@ -823,6 +869,7 @@ class BatchNeighborEngine:
         # Edges as ``row * n + neighbor`` codes: verified pairs, their
         # reverse edges into batch members, and `known` recoveries.
         edges: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        alone: list[np.ndarray] = []
         for chunk in self._sweep_chunks(order):
             probes, candidates, shared = self._chunk_pairs(chunk, in_batch)
             if known_mask is not None:
@@ -846,26 +893,63 @@ class BatchNeighborEngine:
                     probes = probes[keep]
                     candidates = candidates[keep]
                     shared = shared[keep]
+            ok = self._decide_pairs(probes, candidates, shared, counters)
+            if ok is None:
+                in_batch[chunk] = False
+                alone.append(self._decide_alone(chunk, in_batch, counters))
+                continue
             upper = in_batch[candidates]
             counters.cache_hits += int(upper.sum())
-            ok = self._decide_pairs(probes, candidates, shared, counters)
             edges.append(probes[ok] * n + candidates[ok])
             back = ok & upper
             edges.append(candidates[back] * n + probes[back])
-        codes = np.sort(np.concatenate(edges))
+        codes = np.concatenate(edges)
+        if alone:
+            # Rows decided alone are their probes' own lists: drop the
+            # reverse edges earlier chunks sent them.
+            codes = np.concatenate([codes[in_batch[codes // n]], *alone])
+        codes = np.sort(codes)
         indptr = np.empty(len(order) + 1, dtype=np.int64)
         indptr[:-1] = np.searchsorted(codes, order * n)
         indptr[-1] = len(codes)
         return order, indptr, (codes % n).astype(np.int32)
 
+    def _decide_alone(
+        self, chunk: np.ndarray, in_batch: np.ndarray, counters
+    ) -> np.ndarray:
+        """Edge codes of the probes of a chunk whose shared decision
+        fell back, each probe decided on its own in one block, as
+        :meth:`member_neighbors` does.
+
+        *in_batch* no longer holds the chunk.  Each pair an earlier
+        chunk decided with one of these probes was counted as a cache
+        hit there; the probe now decides it again, so the hit is taken
+        back.
+        """
+        n = self.n_records
+        codes = [np.empty(0, dtype=np.int64)]
+        for probe in chunk.tolist():
+            candidates, found = self._member_neighbors(probe, counters)
+            counters.cache_hits -= int(
+                np.count_nonzero(in_batch[candidates[candidates < probe]])
+            )
+            codes.append(probe * n + np.asarray(found, dtype=np.int64))
+        return np.concatenate(codes)
+
     def _sweep_chunks(self, order: np.ndarray):
         """Slices of *order* gathering at most
-        :data:`SWEEP_ENTRY_BUDGET` posting entries each (at least one
+        :data:`SWEEP_ENTRY_BUDGET` posting entries each, or
+        :data:`GUARDED_SWEEP_ENTRY_BUDGET` under a guard (at least one
         probe per slice)."""
+        budget = (
+            SWEEP_ENTRY_BUDGET
+            if self._contain_chunk is None
+            else GUARDED_SWEEP_ENTRY_BUDGET
+        )
         reach = np.cumsum(self._probe_entries[order])
         start = 0
         while start < len(order):
-            limit = SWEEP_ENTRY_BUDGET + (reach[start - 1] if start else 0)
+            limit = budget + (reach[start - 1] if start else 0)
             stop = max(int(np.searchsorted(reach, limit, side="right")), start + 1)
             yield order[start:stop]
             start = stop
@@ -894,20 +978,31 @@ class BatchNeighborEngine:
         candidates: np.ndarray,
         shared: np.ndarray,
         counters,
-    ) -> np.ndarray:
+    ) -> np.ndarray | None:
         """Verdict per member pair ``(probes[e], candidates[e])`` with
-        ``shared[e]`` common keys, in one rule or verifier call."""
+        ``shared[e]`` common keys, in one rule or verifier call; None
+        when a guarded decider contained that call and it fell back."""
         if self.count_rule is not None:
             counters.predicate_evaluations += len(candidates)
-            return self.count_rule.accepts(
-                shared,
-                self._key_counts[probes],
-                self._key_counts[candidates],
-                self.count_rule.member_state(probes)[0],
-                candidates,
-            )
-        counters.signature_evaluations += len(candidates)
-        return self.verifier.verify_pairs(probes, candidates)
+
+            def decide(rule):
+                return rule.accepts(
+                    shared,
+                    self._key_counts[probes],
+                    self._key_counts[candidates],
+                    rule.member_state(probes)[0],
+                    candidates,
+                )
+
+        else:
+            counters.signature_evaluations += len(candidates)
+
+            def decide(verifier):
+                return verifier.verify_pairs(probes, candidates)
+
+        if self._contain_chunk is None:
+            return decide(self._rule)
+        return self._contain_chunk(len(candidates), decide)
 
     # -- worker transport --------------------------------------------------
 

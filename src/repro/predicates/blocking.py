@@ -448,7 +448,11 @@ class NeighborIndex:
         for p in positions]`` — memo/probed caches included — but
         member probes skip the probe-side key recomputation and, with a
         symmetric batch engine, run its symmetric sweep: a chunk of
-        probes per NumPy pass, each in-batch pair verified once.
+        probes per NumPy pass, each in-batch pair verified once.  A
+        guarded predicate's engine sweeps too when its inner predicate
+        is symmetric (see :class:`~repro.core.resilience.GuardedPredicate`);
+        the guard itself stays asymmetric, so no pair-verdict cache or
+        probed set ever holds its verdicts and *known* stays empty.
         """
         counters = self._counters
         results: dict[int, list[int]] = {}
@@ -472,9 +476,7 @@ class NeighborIndex:
                     continue
             pending.append(position)
         if pending:
-            if self._engine is not None and getattr(
-                self._predicate, "symmetric", True
-            ):
+            if self._engine is not None and self._engine.symmetric:
                 # Batch symmetric sweep: each in-batch pair verified
                 # once, pairs against already-probed members decided by
                 # membership — the vectorized mirror of the scalar

@@ -12,11 +12,15 @@ import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalTopK
-from repro.core.parallel import fork_available, prime_neighbor_index
+from repro.core.parallel import (
+    fork_available,
+    group_fingerprint,
+    prime_neighbor_index,
+)
 from repro.core.prune import prune
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
-from repro.core.records import GroupSet
+from repro.core.records import GroupSet, RecordStore
 from repro.core import resilience
 from repro.core.resilience import (
     REASON_DEADLINE,
@@ -31,11 +35,19 @@ from repro.core.resilience import (
 )
 from repro.core.topk import topk_count_query
 from repro.core.verification import PipelineCounters, VerificationContext
+from repro.experiments import citation_pipeline
+from repro.predicates import batch as batch_module
 from repro.predicates.base import FunctionPredicate, PredicateLevel
 from repro.predicates.blocking import NeighborIndex, closure
 from repro.predicates.library import JaccardPredicate, NgramOverlapPredicate
 from repro.scoring.pairwise import CachedScorer, PairwiseScorer
-from tests.conftest import exact_name_predicate, make_store, shared_word_predicate
+from tests.conftest import (
+    exact_name_predicate,
+    make_store,
+    shared_word_predicate,
+    vectorize_mode,
+)
+from tests.test_batch_vectorize import SWEEP_IDS, _sweep_predicates, _sweep_rows
 
 
 def raising_predicate(name="boom", keys_fn=None):
@@ -760,6 +772,10 @@ class FaultyBlocks:
         self._enter(candidates)
         return self._inner.verify_member_block(position, candidates)
 
+    def verify_pairs(self, left, right):
+        self._enter(right)
+        return self._inner.verify_pairs(left, right)
+
 
 def _poisoned(records, trigger="poison"):
     return np.array([trigger in r["name"] for r in records], dtype=bool)
@@ -784,8 +800,8 @@ class BlockFaultNgram(NgramOverlapPredicate):
 class BlockFaultJaccard(JaccardPredicate):
     """Library word Jaccard (pairwise-verifier shape) with faulty blocks."""
 
-    def __init__(self):
-        super().__init__(field="name", threshold=0.9)
+    def __init__(self, threshold=0.9):
+        super().__init__(field="name", threshold=threshold)
 
     def batch_verifier(self, records):
         return FaultyBlocks(super().batch_verifier(records), _poisoned(records))
@@ -830,15 +846,32 @@ def name_grid():
 
 
 class TestBlockContainment:
+    @pytest.fixture(autouse=True)
+    def _vectorized(self):
+        # Every test here asserts a batch engine and its block calls.
+        with vectorize_mode(True):
+            yield
+
     def test_guard_forwards_hooks_but_stays_asymmetric(self):
+        # The guard stays asymmetric, so no cache across calls holds its
+        # verdicts; its engine sweeps, because the inner predicate is
+        # symmetric.
         records = list(make_store(name_grid()))
         state = armed_state()
         guard = GuardedPredicate(BlockFaultNgram(), "necessary", state)
         assert guard.supports_batch
         assert not guard.count_verifiable and not guard.symmetric
-        engine = NeighborIndex(guard, records, vectorize=True).batch_engine
+        index = NeighborIndex(guard, records, vectorize=True, memoize=True)
+        engine = index.batch_engine
         assert engine is not None and engine.count_mode
-        assert not engine.symmetric
+        assert engine.symmetric
+        index.neighbors_batch(range(len(records)))
+        assert index._probed is None
+        # An asymmetric inner predicate keeps the per-probe path.
+        one_way = BlockFaultNgram()
+        one_way.symmetric = False
+        asymmetric = GuardedPredicate(one_way, "necessary", state)
+        assert not NeighborIndex(asymmetric, records).batch_engine.symmetric
         # Scalar-only wrappers keep the scalar path.
         scalar = GuardedPredicate(shared_word_predicate(), "necessary", state)
         assert not scalar.supports_batch
@@ -1018,6 +1051,302 @@ class TestBlockContainment:
         assert index.batch_engine is not None
         assert context.counters.shards_degraded == 0
         assert context.counters.predicate_errors_contained > 0
+
+
+# -- the symmetric sweep under a guard ----------------------------------
+
+#: Word-Jaccard threshold of the sweep tests' verifier shape: low enough
+#: that the name grid's lists are not empty ("ann smith" ~ "ann smyth").
+SWEEP_JACCARD = 0.3
+
+
+class SweepOnlyFaults(FaultyBlocks):
+    """Faults only the sweep's pair call; per-probe blocks run clean."""
+
+    def verify_block(self, probe_state, candidates):
+        return self._inner.verify_block(probe_state, candidates)
+
+
+class SweepFaultJaccard(JaccardPredicate):
+    """Library word Jaccard whose verifier raises only in the sweep's
+    pair call (on a poisoned candidate): every chunk that falls back is
+    decided again by clean per-probe blocks."""
+
+    def __init__(self):
+        super().__init__(field="name", threshold=SWEEP_JACCARD)
+
+    def batch_verifier(self, records):
+        return SweepOnlyFaults(super().batch_verifier(records), _poisoned(records))
+
+_COUNTERS = (
+    "predicate_evaluations",
+    "signature_evaluations",
+    "cache_hits",
+    "cache_misses",
+    "neighbor_queries",
+    "neighbor_memo_hits",
+)
+
+
+def _verify_counts(counters):
+    return {name: getattr(counters, name) for name in _COUNTERS}
+
+
+def _member_lists(predicate, records, counters=None):
+    """Every member's list in one ``neighbors_batch`` call (the sweep
+    for a symmetric engine)."""
+    index = NeighborIndex(predicate, records, counters=counters)
+    return index.neighbors_batch(range(len(records)))
+
+
+def _per_probe_lists(predicate, records):
+    """Every member's list from its own ``neighbors`` query, one block
+    per probe: the reference a contained chunk must fall back to."""
+    index = NeighborIndex(predicate, records)
+    return [
+        index.neighbors(record, exclude_position=position)
+        for position, record in enumerate(records)
+    ]
+
+
+def _clean_predicate(shape):
+    if shape == "count-rule":
+        return NgramOverlapPredicate("name", 0.5)
+    return JaccardPredicate(field="name", threshold=SWEEP_JACCARD)
+
+
+def _block_fault_predicate(shape):
+    if shape == "count-rule":
+        return BlockFaultNgram()
+    return BlockFaultJaccard(threshold=SWEEP_JACCARD)
+
+
+def _set_budgets(monkeypatch, budget):
+    """One sweep chunk budget for guarded and unguarded engines alike."""
+    monkeypatch.setattr(batch_module, "SWEEP_ENTRY_BUDGET", budget)
+    monkeypatch.setattr(batch_module, "GUARDED_SWEEP_ENTRY_BUDGET", budget)
+
+
+def _cut_sweep(monkeypatch, shape, records, probes_per_chunk):
+    """Set the sweep budgets so that chunks hold about
+    *probes_per_chunk* probes of *records*; returns the chunk count."""
+    engine = NeighborIndex(_clean_predicate(shape), records).batch_engine
+    _set_budgets(
+        monkeypatch, int(engine._probe_entries.mean() * probes_per_chunk)
+    )
+    return len(list(engine._sweep_chunks(np.arange(len(records)))))
+
+
+def _poison_at(position):
+    names = name_grid()[:-2]
+    return names[:position] + ["bob jones poison"] + names[position:]
+
+
+class TestGuardedSweep:
+    """A guard around a symmetric predicate sweeps: each pair decided
+    once per call, each chunk's call one guarded block, and a chunk that
+    fell back decided again one probe block at a time."""
+
+    @pytest.fixture(autouse=True)
+    def _vectorized(self):
+        with vectorize_mode(True):
+            yield
+
+    @pytest.mark.parametrize(
+        "budget", [1, None, 10**12], ids=["1", "default", "unbounded"]
+    )
+    @pytest.mark.parametrize("shape", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
+    def test_clean_lists_and_counters_equal_unguarded(
+        self, shape, budget, monkeypatch
+    ):
+        # "default" compares each side at its own default budget.
+        if budget is not None:
+            _set_budgets(monkeypatch, budget)
+        records = list(RecordStore.from_rows(_sweep_rows(43, 90)))
+        plain_counters = PipelineCounters()
+        plain = _member_lists(
+            _sweep_predicates()[shape], records, plain_counters
+        )
+        guarded_counters = PipelineCounters()
+        guard = GuardedPredicate(
+            _sweep_predicates()[shape], "necessary", armed_state(guarded_counters)
+        )
+        assert NeighborIndex(guard, records).batch_engine.symmetric
+        guarded = _member_lists(guard, records, guarded_counters)
+        assert guarded == plain
+        assert _verify_counts(guarded_counters) == _verify_counts(plain_counters)
+        assert guarded_counters.cache_hits > 0
+        assert guarded_counters.total_contained == 0
+
+    def test_guarded_sweep_is_cut_by_its_own_budget(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "GUARDED_SWEEP_ENTRY_BUDGET", 300)
+        records = list(make_store(name_grid()))
+        order = np.arange(len(records))
+        plain = NeighborIndex(NgramOverlapPredicate("name", 0.5), records)
+        assert len(list(plain.batch_engine._sweep_chunks(order))) == 1
+        guard = GuardedPredicate(
+            BlockFaultNgram(trigger="-never-"), "necessary", armed_state()
+        )
+        engine = NeighborIndex(guard, records).batch_engine
+        chunks = list(engine._sweep_chunks(order))
+        assert len(chunks) > 10
+        assert all(
+            len(chunk) == 1 or engine._probe_entries[chunk].sum() <= 300
+            for chunk in chunks
+        )
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["vector", "scalar"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_clean_answers_equal_unguarded_at_any_worker_count(
+        self, workers, vectorized
+    ):
+        if workers > 1 and not fork_available():
+            pytest.skip("platform has no fork start method")
+        pipeline = citation_pipeline(n_records=200, seed=3, with_scorer=False)
+        necessary = pipeline.levels[0].necessary
+        groups = GroupSet.singletons(pipeline.store)
+        with vectorize_mode(vectorized):
+            plain_context = VerificationContext()
+            plain = prime_neighbor_index(groups, necessary, workers, plain_context)
+            plain_lists = plain.neighbors_batch(range(len(groups)))
+            context = VerificationContext()
+            guard = GuardedPredicate(
+                necessary, "necessary", ExecutionPolicy().start(context.counters)
+            )
+            guarded = prime_neighbor_index(groups, guard, workers, context)
+            assert (guarded.batch_engine is not None) == vectorized
+            assert guarded.neighbors_batch(range(len(groups))) == plain_lists
+            assert context.counters.total_contained == 0
+            assert context.counters.shards_degraded == 0
+            if workers > 1:  # every list came primed from a shard
+                assert context.counters.neighbor_memo_hits == len(groups)
+            if vectorized:
+                assert _verify_counts(context.counters) == _verify_counts(
+                    plain_context.counters
+                )
+            answer = pruned_dedup(
+                pipeline.store, 5, pipeline.levels, policy=ExecutionPolicy(),
+                workers=workers,
+            )
+            reference = pruned_dedup(
+                pipeline.store, 5, pipeline.levels, workers=workers
+            )
+        assert not answer.degraded
+        assert answer.counters.total_contained == 0
+        assert group_fingerprint(answer.groups) == group_fingerprint(
+            reference.groups
+        )
+        assert answer.groups.weights() == reference.groups.weights()
+
+    @pytest.mark.parametrize("probes_per_chunk", [1, 4])
+    @pytest.mark.parametrize("role", ["necessary", "sufficient"])
+    @pytest.mark.parametrize("shape", ["count-rule", "verifier"])
+    def test_one_poisoned_record_lists_equal_per_probe_reference(
+        self, shape, role, probes_per_chunk, monkeypatch
+    ):
+        records = list(make_store(name_grid()[:-1]))  # poison is last
+        assert _cut_sweep(monkeypatch, shape, records, probes_per_chunk) > 5
+        reference = _per_probe_lists(
+            GuardedPredicate(_block_fault_predicate(shape), role, armed_state()),
+            records,
+        )
+        counters = PipelineCounters()
+        guard = GuardedPredicate(
+            _block_fault_predicate(shape), role, armed_state(counters)
+        )
+        assert _member_lists(guard, records, counters) == reference
+        assert counters.predicate_errors_contained > 0
+        assert counters.cache_hits > 0
+
+    @pytest.mark.parametrize("position", [17, 30, 48])
+    @pytest.mark.parametrize("role", ["necessary", "sufficient"])
+    @pytest.mark.parametrize("shape", ["count-rule", "verifier"])
+    def test_fallback_verdict_reaches_only_its_own_probe(
+        self, shape, role, position, monkeypatch
+    ):
+        # Wherever the poisoned record sits, each list is either the
+        # probe's clean list or the fallback of its own block (which
+        # then touched the poisoned record), never a mix.
+        records = list(make_store(_poison_at(position)))
+        _cut_sweep(monkeypatch, shape, records, 4)
+        poisoned = _poisoned(records)
+        clean_predicate = _clean_predicate(shape)
+        clean = _member_lists(clean_predicate, records)
+        plain = NeighborIndex(clean_predicate, records)
+        counters = PipelineCounters()
+        guard = GuardedPredicate(
+            _block_fault_predicate(shape), role, armed_state(counters)
+        )
+        fallbacks = 0
+        for probe, got in enumerate(_member_lists(guard, records, counters)):
+            if got == clean[probe]:
+                continue
+            candidates = sorted(
+                plain.candidate_positions(records[probe]) - {probe}
+            )
+            assert poisoned[candidates].any(), probe
+            assert got == (candidates if role == "necessary" else []), probe
+            fallbacks += 1
+        assert fallbacks > 0
+        assert counters.cache_hits > 0
+
+    def test_chunk_decided_again_is_contained_once_and_shares_nothing(
+        self, monkeypatch
+    ):
+        # Only the sweep's pair call faults here, so every chunk that
+        # falls back is decided again cleanly: the lists are the clean
+        # ones, and each member's candidate entries are covered exactly
+        # once, by its own evaluation or by a shared verdict.  The
+        # fallen-back chunk calls are the evaluations covering none.
+        records = list(make_store(name_grid()[:-1]))
+        _cut_sweep(monkeypatch, "verifier", records, 4)
+        clean_predicate = _clean_predicate("verifier")
+        counters = PipelineCounters()
+        guard = GuardedPredicate(
+            SweepFaultJaccard(), "necessary", armed_state(counters)
+        )
+        lists = _member_lists(guard, records, counters)
+        assert lists == _member_lists(clean_predicate, records)
+        plain = NeighborIndex(clean_predicate, records)
+        entries = sum(
+            len(plain.candidate_positions(record) - {position})
+            for position, record in enumerate(records)
+        )
+        wasted = counters.predicate_errors_contained
+        assert wasted > 0 and counters.cache_hits > 0
+        assert counters.predicate_timeouts_contained == 0
+        assert (
+            counters.signature_evaluations - wasted + counters.cache_hits
+            == entries
+        )
+
+    def test_contained_sweep_answer_is_never_cached(self, monkeypatch):
+        names = name_grid() + ["ann smith"] * 3 + ["rob jones"] * 3
+        stream = IncrementalTopK(
+            [PredicateLevel(exact_name_predicate(), BlockFaultNgram())]
+        )
+        for name in names:
+            stream.add({"name": name})
+        _cut_sweep(monkeypatch, "count-rule", list(make_store(names)), 1)
+        first = stream.query(2, policy=ExecutionPolicy())
+        assert not first.degraded
+        assert first.counters.predicate_errors_contained > 0
+        assert first.counters.cache_hits > 0  # the guarded sweep shared
+        assert stream.query(2, policy=ExecutionPolicy()) is not first
+        assert stream._query_cache == {}
+
+    @pytest.mark.parametrize("shape", ["count-rule", "verifier"])
+    def test_on_error_raise_propagates_from_a_sweep_chunk(self, shape):
+        records = list(make_store(name_grid()))
+        guard = GuardedPredicate(
+            _block_fault_predicate(shape),
+            "necessary",
+            armed_state(on_error="raise"),
+        )
+        index = NeighborIndex(guard, records)
+        assert index.batch_engine.symmetric
+        with pytest.raises(RuntimeError, match="block exploded"):
+            index.neighbors_batch(range(len(records)))
 
 
 # -- block-level containment of the scorer ------------------------------
