@@ -146,9 +146,8 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print verification-work counters (predicate/signature "
-        "evaluations, cache traffic, index builds, per-stage wall time) "
-        "to stderr",
+        help="print verification-work counters (predicate evaluations, "
+        "cache traffic, index builds, per-stage wall time) to stderr",
     )
     parser.add_argument(
         "--deadline",
@@ -481,7 +480,6 @@ def policy_from_args(args: argparse.Namespace) -> ExecutionPolicy | None:
 
 _EXPLAIN_COUNTER_KEYS = (
     "predicate_evaluations",
-    "signature_evaluations",
     "cache_hits",
     "index_builds",
 )
@@ -542,7 +540,6 @@ def _warn_degraded(reason: str) -> None:
 
 _COUNTER_COLUMNS = (
     ("evals", "predicate_evaluations"),
-    ("sig-evals", "signature_evaluations"),
     ("hits", "cache_hits"),
     ("misses", "cache_misses"),
     ("builds", "index_builds"),

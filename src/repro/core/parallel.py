@@ -327,7 +327,7 @@ def group_fingerprint(group_set: GroupSet) -> tuple:
 # --------------------------------------------------------------------------
 # Shared-memory transport for the batch neighbor engine.  Forked children
 # share parent pages copy-on-write, but touching millions of Python
-# objects (records, signatures, postings dicts) faults their refcount
+# objects (records, postings dicts) faults their refcount
 # pages into every worker.  The batch engine's state is a handful of
 # flat NumPy arrays, so shipping it as one ``multiprocessing.shared_memory``
 # segment keeps the workers' working set to genuinely shared read-only

@@ -60,9 +60,9 @@ class LevelStats:
             (the tables' ``n'`` column).
         certified: Whether the CPN bound reached K at this level (and
             the bound was safe to act on).
-        counters: Verification work done by this level (predicate /
-            signature evaluations, cache traffic, index builds, stage
-            wall time); None for results produced without a context.
+        counters: Verification work done by this level (predicate
+            evaluations, cache traffic, index builds, stage wall time);
+            None for results produced without a context.
     """
 
     level_name: str

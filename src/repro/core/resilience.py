@@ -212,9 +212,8 @@ class GuardedPredicate(Predicate):
     :meth:`batch_verifier`) are forwarded with each candidate-block call
     contained as one unit (:meth:`contain_block`); a failure while
     building the inner rule or verifier, or while encoding a probe,
-    yields None so that index or probe falls back to the scalar path.
-    The scalar signature / count-filtering fast paths are not
-    forwarded, so that fallback is always the contained ``evaluate``.
+    yields None so that index or probe falls back to the contained
+    :meth:`evaluate`, the one scalar path.
 
     ``symmetric`` is forced False so fallback verdicts are never written
     into the cross-stage pair-verdict cache or a neighbor index's

@@ -8,19 +8,19 @@ pairs.  :class:`VerificationContext` removes that duplication:
 
 * the index is constructed once per ``(predicate, representatives)``
   pair and handed to every stage of the level that asks for it;
-* pair verdicts are shared: expensive strategies (plain ``evaluate``,
-  signatures) memoize them in a cache keyed by the two endpoints'
-  *record ids* (stable for the lifetime of a store), so a pair verified
-  by the lower-bound walk is free for the prune stage, for later prune
-  iterations, and for later levels whose groups were untouched by
-  collapse — a collapse that merges a group elects a new representative,
-  which retires the old pair keys without any explicit invalidation
-  (records are immutable, so a cached verdict can never go stale).  The
-  cheap count-filtering strategy shares verdicts by symmetric membership
-  in already-probed neighbor sets instead (see
-  :meth:`~repro.predicates.blocking.NeighborIndex.neighbors`) — its
-  per-pair decision is cheaper than per-pair dict traffic would be;
-* every verification strategy is instrumented with cheap counters
+* pair verdicts are shared: plain ``evaluate`` verdicts are memoized
+  in a cache keyed by the two endpoints' *record ids* (stable for the
+  lifetime of a store), so a pair verified by the lower-bound walk is
+  free for the prune stage, for later prune iterations, and for later
+  levels whose groups were untouched by collapse — a collapse that
+  merges a group elects a new representative, which retires the old
+  pair keys without any explicit invalidation (records are immutable,
+  so a cached verdict can never go stale).  The batch engine shares
+  verdicts by symmetric membership in already-probed neighbor sets
+  instead (see
+  :meth:`~repro.predicates.blocking.NeighborIndex.neighbors_batch`) —
+  its per-pair decision is cheaper than per-pair dict traffic would be;
+* both verification paths are instrumented with cheap counters
   (:class:`PipelineCounters`) so the pipeline's work is measurable per
   level and per stage.
 
@@ -50,17 +50,15 @@ class PipelineCounters:
     """Cheap work counters for the verification layer.
 
     Attributes:
-        predicate_evaluations: Necessary-predicate verdicts computed via
-            ``evaluate`` or the count-filtering fast path (one per
-            candidate pair decided).
-        signature_evaluations: Verdicts computed via the
-            ``evaluate_signatures`` fast path.
+        predicate_evaluations: Necessary-predicate verdicts computed,
+            one per candidate pair decided — by ``evaluate`` or inside a
+            batch engine block.
         cache_hits: Pair verdicts answered by sharing — from the
-            record-id verdict cache (evaluate/signature strategies) or
-            by neighbor-set membership (count-filtering strategy).
+            record-id verdict cache (``evaluate``) or by neighbor-set
+            membership (batch engine).
         cache_misses: Pair verdicts computed and inserted into the
-            record-id verdict cache (count-mode evaluations do not
-            insert, so they never count as misses).
+            record-id verdict cache (batch engine verdicts are not
+            inserted, so they never count as misses).
         index_builds: ``NeighborIndex`` constructions (posting-list
             builds over all representatives).
         index_reuses: Stages that received an already-built index.
@@ -88,7 +86,6 @@ class PipelineCounters:
     """
 
     predicate_evaluations: int = 0
-    signature_evaluations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     index_builds: int = 0
@@ -105,7 +102,6 @@ class PipelineCounters:
 
     _INT_FIELDS = (
         "predicate_evaluations",
-        "signature_evaluations",
         "cache_hits",
         "cache_misses",
         "index_builds",
@@ -122,8 +118,9 @@ class PipelineCounters:
 
     @property
     def total_evaluations(self) -> int:
-        """All predicate verdicts actually computed (not cache-served)."""
-        return self.predicate_evaluations + self.signature_evaluations
+        """All predicate verdicts actually computed (not cache-served):
+        :attr:`predicate_evaluations`, under the name reports read."""
+        return self.predicate_evaluations
 
     @property
     def total_contained(self) -> int:

@@ -64,49 +64,6 @@ class Predicate(ABC):
         with no other record.
         """
 
-    def signature(self, record: Record):
-        """Optional fast path: a precomputed per-record signature.
-
-        Predicates evaluated millions of times inside neighbor queries
-        can return a signature object here and implement
-        :meth:`evaluate_signatures`; bulk evaluators (NeighborIndex)
-        then skip the Record-level indirection entirely.  The default
-        (returning None) means "no fast path".
-        """
-        return None
-
-    def evaluate_signatures(self, sig_a, sig_b) -> bool:
-        """Evaluate the predicate on two :meth:`signature` results."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the signature fast path"
-        )
-
-    @property
-    def supports_signatures(self) -> bool:
-        """True when this predicate overrides the signature fast path."""
-        return type(self).signature is not Predicate.signature
-
-    #: Count-filtering fast path: set True when the record's blocking
-    #: keys form a set such that the predicate holds iff the pair's
-    #: shared-key count passes :meth:`count_accepts` and the (cheap)
-    #: :meth:`count_post_check` agrees.  Bulk evaluators can then verify
-    #: all candidates in one postings pass with no set intersections.
-    count_verifiable: bool = False
-
-    def count_accepts(self, shared: int, n_keys_a: int, n_keys_b: int) -> bool:
-        """Decide the predicate from the shared-key count and key counts."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement count filtering"
-        )
-
-    def count_post_signature(self, record: Record):
-        """Minimal extra per-record data for :meth:`count_post_check`."""
-        return None
-
-    def count_post_check(self, post_a, post_b) -> bool:
-        """Residual condition not captured by the shared-key count."""
-        return True
-
     def batch_verifier(self, records):
         """Optional vectorized pairwise verifier over *records*.
 
@@ -114,8 +71,8 @@ class Predicate(ABC):
         :class:`~repro.predicates.batch.SetSimilarityBatch` here; bulk
         evaluators (NeighborIndex, closure) then verify whole candidate
         blocks in NumPy instead of one pair per Python call.  The
-        default — returning None — keeps the scalar path.  The
-        resilience guard forwards this hook (and
+        default — returning None — leaves every pair to
+        :meth:`evaluate`.  The resilience guard forwards this hook (and
         :meth:`batch_count_rule`) with each block call contained as one
         unit — budget ticks by pair count, deadline and scaled timeout
         per block, role-safe fallback for a raising block — so
@@ -125,12 +82,15 @@ class Predicate(ABC):
         return None
 
     def batch_count_rule(self, records):
-        """Optional vectorized form of the count-filtering fast path.
+        """Optional count-filtering rule over *records*.
 
-        Counterpart of :meth:`count_accepts`/:meth:`count_post_check`
-        as one array decision per candidate block (an
-        :class:`~repro.predicates.batch.OverlapCountRule`); None — the
-        default — means scalar count filtering.
+        A predicate that holds iff the pair's shared-blocking-key count
+        passes a threshold (plus a cheap residual check) can return an
+        :class:`~repro.predicates.batch.OverlapCountRule` here: it
+        decides a whole candidate block from the counts the engine's
+        postings walk already produced, with no set intersections, and
+        wins over :meth:`batch_verifier` when both are offered.  None —
+        the default — means no count rule.
         """
         return None
 

@@ -9,8 +9,8 @@ encoded once at index-build time:
   count, Jaccard, common initials, the address S1 conjunction), with an
   optional exact-match *gate* (dictionary-encoded field tuples) and
   initials as uint64 bitmasks;
-* :class:`OverlapCountRule` — the vectorized form of the
-  count-filtering fast path (``shared / min(keys) >= t`` plus the
+* :class:`OverlapCountRule` — count filtering: the predicate decided
+  from shared-blocking-key counts (``shared / min(keys) >= t`` plus the
   initials post-check) for :class:`~repro.predicates.library.NgramOverlapPredicate`;
 * :class:`BatchNeighborEngine` — member/probe neighbor computation
   over CSR postings: gather the probe's posting rows, count shared
@@ -35,13 +35,13 @@ block (``contain_chunk``), and a chunk that fell back shares nothing
 (see :meth:`BatchNeighborEngine._sweep`).  Chaos wrappers do not forward
 them: their per-pair fault draws need the scalar path.  The
 ``REPRO_VECTORIZE`` environment variable (``0``/``false``/``off`` to
-disable) forces the scalar path globally — the lever the equivalence
-tests use.
+disable) forces the scalar path — plain ``evaluate`` per pair —
+globally: the reference the equivalence tests compare against.
 
 Rules and verifiers share one probe protocol: ``member_state(position)``
 for indexed members and ``encode_probe(record)`` for external probes,
 each returning an opaque probe state (None from ``encode_probe`` means
-"cannot encode", and the caller falls back to the scalar strategy).
+"cannot encode", and the caller falls back to ``evaluate``).
 
 Engines are built from plain arrays and parameter dicts
 (:meth:`BatchNeighborEngine.export_state`), so the parallel layer can
@@ -251,7 +251,7 @@ class SetSimilarityBatch:
     def encode_probe(self, record: Record):
         """Encode an external probe, or None when this instance cannot
         (worker rebuilds drop the dictionaries; callers fall back to
-        the scalar strategy)."""
+        ``evaluate``)."""
         features = self._features
         if not features:
             return None
@@ -451,10 +451,11 @@ def _pair_overlaps(
 
 
 class OverlapCountRule:
-    """Vectorized count-filtering accept: the batch form of
-    :meth:`~repro.predicates.base.Predicate.count_accepts` plus the
-    bitmask post-check, for predicates whose shared-blocking-key count
-    *is* the intersection size (``NgramOverlapPredicate``)."""
+    """Count filtering: accept a candidate block from shared-key counts
+    (``shared / min(n_a, n_b) >= threshold``) plus an optional bitmask
+    post-check, for predicates whose shared-blocking-key count *is* the
+    intersection size (``NgramOverlapPredicate``, whose ``evaluate`` is
+    the reference each verdict equals)."""
 
     def __init__(
         self,
@@ -507,8 +508,8 @@ class OverlapCountRule:
         parallel to *candidates* when each row is a different probe's
         pair.  Candidates share at least one key by construction, so
         both key counts are >= 1 and the division is always defined;
-        ``int64 / int64`` true division reproduces the scalar ``shared /
-        min(n_a, n_b)`` bit-for-bit.
+        ``int64 / int64`` true division reproduces the scalar
+        ``overlap_coefficient`` quotient bit-for-bit.
         """
         ok = (
             shared / np.minimum(n_probe_keys, candidate_key_counts)
@@ -597,11 +598,9 @@ class BatchNeighborEngine:
         key_index: dict[Hashable, list[int]],
     ) -> "BatchNeighborEngine | None":
         """Build from a predicate's posting lists; None when the
-        predicate offers no batch capability (scalar fallback).
+        predicate offers no batch capability (``evaluate`` decides).
 
-        The count rule wins whenever the predicate offers one — keyed
-        on the hook, not on ``count_verifiable``, so a wrapper that
-        forwards the hook without the scalar count path still gets it.
+        The count rule wins whenever the predicate offers one.
 
         The engine sweeps when its decisions are symmetric: the
         predicate's ``symmetric``, unless the rule or verifier states
@@ -668,8 +667,7 @@ class BatchNeighborEngine:
         self, probe_key_ids: np.ndarray, exclude: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """(candidates, shared-key counts), candidates ascending and
-        *exclude* removed — the postings walk of the scalar path as one
-        gather + unique."""
+        *exclude* removed — the postings walk as one gather + unique."""
         if len(probe_key_ids) == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
@@ -696,8 +694,8 @@ class BatchNeighborEngine:
     ) -> list[int]:
         if len(candidates) == 0:
             return []
+        counters.predicate_evaluations += len(candidates)
         if self.count_rule is not None:
-            counters.predicate_evaluations += len(candidates)
             ok = self.count_rule.accepts(
                 shared,
                 n_probe_keys,
@@ -706,7 +704,6 @@ class BatchNeighborEngine:
                 candidates,
             )
         else:
-            counters.signature_evaluations += len(candidates)
             ok = self.verifier.verify_block(probe_state, candidates)
         return candidates[ok].tolist()
 
@@ -740,8 +737,8 @@ class BatchNeighborEngine:
         counters,
     ) -> list[int] | None:
         """Verified neighbors of an external *probe*; None when this
-        engine cannot encode it (caller falls back to the scalar
-        strategy)."""
+        engine cannot encode it (caller falls back to
+        ``evaluate``)."""
         if self._key_id_of is None:
             return None
         probe_state = self._rule.encode_probe(probe)
@@ -838,10 +835,9 @@ class BatchNeighborEngine:
         one rule or verifier call.  *known* maps already-answered member
         positions to their neighbor sets (the index's ``_probed``
         store); pairs against those are decided by set membership
-        instead.  Both shortcuts count as ``cache_hits``, mirroring the
-        scalar count path's probed-membership sharing; a skipped lower
-        pair is counted as the in-batch upper pair it equals, because
-        key sharing is symmetric.
+        instead.  Both shortcuts count as ``cache_hits``, as a
+        verdict-cache hit would; a skipped lower pair is counted as the
+        in-batch upper pair it equals, because key sharing is symmetric.
 
         A guarded decider contains each chunk's decision call as one
         block (``contain_chunk``) and reports a block that fell back.
@@ -982,9 +978,8 @@ class BatchNeighborEngine:
         """Verdict per member pair ``(probes[e], candidates[e])`` with
         ``shared[e]`` common keys, in one rule or verifier call; None
         when a guarded decider contained that call and it fell back."""
+        counters.predicate_evaluations += len(candidates)
         if self.count_rule is not None:
-            counters.predicate_evaluations += len(candidates)
-
             def decide(rule):
                 return rule.accepts(
                     shared,
@@ -995,8 +990,6 @@ class BatchNeighborEngine:
                 )
 
         else:
-            counters.signature_evaluations += len(candidates)
-
             def decide(verifier):
                 return verifier.verify_pairs(probes, candidates)
 

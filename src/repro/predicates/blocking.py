@@ -119,17 +119,6 @@ def _verify_all_pairs(
     positions: list[int],
     uf: UnionFind,
 ) -> None:
-    if predicate.supports_signatures:
-        signatures = [predicate.signature(records[p]) for p in positions]
-        verify = predicate.evaluate_signatures
-        for i, pos_a in enumerate(positions):
-            sig_a = signatures[i]
-            for offset, pos_b in enumerate(positions[i + 1 :], start=i + 1):
-                if uf.connected(pos_a, pos_b):
-                    continue
-                if verify(sig_a, signatures[offset]):
-                    uf.union(pos_a, pos_b)
-        return
     for i, pos_a in enumerate(positions):
         record_a = records[pos_a]
         for pos_b in positions[i + 1 :]:
@@ -174,14 +163,14 @@ def candidate_pair_arrays(
     The pairs are the member neighbour lists of a :class:`NeighborIndex`
     over *records* (:meth:`NeighborIndex.neighbors_batch`): the
     vectorized batch engine's symmetric sweep, which verifies each pair
-    once, whenever the predicate offers one, else the index's scalar
-    strategies.  A verified pair ``(i, j)`` is decided as
+    once, whenever the predicate offers one, else ``evaluate`` per
+    pair.  A verified pair ``(i, j)`` is decided as
     ``predicate.evaluate(records[i], records[j])``.  Only the upper half
     of each list is kept, as arrays, so the result holds 16 bytes per
     pair.
     """
     n = len(records)
-    # The scalar pair strategy shares symmetric verdicts through a cache
+    # Scalar verification shares symmetric verdicts through a cache
     # keyed by record id, sound only when the ids are distinct.
     share_verdicts = getattr(predicate, "symmetric", True) and n == len(
         {record.record_id for record in records}
@@ -257,9 +246,10 @@ class NeighborIndex:
             ``(record_id, record_id)`` with the smaller id first.  Only
             sound for symmetric predicates; supplied by
             :class:`~repro.core.verification.VerificationContext` and
-            consulted by the evaluate/signature strategies (count
-            filtering shares verdicts via neighbor-set membership
-            instead — cheaper than per-pair dict traffic).
+            consulted by scalar ``evaluate`` verification (the batch
+            engine shares verdicts via the neighbor sets of members
+            already probed instead — cheaper than per-pair dict
+            traffic).
         memoize: Cache full neighbor lists per
             ``(probe.record_id, exclude_position)``.  Each cached entry
             also remembers the probe record it was computed for and is
@@ -269,9 +259,9 @@ class NeighborIndex:
             lists when enabled.
         latency_observe: Optional callable fed sampled per-pair
             verification latencies in seconds (1 in
-            ``LATENCY_SAMPLE_EVERY`` pairwise verifications; the
-            count-filtering fast path is not sampled — its per-pair cost
-            is a couple of integer compares, below clock resolution).
+            ``LATENCY_SAMPLE_EVERY`` scalar ``evaluate`` calls; the
+            batch engine's blocks are not sampled — its per-pair cost
+            is below clock resolution).
             Supplied by ``VerificationContext`` when metrics are
             enabled; kept as a plain callable so this layer stays free
             of core/observability imports.
@@ -307,40 +297,12 @@ class NeighborIndex:
         self._memo: dict[tuple[int, int], tuple[Record, list[int]]] | None = (
             {} if memoize else None
         )
-        # Position -> neighbor-position set for fully self-probed members.
-        # For a symmetric predicate, membership in an already-computed
-        # neighbor set decides a pair with zero storage beyond the memo —
-        # crucial for count-verifiable predicates, where a per-pair
-        # verdict dict would cost more than the evaluation it replaces.
-        self._probed: dict[int, set[int]] | None = (
-            {}
-            if memoize and getattr(predicate, "symmetric", True)
-            else None
-        )
         self._counters.index_builds += 1
         self._index = build_key_index(predicate, records)
-        # Count-filtering fast path: verification happens inside the
-        # postings pass itself (no per-pair set intersections).
-        self._count_mode = (
-            predicate.count_verifiable and not predicate.key_implies_match
-        )
-        self._key_counts: list[int] = []
-        self._post_signatures: list = []
-        if self._count_mode:
-            # A record's distinct-key count equals the number of posting
-            # lists holding it, so invert the index instead of running
-            # blocking_keys over every record a second time.
-            self._key_counts = [0] * len(records)
-            for positions in self._index.values():
-                for position in positions:
-                    self._key_counts[position] += 1
-            self._post_signatures = [
-                predicate.count_post_signature(record) for record in records
-            ]
         # Batch engine: whole-candidate-block verification in NumPy.
         # Resilience guards forward the hooks with per-block containment;
-        # chaos wrappers and custom predicates don't expose them, so they
-        # land on the scalar strategies below automatically.
+        # chaos wrappers and custom predicates don't expose them, so
+        # their pairs are decided by plain `evaluate`.
         self._engine: BatchNeighborEngine | None = None
         if (
             not predicate.key_implies_match
@@ -350,16 +312,18 @@ class NeighborIndex:
             self._engine = BatchNeighborEngine.build(
                 predicate, records, self._index
             )
-        # Signature fast path: precompute per-record signatures once so
-        # the (potentially millions of) verifications skip Record-level
-        # field access.
-        self._signatures: list | None = None
-        if (
-            not self._count_mode
-            and predicate.supports_signatures
-            and not predicate.key_implies_match
-        ):
-            self._signatures = [predicate.signature(r) for r in records]
+        # Position -> neighbor-position set for fully self-probed members.
+        # For a symmetric predicate, membership in an already-computed
+        # neighbor set decides a pair with zero storage beyond the memo:
+        # the engine's sweep reads these sets, where a per-pair verdict
+        # dict would cost more than the block decision it replaces.
+        self._probed: dict[int, set[int]] | None = (
+            {}
+            if memoize
+            and self._engine is not None
+            and getattr(predicate, "symmetric", True)
+            else None
+        )
 
     @property
     def memoizing(self) -> bool:
@@ -402,10 +366,7 @@ class NeighborIndex:
         if self._engine is not None:
             result = self._engine_neighbors(probe, exclude_position)
         if result is None:
-            if self._count_mode:
-                result = self._neighbors_by_count(probe, exclude_position)
-            else:
-                result = self._neighbors_by_pairs(probe, exclude_position)
+            result = self._neighbors_by_pairs(probe, exclude_position)
         if self._candidate_observe is not None:
             self._candidate_observe(len(result))
         if self._memo is not None:
@@ -479,8 +440,7 @@ class NeighborIndex:
             if self._engine is not None and self._engine.symmetric:
                 # Batch symmetric sweep: each in-batch pair verified
                 # once, pairs against already-probed members decided by
-                # membership — the vectorized mirror of the scalar
-                # count path's `_probed` sharing.
+                # membership in their `_probed` sets.
                 known = self._probed if self._probed else None
                 computed = self._engine.member_neighbors_block(
                     pending, counters, known=known
@@ -490,19 +450,17 @@ class NeighborIndex:
                         position, computed[position], results
                     )
             else:
-                # Scalar fallback: caches must advance *between* member
-                # probes — `_neighbors_by_count` shares verdicts through
-                # `_probed` incrementally.
+                # One probe at a time: scalar `evaluate` shares verdicts
+                # through the pair-verdict cache as it goes.
                 for position in pending:
-                    record = self._records[position]
                     if self._engine is not None:
                         result = self._engine.member_neighbors(
                             position, counters
                         )
-                    elif self._count_mode:
-                        result = self._neighbors_by_count(record, position)
                     else:
-                        result = self._neighbors_by_pairs(record, position)
+                        result = self._neighbors_by_pairs(
+                            self._records[position], position
+                        )
                     self._record_batch_result(position, result, results)
         return [results[position] for position in positions]
 
@@ -525,12 +483,11 @@ class NeighborIndex:
         self, probe: Record, exclude_position: int
     ) -> list[int] | None:
         """Engine-backed neighbor query; None when the engine cannot
-        encode this probe (caller falls back to the scalar strategy)."""
+        encode this probe (caller falls back to ``evaluate``)."""
         if self._is_member_probe(probe, exclude_position):
-            if self._probed and getattr(self._predicate, "symmetric", True):
+            if self._probed:
                 # Answer pairs against already-probed members from their
-                # recorded sets — the vectorized mirror of the scalar
-                # count path's `_probed` sharing.
+                # recorded sets.
                 return self._engine.member_neighbors_block(
                     [exclude_position], self._counters, known=self._probed
                 )[exclude_position]
@@ -543,19 +500,14 @@ class NeighborIndex:
         )
 
     def _neighbors_by_pairs(self, probe: Record, exclude_position: int) -> list[int]:
-        """Pairwise verification (signature fast path when available),
-        consulting the shared verdict cache per candidate pair."""
+        """Pairwise ``evaluate`` verification, consulting the shared
+        verdict cache per candidate pair."""
         candidates = self.candidate_positions(probe)
         candidates.discard(exclude_position)
         if self._predicate.key_implies_match:
             return sorted(candidates)
         counters = self._counters
         verdicts = self._verdicts
-        probe_signature = (
-            self._predicate.signature(probe)
-            if self._signatures is not None
-            else None
-        )
         out = []
         probe_id = probe.record_id
         for position in candidates:
@@ -568,83 +520,26 @@ class NeighborIndex:
                 )
                 verdict = verdicts.get(pair)
                 if verdict is None:
-                    verdict = self._verify_pair(probe, probe_signature, position)
+                    verdict = self._verify_pair(probe, position)
                     verdicts[pair] = verdict
                     counters.cache_misses += 1
                 else:
                     counters.cache_hits += 1
             else:
-                verdict = self._verify_pair(probe, probe_signature, position)
+                verdict = self._verify_pair(probe, position)
             if verdict:
                 out.append(position)
         out.sort()
         return out
 
-    def _verify_pair(self, probe: Record, probe_signature, position: int) -> bool:
+    def _verify_pair(self, probe: Record, position: int) -> bool:
+        self._counters.predicate_evaluations += 1
+        other = self._records[position]
         if self._latency_observe is not None:
             self._verify_calls += 1
             if self._verify_calls % self.LATENCY_SAMPLE_EVERY == 1:
                 start = time.perf_counter()
-                verdict = self._evaluate_pair(probe, probe_signature, position)
+                verdict = self._predicate.evaluate(probe, other)
                 self._latency_observe(time.perf_counter() - start)
                 return verdict
-        return self._evaluate_pair(probe, probe_signature, position)
-
-    def _evaluate_pair(self, probe: Record, probe_signature, position: int) -> bool:
-        if self._signatures is not None:
-            self._counters.signature_evaluations += 1
-            return self._predicate.evaluate_signatures(
-                probe_signature, self._signatures[position]
-            )
-        self._counters.predicate_evaluations += 1
-        return self._predicate.evaluate(probe, self._records[position])
-
-    def _neighbors_by_count(self, probe: Record, exclude_position: int) -> list[int]:
-        """Count-filtering verification: one pass over the probe's
-        postings accumulates shared-key counts for every candidate; the
-        predicate is decided from the counts directly.
-
-        Pairs whose other endpoint was already fully self-probed are
-        decided by symmetric membership in that endpoint's neighbor set
-        instead — the count-mode analogue of the pair-verdict cache.  A
-        per-pair dict is deliberately NOT used here: a count-mode verdict
-        is a couple of integer comparisons, cheaper than the dict
-        traffic (and unbounded per-pair storage) it would take to cache.
-        """
-        probe_keys = set(self._predicate.blocking_keys(probe))
-        counts: dict[int, int] = defaultdict(int)
-        for key in probe_keys:
-            for position in self._index.get(key, ()):
-                counts[position] += 1
-        n_probe = len(probe_keys)
-        probe_post = self._predicate.count_post_signature(probe)
-        accepts = self._predicate.count_accepts
-        post_check = self._predicate.count_post_check
-        counters = self._counters
-        # Membership shortcuts are only sound when the probe IS the
-        # excluded member: neighbor sets were computed excluding only
-        # their own position, so they answer exactly "is position
-        # `exclude_position` my neighbor?".
-        probed = self._probed
-        if probed is not None and not self._is_member_probe(
-            probe, exclude_position
-        ):
-            probed = None
-        out = []
-        for position, shared in counts.items():
-            if position == exclude_position:
-                continue
-            if probed is not None:
-                known = probed.get(position)
-                if known is not None:
-                    counters.cache_hits += 1
-                    if exclude_position in known:
-                        out.append(position)
-                    continue
-            counters.predicate_evaluations += 1
-            if accepts(
-                shared, n_probe, self._key_counts[position]
-            ) and post_check(probe_post, self._post_signatures[position]):
-                out.append(position)
-        out.sort()
-        return out
+        return self._predicate.evaluate(probe, other)

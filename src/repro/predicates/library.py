@@ -114,47 +114,12 @@ class NgramOverlapPredicate(Predicate):
         for gram in cached_ngram_set(record[self._field], self._n):
             yield (*prefix, gram)
 
-    def signature(self, record: Record):
-        """(exact-field tuple, initials set or None, gram set)."""
-        return (
-            tuple(normalize(record[f]) for f in self._exact_fields),
-            cached_initial_set(record[self._field])
-            if self._require_common_initial
-            else None,
-            cached_ngram_set(record[self._field], self._n),
-        )
-
-    # Count filtering: each blocking key is (exact-prefix, gram), so two
-    # records' shared-key count IS their gram intersection size when the
-    # exact fields agree (and 0 otherwise, correctly rejecting them for
-    # any positive threshold).
-    count_verifiable = True
-
-    def count_accepts(self, shared: int, n_keys_a: int, n_keys_b: int) -> bool:
-        if n_keys_a == 0 or n_keys_b == 0:
-            return False
-        return shared / min(n_keys_a, n_keys_b) >= self._threshold
-
-    def count_post_signature(self, record: Record):
-        if self._require_common_initial:
-            return cached_initial_set(record[self._field])
-        return None
-
-    def count_post_check(self, post_a, post_b) -> bool:
-        if post_a is None:
-            return True
-        return bool(post_a & post_b)
-
-    def evaluate_signatures(self, sig_a, sig_b) -> bool:
-        exact_a, initials_a, grams_a = sig_a
-        exact_b, initials_b, grams_b = sig_b
-        if exact_a != exact_b:
-            return False
-        if initials_a is not None and not (initials_a & initials_b):
-            return False
-        return overlap_coefficient(grams_a, grams_b) >= self._threshold
-
     def batch_count_rule(self, records):
+        # Each blocking key is (exact-prefix, gram), so two records'
+        # shared-key count IS their gram intersection size when the
+        # exact fields agree (and 0 otherwise, correctly rejecting them
+        # for any positive threshold); the initials check is the rule's
+        # residual bitmask test.
         masks = None
         bit_of_token = None
         if self._require_common_initial:
@@ -271,12 +236,6 @@ class CommonWordsPredicate(Predicate):
 
     def evaluate(self, a: Record, b: Record) -> bool:
         return len(self._word_set(a) & self._word_set(b)) >= self._min_common
-
-    def signature(self, record: Record) -> frozenset[str]:
-        return self._word_set(record)
-
-    def evaluate_signatures(self, sig_a, sig_b) -> bool:
-        return len(sig_a & sig_b) >= self._min_common
 
     def blocking_keys(self, record: Record) -> Iterable[Hashable]:
         word_set = self._word_set(record)
@@ -580,23 +539,6 @@ class AddressS1(Predicate):
 
     def blocking_keys(self, record: Record) -> Iterable[Hashable]:
         yield cached_sorted_initials_key(record["name"])
-
-    def signature(self, record: Record):
-        """(initials key, name content words, address content words)."""
-        return (
-            cached_sorted_initials_key(record["name"]),
-            cached_content_word_set(record["name"], self._stop_words),
-            cached_content_word_set(record["address"], self._stop_words),
-        )
-
-    def evaluate_signatures(self, sig_a, sig_b) -> bool:
-        key_a, name_a, addr_a = sig_a
-        key_b, name_b, addr_b = sig_b
-        if key_a != key_b:
-            return False
-        if overlap_coefficient(name_a, name_b) <= self._name_threshold:
-            return False
-        return overlap_coefficient(addr_a, addr_b) >= self._address_threshold
 
     def batch_verifier(self, records):
         stop = self._stop_words

@@ -6,8 +6,8 @@ Three layers, each checked against its scalar reference:
   plain Python set arithmetic and :mod:`repro.similarity.measures`,
   asserting *bit-identical* floats;
 * the batch verifiers / count rule (:mod:`repro.predicates.batch`)
-  against ``predicate.evaluate`` / ``count_accepts`` for every library
-  predicate shape, on randomized records;
+  against ``predicate.evaluate`` for every library predicate shape, on
+  randomized records;
 * the :class:`~repro.predicates.batch.BatchNeighborEngine` (direct,
   state-roundtripped, and via :class:`~repro.predicates.blocking.NeighborIndex`)
   against a forced-scalar index, member and external probes alike, and
@@ -229,7 +229,7 @@ def test_batch_verifier_matches_scalar_evaluate(predicate):
             ), (predicate.name, position, other)
 
 
-def test_count_rule_matches_scalar_count_accepts():
+def test_count_rule_matches_scalar_evaluate():
     predicate = NgramOverlapPredicate(
         field="author", threshold=0.6, require_common_initial=True
     )
@@ -266,13 +266,9 @@ def test_count_rule_matches_scalar_count_accepts():
         for verdict, other, shared_count in zip(
             verdicts, others.tolist(), shared.tolist()
         ):
-            expected = predicate.count_accepts(
-                shared_count, n_probe, int(key_counts[other])
-            ) and predicate.count_post_check(
-                predicate.count_post_signature(probe),
-                predicate.count_post_signature(records[other]),
-            )
-            assert bool(verdict) == expected
+            assert bool(verdict) == predicate.evaluate(
+                probe, records[other]
+            ), (position, other, shared_count)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +321,6 @@ def test_engine_state_roundtrip_preserves_member_queries():
 
     class _Sink:
         predicate_evaluations = 0
-        signature_evaluations = 0
         cache_hits = 0
 
     for position in range(len(records)):
@@ -350,7 +345,6 @@ def test_engine_csr_matches_per_member_lists():
 
     class _Sink:
         predicate_evaluations = 0
-        signature_evaluations = 0
         cache_hits = 0
 
     positions = list(range(0, len(records), 3))
@@ -393,19 +387,14 @@ SWEEP_IDS = [
 
 
 class _Counts:
-    """The three counters the sweep moves."""
+    """The two counters the sweep moves."""
 
     def __init__(self):
         self.cache_hits = 0
         self.predicate_evaluations = 0
-        self.signature_evaluations = 0
 
     def totals(self):
-        return (
-            self.cache_hits,
-            self.predicate_evaluations,
-            self.signature_evaluations,
-        )
+        return (self.cache_hits, self.predicate_evaluations)
 
 
 def _engine(predicate, records):
@@ -432,7 +421,6 @@ def _reference_sweep(engine, records, predicate, positions, known=None):
                 sharing[p].update(posting)
     verified = {p: set(engine.member_neighbors(p, _Counts())) for p in order}
     counts = _Counts()
-    evaluations = 0
     lists = {}
     for p in order:
         found = []
@@ -444,15 +432,11 @@ def _reference_sweep(engine, records, predicate, positions, known=None):
                 counts.cache_hits += 1
                 keep = p in known[c]
             else:
-                evaluations += 1
+                counts.predicate_evaluations += 1
                 keep = c in verified[p]
             if keep:
                 found.append(c)
         lists[p] = found
-    if engine.count_mode:
-        counts.predicate_evaluations = evaluations
-    else:
-        counts.signature_evaluations = evaluations
     return lists, counts
 
 
@@ -671,7 +655,6 @@ def test_shared_pack_engine_rebuild_matches_original():
 
     class _Sink:
         predicate_evaluations = 0
-        signature_evaluations = 0
         cache_hits = 0
 
     try:

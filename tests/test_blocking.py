@@ -171,7 +171,8 @@ class TestNeighborIndexMemo:
 
 
 class TestCountFiltering:
-    """The count-filtering fast path must agree pairwise with evaluate."""
+    """Count filtering (the engine's count rule) must agree pairwise
+    with evaluate."""
 
     def test_ngram_predicate_count_mode_equivalence(self):
         from repro.datasets import generate_citations
@@ -180,9 +181,8 @@ class TestCountFiltering:
         ds = generate_citations(n_records=300, seed=9)
         records = list(ds.store)
         for predicate in (citation_n1(), citation_n2()):
-            assert predicate.count_verifiable
-            index = NeighborIndex(predicate, records)
-            assert index._count_mode  # noqa: SLF001 - asserting the fast path engaged
+            index = NeighborIndex(predicate, records, vectorize=True)
+            assert index.batch_engine.count_mode
             for position in range(0, len(records), 17):
                 probe = records[position]
                 fast = index.neighbors(probe, exclude_position=position)
@@ -193,23 +193,6 @@ class TestCountFiltering:
                     and predicate.evaluate(probe, records[other])
                 )
                 assert fast == slow, (predicate.name, position)
-
-    def test_signature_path_equivalence(self):
-        from repro.datasets import generate_students
-        from repro.predicates import student_n2
-
-        ds = generate_students(n_records=300, seed=9)
-        records = list(ds.store)
-        predicate = student_n2()
-        for position in (0, 50, 123):
-            probe = records[position]
-            for other in range(len(records)):
-                if other == position:
-                    continue
-                sig = predicate.evaluate_signatures(
-                    predicate.signature(probe), predicate.signature(records[other])
-                )
-                assert sig == predicate.evaluate(probe, records[other])
 
 
 class TestSortedNeighborhoodFallback:
@@ -287,9 +270,8 @@ class TestDiscardCountersParity:
 
 class TestCandidatePairsDedupe:
     """Regression: candidate_pairs deduped via a global seen-set of
-    emitted pairs — O(pairs) memory and no signature fast path.  The
-    rewrite owns each pair at its smallest shared key ordinal and
-    verifies via signatures when the predicate supports them."""
+    emitted pairs — O(pairs) memory.  Each pair is now emitted once, in
+    ascending order, and verified exactly as ``evaluate`` decides it."""
 
     def _verified_reference(self, predicate, records):
         pairs = set()
@@ -321,7 +303,6 @@ class TestCandidatePairsDedupe:
         ds = generate_students(n_records=150, seed=4)
         records = list(ds.store)
         predicate = student_n2()
-        assert predicate.supports_signatures
         emitted = list(candidate_pairs(predicate, records))
         assert len(emitted) == len(set(emitted))
         assert set(emitted) == self._verified_reference(predicate, records)

@@ -860,7 +860,7 @@ class TestBlockContainment:
         state = armed_state()
         guard = GuardedPredicate(BlockFaultNgram(), "necessary", state)
         assert guard.supports_batch
-        assert not guard.count_verifiable and not guard.symmetric
+        assert not guard.symmetric
         index = NeighborIndex(guard, records, vectorize=True, memoize=True)
         engine = index.batch_engine
         assert engine is not None and engine.count_mode
@@ -1080,7 +1080,6 @@ class SweepFaultJaccard(JaccardPredicate):
 
 _COUNTERS = (
     "predicate_evaluations",
-    "signature_evaluations",
     "cache_hits",
     "cache_misses",
     "neighbor_queries",
@@ -1316,7 +1315,7 @@ class TestGuardedSweep:
         assert wasted > 0 and counters.cache_hits > 0
         assert counters.predicate_timeouts_contained == 0
         assert (
-            counters.signature_evaluations - wasted + counters.cache_hits
+            counters.predicate_evaluations - wasted + counters.cache_hits
             == entries
         )
 

@@ -404,7 +404,6 @@ class TestColumnarDataset:
 
 class _Sink:
     predicate_evaluations = 0
-    signature_evaluations = 0
     cache_hits = 0
 
 

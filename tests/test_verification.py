@@ -26,7 +26,12 @@ from repro.core.verification import PipelineCounters, VerificationContext
 from repro.predicates.base import FunctionPredicate, PredicateLevel
 from repro.predicates.blocking import NeighborIndex
 from repro.predicates.library import NgramOverlapPredicate
-from tests.conftest import exact_name_predicate, make_store, shared_word_predicate
+from tests.conftest import (
+    exact_name_predicate,
+    make_store,
+    shared_word_predicate,
+    vectorize_mode,
+)
 
 
 def two_cluster_store():
@@ -106,32 +111,60 @@ class TestSharedContextSavesWork:
         assert context.cached_verdicts(necessary) > 0
 
 
+def _sharing_store():
+    return make_store(
+        ["ann smithson"] * 3
+        + ["anne smithson"] * 2
+        + ["bob jonesey"] * 2
+        + ["bobby jonesey", "cara leeworth"]
+    )
+
+
+def _cached_and_bare_lists(context, necessary, groups):
+    """Member lists from the context's index and from a bare index."""
+    cached = context.neighbor_index(necessary, groups)
+    bare = NeighborIndex(necessary, groups.representatives())
+    return [
+        (
+            cached.neighbors(representative, exclude_position=position),
+            bare.neighbors(representative, exclude_position=position),
+        )
+        for position, representative in enumerate(groups.representatives())
+    ]
+
+
 class TestCountModeSharing:
-    """Count-verifiable predicates share verdicts by neighbor-set
-    membership (not the per-pair dict — see NeighborIndex docs)."""
+    """A batch engine shares verdicts by neighbor-set membership (not the
+    per-pair dict — see NeighborIndex docs); scalar ``evaluate`` shares
+    them through the dict."""
 
     def test_membership_sharing_matches_uncached_index(self):
-        store = make_store(
-            ["ann smithson"] * 3
-            + ["anne smithson"] * 2
-            + ["bob jonesey"] * 2
-            + ["bobby jonesey", "cara leeworth"]
-        )
-        groups = collapsed_groups(store)
+        groups = collapsed_groups(_sharing_store())
         necessary = NgramOverlapPredicate("name", 0.4)
-        assert necessary.count_verifiable
         context = VerificationContext()
-        cached = context.neighbor_index(necessary, groups)
-        bare = NeighborIndex(necessary, groups.representatives())
-        representatives = groups.representatives()
-        for position, representative in enumerate(representatives):
-            assert cached.neighbors(
-                representative, exclude_position=position
-            ) == bare.neighbors(representative, exclude_position=position)
+        with vectorize_mode(True):
+            lists = _cached_and_bare_lists(context, necessary, groups)
+        for cached, bare in lists:
+            assert cached == bare
         # Later probes answered earlier probes' pairs from their sets.
         assert context.counters.cache_hits > 0
-        # ...and the per-pair dict stayed empty (count mode bypasses it).
+        # ...and the per-pair dict stayed empty (the engine bypasses it).
         assert context.cached_verdicts(necessary) == 0
+
+    def test_scalar_sharing_matches_uncached_index(self):
+        groups = collapsed_groups(_sharing_store())
+        necessary = NgramOverlapPredicate("name", 0.4)
+        context = VerificationContext()
+        with vectorize_mode(False):
+            lists = _cached_and_bare_lists(context, necessary, groups)
+        for cached, bare in lists:
+            assert cached == bare
+        # Later probes answered earlier probes' pairs from the dict.
+        assert context.counters.cache_hits > 0
+        assert context.cached_verdicts(necessary) == (
+            context.counters.cache_misses
+        )
+        assert context.cached_verdicts(necessary) > 0
 
     def test_shared_and_full_probes_agree_pairwise(self):
         # Every (i, j) verdict must be identical whichever endpoint is
@@ -142,12 +175,13 @@ class TestCountModeSharing:
         groups = collapsed_groups(store)
         necessary = NgramOverlapPredicate("name", 0.4)
         context = VerificationContext()
-        index = context.neighbor_index(necessary, groups)
-        representatives = groups.representatives()
-        lists = {
-            i: set(index.neighbors(representatives[i], exclude_position=i))
-            for i in range(len(representatives))
-        }
+        with vectorize_mode(True):
+            index = context.neighbor_index(necessary, groups)
+            representatives = groups.representatives()
+            lists = {
+                i: set(index.neighbors(representatives[i], exclude_position=i))
+                for i in range(len(representatives))
+            }
         for i in lists:
             for j in lists:
                 if i != j:
@@ -207,12 +241,10 @@ class TestCounters:
         counters.add_stage_time("prune", 1.0)
         snapshot = counters.snapshot()
         counters.predicate_evaluations += 3
-        counters.signature_evaluations += 2
         counters.add_stage_time("prune", 0.5)
         delta = counters.delta(snapshot)
         assert delta.predicate_evaluations == 3
-        assert delta.signature_evaluations == 2
-        assert delta.total_evaluations == 5
+        assert delta.total_evaluations == 3
         assert delta.stage_seconds == pytest.approx({"prune": 0.5})
         # The snapshot is an independent copy.
         assert snapshot.predicate_evaluations == 5
