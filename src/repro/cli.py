@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -164,15 +165,6 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
         help="contain exceptions from predicate/scorer code with "
         "role-safe fallback verdicts ('degrade') or propagate them "
         "('raise'); implies resilient execution even without --deadline",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the sharded parallel dedup pipeline; "
-        "results are bit-identical to serial execution (default: "
-        "$REPRO_WORKERS or 1)",
     )
     parser.add_argument(
         "--trace-out",
@@ -437,13 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget for the SIGTERM drain sequence",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per query (sharded pipeline; default 1)",
-    )
-    serve.add_argument(
         "--metrics",
         action="store_true",
         help="enable the Prometheus /metrics endpoint",
@@ -606,7 +591,6 @@ def _run_topk_interval(args: argparse.Namespace) -> int:
         label_field=args.field,
         context=context,
         policy=policy_from_args(args),
-        workers=args.workers,
     )
     export_observability(args, tracer, metrics)
     if result.degraded:
@@ -645,7 +629,6 @@ def run_topk(args: argparse.Namespace) -> int:
         label_field=args.field,
         context=context,
         policy=policy_from_args(args),
-        workers=args.workers,
     )
     export_observability(args, tracer, metrics)
     if result.degraded:
@@ -675,7 +658,6 @@ def run_rank(args: argparse.Namespace) -> int:
         levels,
         context=context,
         policy=policy_from_args(args),
-        workers=args.workers,
     )
     export_observability(args, tracer, metrics)
     if result.degraded:
@@ -702,7 +684,6 @@ def run_threshold(args: argparse.Namespace) -> int:
         levels,
         context=context,
         policy=policy_from_args(args),
-        workers=args.workers,
     )
     export_observability(args, tracer, metrics)
     if result.degraded:
@@ -807,9 +788,7 @@ def run_stream(args: argparse.Namespace) -> int:
                 engine.checkpoint()
         if args.checkpoint_every:
             engine.checkpoint()
-        result = engine.query(
-            args.k, policy=policy_from_args(args), workers=args.workers
-        )
+        result = engine.query(args.k, policy=policy_from_args(args))
         if result.degraded:
             _warn_degraded(result.degraded_reason)
         for group in result.groups[: args.k]:
@@ -914,7 +893,8 @@ def _fault_plane_from_env():
     arguments (``{"seed": 7, "wal_append_rate": 0.05}``).  This is the
     testing hook that lets a *subprocess* server run under seeded
     infrastructure faults — the in-process harness arms the plane
-    directly.
+    directly.  Unknown keys raise a ``ValueError`` naming them, so
+    ``serve`` exits 2 with one ``error:`` line.
     """
     spec = os.environ.get("REPRO_FAULT_PLANE")
     if not spec:
@@ -924,6 +904,12 @@ def _fault_plane_from_env():
     payload = json.loads(spec)
     if not isinstance(payload, dict):
         raise ValueError("REPRO_FAULT_PLANE must be a JSON object")
+    known = {f.name for f in dataclasses.fields(FaultPlane) if f.init}
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ValueError(
+            f"REPRO_FAULT_PLANE has unknown key(s): {', '.join(unknown)}"
+        )
     return FaultPlane(**payload)
 
 
@@ -960,7 +946,6 @@ def run_serve(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         checkpoint_on_drain=args.state_dir is not None,
         drain_grace_seconds=args.drain_grace,
-        workers=args.workers or 1,
     )
 
     def loader() -> IncrementalTopK:

@@ -33,13 +33,6 @@ from .lower_bound import (
     estimate_lower_bound,
     estimate_lower_bound_naive,
 )
-from .parallel import (
-    ShardPlan,
-    group_fingerprint,
-    parallel_collapse,
-    prime_neighbor_index,
-    resolve_workers,
-)
 from .prune import PruneResult, prune
 from .pruned_dedup import (
     LevelStats,
@@ -53,7 +46,14 @@ from .rank_query import (
     thresholded_rank_query,
     topk_rank_query,
 )
-from .records import Group, GroupSet, Record, RecordStore, merge_groups
+from .records import (
+    Group,
+    GroupSet,
+    Record,
+    RecordStore,
+    group_fingerprint,
+    merge_groups,
+)
 from .resilience import (
     ExecutionPolicy,
     ExecutionState,
@@ -111,7 +111,6 @@ __all__ = [
     "RetryPolicy",
     "StageRecord",
     "StageRunner",
-    "ShardPlan",
     "StateAuditError",
     "TopKQueryResult",
     "VerificationContext",
@@ -127,11 +126,8 @@ __all__ = [
     "has_state",
     "install_fault_hook",
     "merge_groups",
-    "parallel_collapse",
-    "prime_neighbor_index",
     "prune",
     "pruned_dedup",
-    "resolve_workers",
     "run_level_pipeline",
     "thresholded_rank_query",
     "topk_count_query",

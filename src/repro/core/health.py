@@ -1,12 +1,11 @@
 """Health signals: one readiness/liveness view over the fault machinery.
 
 The retry layer (:mod:`repro.core.retry`), the hardened storage layer
-(:mod:`repro.core.persistence`) and the shard pool
-(:mod:`repro.core.parallel`) each keep their own degradation state —
-breaker automata, the journaling-suspended latch, dead-letter pressure,
-degraded-shard counters.  :class:`HealthMonitor` folds them into a
-single :class:`HealthSnapshot` an operator (or the ROADMAP's planned
-query service) can poll:
+(:mod:`repro.core.persistence`) and the streaming engine each keep
+their own degradation state — breaker automata, the journaling-
+suspended latch, dead-letter pressure.  :class:`HealthMonitor` folds
+them into a single :class:`HealthSnapshot` an operator (or the query
+service) can poll:
 
 * **live** — the process can still compute answers at all.  Nothing in
   the degradation machinery makes the engine un-live: that is the point
@@ -16,9 +15,9 @@ query service) can poll:
   a closure that violates its invariants is exactly the "silently
   wrong" answer the fault plane exists to rule out.
 * **degraded** — answers are still correct but some capability is stood
-  down: journaling suspended (``ENOSPC``), the shard pool's breaker
-  open (serial-only), shards recomputed serially, dead letters piling
-  up.  Every degradation is itemized in :attr:`HealthSnapshot.checks`.
+  down: journaling suspended (``ENOSPC``), a breaker open, dead letters
+  piling up.  Every degradation is itemized in
+  :attr:`HealthSnapshot.checks`.
 
 :meth:`HealthMonitor.publish` exports the same view through a
 :class:`~repro.observability.MetricsRegistry` (``repro_breaker_state``,
@@ -40,7 +39,7 @@ class HealthCheck:
 
     Attributes:
         name: Stable dotted identifier (``durability.journaling``,
-            ``breaker.parallel.shards``...).
+            ``breaker.storage.wal``...).
         ok: False when this signal is degrading the engine.
         detail: One human-readable line of state.
     """
@@ -85,7 +84,7 @@ class HealthMonitor:
         engine: Optional :class:`~repro.core.incremental.IncrementalTopK`
             whose durability/quarantine state should be included (duck-
             typed: anything with ``durability_status()``,
-            ``dead_letters``, and ``verification`` works).
+            ``dead_letters`` and ``dead_letters_dropped`` works).
         breakers: Breaker registry to report; defaults to the global
             :data:`~repro.core.retry.BREAKERS`.
         audit: Run the engine's (O(n)) :meth:`audit` on every snapshot
@@ -179,15 +178,6 @@ class HealthMonitor:
                     detail=(
                         f"{letters}/{limit} quarantined, {dropped} dropped"
                     ),
-                )
-            )
-
-            degraded_shards = engine.verification.counters.shards_degraded
-            checks.append(
-                HealthCheck(
-                    name="parallel.shards_degraded",
-                    ok=degraded_shards == 0,
-                    detail=f"{degraded_shards} shard(s) recomputed serially",
                 )
             )
 

@@ -53,7 +53,6 @@ from .persistence import (
     WalCorruptionError,
     as_policy,
 )
-from .parallel import resolve_workers
 from .pruned_dedup import run_level_pipeline
 from .records import Group, GroupSet, Record, RecordStore, merge_groups
 from .resilience import ExecutionPolicy, run_is_clean
@@ -221,8 +220,8 @@ class IncrementalTopK:
         self._version = 0
         self._entries_applied = 0
         # Clean answers of the current version only (see query()), keyed
-        # by (k, workers) or ("interval", k, workers, r, min_probability);
-        # emptied whenever the version advances.
+        # by ("count", k) or ("interval", k, r, min_probability); emptied
+        # whenever the version advances.
         self._query_cache: dict[tuple, object] = {}
         self._dead_letters: deque[DeadLetter] = deque()
         self._dead_letter_limit = dead_letter_limit
@@ -446,7 +445,6 @@ class IncrementalTopK:
         k: int,
         prune_iterations: int = 2,
         policy: ExecutionPolicy | None = None,
-        workers: int | None = None,
         kind: str = "count",
         r: int = 8,
         min_probability: float = 0.0,
@@ -463,17 +461,14 @@ class IncrementalTopK:
         (entities below *min_probability* membership mass are pruned).
 
         Clean results (:func:`~repro.core.resilience.run_is_clean`: not
-        degraded, no containment) are cached per ``(kind, k, workers[,
-        r, min_probability])`` until the next insert.  The key leaves
+        degraded, no containment) are cached per ``(kind, k[, r,
+        min_probability])`` until the next insert.  The key leaves
         the policy out — a clean answer is the same under any policy —
         and degraded or containment-touched answers are never cached,
         so a later request always gets a fresh run.  With a *policy*,
         the query degrades anytime exactly like the batch engine: on
         deadline/budget exhaustion it returns the best answer derivable
         from the current collapsed state, flagged ``degraded``.
-        *workers* > 1 shards the level pipeline
-        (:mod:`repro.core.parallel`) with bit-identical results; ``None``
-        consults ``REPRO_WORKERS``.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -484,11 +479,10 @@ class IncrementalTopK:
                 "interval queries need a pairwise scorer: construct the "
                 "engine with scorer=..."
             )
-        n_workers = resolve_workers(workers)
         if kind == "interval":
-            cache_key: tuple = ("interval", k, n_workers, r, min_probability)
+            cache_key: tuple = ("interval", k, r, min_probability)
         else:
-            cache_key = (k, n_workers)
+            cache_key = ("count", k)
         cached = self._query_cache.get(cache_key)
         if cached is not None:
             return cached
@@ -520,7 +514,6 @@ class IncrementalTopK:
                 skip_first_collapse=True,
                 n_starting_records=d,
                 before_run=before_run,
-                workers=n_workers,
             )
             if kind == "interval":
                 from ..uncertainty.query import interval_from_pruning

@@ -440,7 +440,7 @@ class DurableStateStore:
                 "repro_wal_bytes_total", "WAL bytes written (framed)"
             )
             metrics.describe(
-                "repro_retries_total", "Retried storage/parallel operations"
+                "repro_retries_total", "Retried storage operations"
             )
             metrics.describe(
                 "repro_wal_appends_suspended_total",

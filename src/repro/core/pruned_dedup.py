@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..predicates.base import PredicateLevel
+from .collapse import collapse
 from .lower_bound import LowerBoundEstimate, estimate_lower_bound
-from .parallel import parallel_collapse, prime_neighbor_index, resolve_workers
 from .prune import prune
 from .records import GroupSet, RecordStore
 from .resilience import (
@@ -130,7 +130,6 @@ def run_level_pipeline(
     skip_first_collapse: bool = False,
     n_starting_records: int | None = None,
     before_run: PipelineCounters | None = None,
-    workers: int = 1,
 ) -> PrunedDedupResult:
     """Run the collapse/bound/prune loop of Algorithm 2 over *groups*.
 
@@ -162,10 +161,6 @@ def run_level_pipeline(
             the result's counter delta; defaults to "now" (the
             streaming engine passes an earlier snapshot so its initial
             collapse stage is included).
-        workers: Worker processes for the sharded parallel execution
-            layer (:mod:`repro.core.parallel`).  1 = serial; higher
-            values shard the collapse and neighbor-verification stages
-            with bit-identical results.
     """
     d = (
         n_starting_records
@@ -211,32 +206,13 @@ def run_level_pipeline(
                     collapsed = runner.run(
                         level.name,
                         "collapse",
-                        lambda: parallel_collapse(
-                            current, level.sufficient, workers, context
-                        ),
+                        lambda: collapse(current, level.sufficient),
                     )
                     if runner.aborted:
                         return finalize(degraded=True)
                     current = collapsed
                 n_after_collapse = len(current)
                 level_span.set_attribute("n_after_collapse", n_after_collapse)
-
-                if workers > 1:
-                    # Pre-verify every representative's N-neighbor list
-                    # across the worker pool; the lower-bound and prune
-                    # stages below are then answered from the primed
-                    # index memo.  The stage (and its shard spans) is
-                    # transient: it exists only in parallel runs.
-                    runner.run(
-                        level.name,
-                        "neighbors",
-                        lambda: prime_neighbor_index(
-                            current, level.necessary, workers, context
-                        ),
-                        transient=True,
-                    )
-                    if runner.aborted:
-                        return finalize(degraded=True)
 
                 estimate: LowerBoundEstimate | None = runner.run(
                     level.name,
@@ -317,7 +293,6 @@ def pruned_dedup(
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
     execution_state: ExecutionState | None = None,
-    workers: int | None = None,
 ) -> PrunedDedupResult:
     """Run Algorithm 2 (minus the final clustering) on *store*.
 
@@ -339,11 +314,6 @@ def pruned_dedup(
         execution_state: Pre-armed policy state (advanced; used by
             ``topk_count_query`` to share one deadline across pruning
             and scoring).
-        workers: Worker processes for the sharded parallel execution
-            layer (:mod:`repro.core.parallel`); results are
-            bit-identical to the serial path at any count.  ``None``
-            consults the ``REPRO_WORKERS`` environment variable
-            (default 1 = serial).
 
     Returns:
         The surviving :class:`GroupSet` plus per-level statistics.  Apply
@@ -367,5 +337,4 @@ def pruned_dedup(
         policy=policy,
         execution_state=execution_state,
         n_starting_records=len(store),
-        workers=resolve_workers(workers),
     )

@@ -20,8 +20,8 @@ from dataclasses import field as dataclass_field
 
 from ..predicates.base import PredicateLevel
 from ..predicates.blocking import NeighborIndex
+from .collapse import collapse
 from .lower_bound import estimate_lower_bound
-from .parallel import parallel_collapse, prime_neighbor_index, resolve_workers
 from .prune import prune
 from .records import GroupSet, RecordStore
 from .resilience import (
@@ -200,7 +200,6 @@ def topk_rank_query(
     prune_iterations: int = 2,
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
-    workers: int | None = None,
 ) -> RankQueryResult:
     """Answer a Top-K *rank* query (Section 7.1).
 
@@ -214,10 +213,6 @@ def topk_rank_query(
     faults are contained role-safely (a compromised necessary predicate
     stands pruning down for its level) and on deadline/budget exhaustion
     the query returns the last consistent state flagged ``degraded``.
-
-    *workers* > 1 shards the collapse and neighbor-verification work
-    over forked processes (:mod:`repro.core.parallel`) with
-    bit-identical results; ``None`` consults ``REPRO_WORKERS``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -230,7 +225,7 @@ def topk_rank_query(
     before = context.counters.snapshot() if metrics.enabled else None
     with context.span("query", kind="rank", k=k):
         result = _topk_rank_query(
-            store, k, levels, prune_iterations, context, policy, workers
+            store, k, levels, prune_iterations, context, policy
         )
     if metrics.enabled:
         metrics.counter("repro_queries_total", kind="rank").inc()
@@ -249,9 +244,7 @@ def _topk_rank_query(
     prune_iterations: int,
     context: VerificationContext,
     policy: ExecutionPolicy | None,
-    workers: int | None,
 ) -> RankQueryResult:
-    n_workers = resolve_workers(workers)
     state = policy.start(context.counters) if policy is not None else None
     executed = guard_levels(levels, state) if state is not None else levels
     runner = StageRunner(context, state)
@@ -265,25 +258,12 @@ def _topk_rank_query(
             collapsed = runner.run(
                 level.name,
                 "collapse",
-                lambda: parallel_collapse(
-                    current, level.sufficient, n_workers, context
-                ),
+                lambda: collapse(current, level.sufficient),
             )
             if runner.aborted:
                 return _degraded_rank_result(current, upper, runner, context)
             current = collapsed
             level_span.set_attribute("n_after_collapse", len(current))
-            if n_workers > 1:
-                runner.run(
-                    level.name,
-                    "neighbors",
-                    lambda: prime_neighbor_index(
-                        current, level.necessary, n_workers, context
-                    ),
-                    transient=True,
-                )
-                if runner.aborted:
-                    return _degraded_rank_result(current, upper, runner, context)
             estimate = runner.run(
                 level.name,
                 "lower_bound",
@@ -325,19 +305,6 @@ def _topk_rank_query(
         kept = list(range(len(current)))
         flags = [False] * len(current)
     else:
-        if n_workers > 1:
-            # The last prune produced a fresh group set, so the rank
-            # pass needs a fresh index: build and prime it in parallel.
-            runner.run(
-                "rank",
-                "neighbors",
-                lambda: prime_neighbor_index(
-                    current, executed[-1].necessary, n_workers, context
-                ),
-                transient=True,
-            )
-            if runner.aborted:
-                return _degraded_rank_result(current, upper, runner, context)
         rank_pruned = runner.run(
             "rank",
             "rank_prune",
@@ -375,7 +342,6 @@ def thresholded_rank_query(
     prune_iterations: int = 2,
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
-    workers: int | None = None,
 ) -> RankQueryResult:
     """Answer a thresholded rank query (Section 7.2): groups of size >= T.
 
@@ -389,10 +355,6 @@ def thresholded_rank_query(
     stands pruning down and forfeits certainty) and on deadline/budget
     exhaustion the query returns the last consistent state flagged
     ``degraded``.
-
-    *workers* > 1 shards the collapse and neighbor-verification work
-    over forked processes (:mod:`repro.core.parallel`) with
-    bit-identical results; ``None`` consults ``REPRO_WORKERS``.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -405,7 +367,7 @@ def thresholded_rank_query(
     before = context.counters.snapshot() if metrics.enabled else None
     with context.span("query", kind="threshold", threshold=threshold):
         result = _thresholded_rank_query(
-            store, threshold, levels, prune_iterations, context, policy, workers
+            store, threshold, levels, prune_iterations, context, policy
         )
     if metrics.enabled:
         metrics.counter("repro_queries_total", kind="threshold").inc()
@@ -424,9 +386,7 @@ def _thresholded_rank_query(
     prune_iterations: int,
     context: VerificationContext,
     policy: ExecutionPolicy | None,
-    workers: int | None,
 ) -> RankQueryResult:
-    n_workers = resolve_workers(workers)
     state = policy.start(context.counters) if policy is not None else None
     executed = guard_levels(levels, state) if state is not None else levels
     runner = StageRunner(context, state)
@@ -439,30 +399,24 @@ def _thresholded_rank_query(
             collapsed = runner.run(
                 level.name,
                 "collapse",
-                lambda: parallel_collapse(
-                    current, level.sufficient, n_workers, context
-                ),
+                lambda: collapse(current, level.sufficient),
             )
             if runner.aborted:
                 return _degraded_rank_result(current, upper, runner, context)
             current = collapsed
             level_span.set_attribute("n_after_collapse", len(current))
-            if state is not None or n_workers > 1:
+            if state is not None:
                 # Unlike the count query there is no lower-bound stage to
                 # exercise the necessary predicate's keying before pruning,
                 # so sweep it now: building the neighbor index (reused by
                 # prune through the context cache) attempts blocking_keys on
                 # every representative and surfaces keying failures while
-                # pruning can still stand down.  With workers the same call
-                # also pre-verifies every neighbor list across the pool.
-                # (Transient span: the sweep only exists under a policy
-                # or parallel workers.)
+                # pruning can still stand down.  (Transient span: the
+                # sweep only exists under a policy.)
                 runner.run(
                     level.name,
                     "prune",
-                    lambda: prime_neighbor_index(
-                        current, level.necessary, n_workers, context
-                    ),
+                    lambda: context.neighbor_index(level.necessary, current),
                     transient=True,
                 )
                 if runner.aborted:
@@ -498,17 +452,6 @@ def _thresholded_rank_query(
         certain = False
         kept_upper = [upper[original] for original in kept]
     else:
-        if n_workers > 1:
-            runner.run(
-                "rank",
-                "neighbors",
-                lambda: prime_neighbor_index(
-                    current, executed[-1].necessary, n_workers, context
-                ),
-                transient=True,
-            )
-            if runner.aborted:
-                return _degraded_rank_result(current, upper, runner, context)
         rank_pruned = runner.run(
             "rank",
             "rank_prune",
@@ -521,20 +464,6 @@ def _thresholded_rank_query(
         kept, flags = rank_pruned
         kept_upper = [upper[original] for original in kept]
         retained_for_test = current.subset(kept)
-        if n_workers > 1:
-            runner.run(
-                "rank",
-                "neighbors",
-                lambda: prime_neighbor_index(
-                    retained_for_test,
-                    executed[-1].necessary,
-                    n_workers,
-                    context,
-                ),
-                transient=True,
-            )
-            if runner.aborted:
-                return _degraded_rank_result(current, upper, runner, context)
         certain = runner.run(
             "rank",
             "rank_prune",

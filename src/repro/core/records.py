@@ -209,6 +209,26 @@ class GroupSet:
         return cls(store=store, groups=groups)
 
 
+def group_fingerprint(group_set: GroupSet) -> tuple:
+    """Canonical, order-insensitive identity of a group partition.
+
+    Two group sets with equal fingerprints have identical members,
+    weights (bit-exact floats), and elected representatives — the
+    equality the bit-identity checks compare (scalar vs vectorized
+    paths, memory vs columnar stores, restored vs replayed engines).
+    """
+    return tuple(
+        sorted(
+            (
+                group.weight,
+                tuple(sorted(group.member_ids)),
+                group.representative_id,
+            )
+            for group in group_set
+        )
+    )
+
+
 def merge_groups(store: RecordStore, groups: Iterable[Group]) -> Group:
     """Merge *groups* into one, electing a new representative.
 

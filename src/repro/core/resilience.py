@@ -519,10 +519,10 @@ class StageRunner:
         None).
 
         *transient* marks the stage's tracer span as existing only under
-        some execution configurations (e.g. the parallel layer's
-        neighbor-priming sweeps), excluding it from the deterministic
-        trace export; counters and :class:`StageRecord` bookkeeping are
-        unaffected.
+        some execution configurations (the thresholded query's keying
+        sweep, run only under a policy), excluding it from the
+        deterministic trace export; counters and :class:`StageRecord`
+        bookkeeping are unaffected.
         """
         context = self._context
         state = self.state

@@ -1,9 +1,8 @@
 """Retries, backoff, circuit breakers, and the core fault-injection hook.
 
-The storage and parallel layers talk to infrastructure that fails
-routinely — disks fill, fsync returns ``EIO``, shared-memory segments
-vanish, worker processes die or hang.  This module is the one place
-their recovery discipline lives:
+The storage layer talks to infrastructure that fails routinely — disks
+fill, writes and fsync return ``EIO``.  This module is the one place
+its recovery discipline lives:
 
 * :class:`RetryPolicy` — bounded exponential backoff with
   **deterministic seeded jitter** (a :func:`hashlib.blake2b` draw of
@@ -12,15 +11,15 @@ their recovery discipline lives:
   a cooperative per-attempt timeout.
 * :class:`CircuitBreaker` — the classic closed / open / half-open
   automaton, keyed per subsystem through :class:`BreakerRegistry`, so a
-  persistently failing dependency (the shard pool, the WAL device) is
-  stood down instead of being hammered on every call.
+  persistently failing dependency (the WAL device) is stood down
+  instead of being hammered on every call.
 * :func:`fire_fault` — the **fault-injection hook**.  Production code
   calls ``fire_fault("wal.append", index=i, attempt=a)`` at each
   hardened fault site; with no hook installed this is one global read
   and a ``None`` check (zero overhead, nothing fires).  The seeded
   :class:`~repro.testing.faultplane.FaultPlane` installs a hook that
-  deterministically raises ``OSError`` / ``ENOSPC`` / crashes the
-  worker at those sites, which is how the fault-sweep suite proves the
+  deterministically raises ``OSError`` (``EIO`` / ``ENOSPC``) at those
+  sites, which is how the fault-sweep suite proves the
   safety property: under any injected schedule the engine returns
   bit-identical answers or an explicitly flagged degraded one — never
   a silently wrong one.
@@ -46,20 +45,8 @@ _DRAW_SPACE = float(2**64)
 SITE_WAL_APPEND = "wal.append"
 SITE_WAL_FSYNC = "wal.fsync"
 SITE_CHECKPOINT_WRITE = "checkpoint.write"
-SITE_SHM_CREATE = "shm.create"
-SITE_SHM_ATTACH = "shm.attach"
-SITE_WORKER_CRASH = "worker.crash"
-SITE_WORKER_HANG = "worker.hang"
 
-FAULT_SITES = (
-    SITE_WAL_APPEND,
-    SITE_WAL_FSYNC,
-    SITE_CHECKPOINT_WRITE,
-    SITE_SHM_CREATE,
-    SITE_SHM_ATTACH,
-    SITE_WORKER_CRASH,
-    SITE_WORKER_HANG,
-)
+FAULT_SITES = (SITE_WAL_APPEND, SITE_WAL_FSYNC, SITE_CHECKPOINT_WRITE)
 
 # -- fault hook -------------------------------------------------------------
 
@@ -72,10 +59,7 @@ def install_fault_hook(
     """Install *hook* as the process-wide fault hook; return the previous.
 
     The hook is called as ``hook(site, ids)`` at every hardened fault
-    site and injects a fault by raising (or, for worker faults, by
-    exiting/sleeping).  Pass ``None`` to uninstall.  Forked worker
-    processes inherit the installed hook, which is exactly how worker
-    crash/hang faults reach the children.
+    site and injects a fault by raising.  Pass ``None`` to uninstall.
     """
     global _FAULT_HOOK
     previous = _FAULT_HOOK
@@ -301,8 +285,7 @@ class CircuitBreaker:
       recovery clock.
 
     The clock is injectable so tests drive transitions without real
-    waiting.  Thread-unsafe by design (the engine is single-writer);
-    the parallel layer's breaker lives in the parent process only.
+    waiting.  Thread-unsafe by design (the engine is single-writer).
     """
 
     def __init__(

@@ -100,7 +100,6 @@ def topk_count_query(
     probability_temperature: float | None = None,
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
-    workers: int | None = None,
 ) -> TopKQueryResult:
     """Answer a Top-K count query over *store*, returning R ranked answers.
 
@@ -134,10 +133,6 @@ def topk_count_query(
             deadline.  Predicate/scorer faults are contained role-safely
             and on exhaustion the query returns the K heaviest groups of
             the last consistent collapsed state, flagged ``degraded``.
-        workers: Worker processes for the sharded parallel pruning
-            pipeline (:mod:`repro.core.parallel`); bit-identical results
-            at any count.  ``None`` consults ``REPRO_WORKERS`` (default
-            1 = serial).  Scoring stays in-process.
     """
     if context is None:
         context = VerificationContext()
@@ -159,7 +154,6 @@ def topk_count_query(
             probability_temperature=probability_temperature,
             context=context,
             policy=policy,
-            workers=workers,
         )
     if metrics.enabled:
         metrics.counter("repro_queries_total", kind="topk").inc()
@@ -186,7 +180,6 @@ def _topk_count_query(
     probability_temperature: float | None,
     context: VerificationContext,
     policy: ExecutionPolicy | None,
-    workers: int | None,
 ) -> TopKQueryResult:
     state = policy.start(context.counters) if policy is not None else None
     pruning = pruned_dedup(
@@ -196,7 +189,6 @@ def _topk_count_query(
         prune_iterations=prune_iterations,
         context=context,
         execution_state=state,
-        workers=workers,
     )
     groups = pruning.groups
     if pruning.degraded:

@@ -78,9 +78,6 @@ class PipelineCounters:
         records_quarantined: Stream records diverted to an
             :class:`~repro.core.incremental.IncrementalTopK` dead-letter
             list instead of being inserted.
-        shards_degraded: Parallel shards whose worker process died and
-            whose work was recomputed serially in the parent (see
-            :mod:`repro.core.parallel`).
         stage_seconds: Wall-clock seconds per pipeline stage name
             (cumulative across levels).
     """
@@ -97,7 +94,6 @@ class PipelineCounters:
     predicate_timeouts_contained: int = 0
     scorer_errors_contained: int = 0
     records_quarantined: int = 0
-    shards_degraded: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
     _INT_FIELDS = (
@@ -113,7 +109,6 @@ class PipelineCounters:
         "predicate_timeouts_contained",
         "scorer_errors_contained",
         "records_quarantined",
-        "shards_degraded",
     )
 
     @property
@@ -160,19 +155,6 @@ class PipelineCounters:
         }
         return diff
 
-    def merge(self, other: "PipelineCounters") -> None:
-        """Fold *other*'s counts into this instance (in place).
-
-        The parallel execution layer gives each worker shard an
-        independent counter delta and merges them back in a fixed shard
-        order, so a parallel run reports the same totals a serial run
-        would (modulo the sharing hits that only one process can see).
-        """
-        for name in self._INT_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for stage, seconds in other.stage_seconds.items():
-            self.add_stage_time(stage, seconds)
-
     def as_dict(self) -> dict[str, object]:
         """Flat dict form for reports and the CLI ``--stats`` output."""
         out: dict[str, object] = {
@@ -208,8 +190,8 @@ class VerificationContext:
         tracer: Span sink (:class:`repro.observability.Tracer`); the
             zero-overhead :data:`~repro.observability.NULL_TRACER` when
             omitted.  Pipelines open spans through :meth:`span` /
-            :meth:`record_span` / :meth:`event` so call sites never
-            branch on whether tracing is enabled.
+            :meth:`event` so call sites never branch on whether tracing
+            is enabled.
         metrics: Metric sink (:class:`repro.observability.MetricsRegistry`);
             the no-op :data:`~repro.observability.NULL_METRICS` when
             omitted.  When enabled, neighbor indexes built by this
@@ -347,21 +329,6 @@ class VerificationContext:
         return tracer.span(
             name,
             counters=counters if counters is not None else self.counters,
-            transient=transient,
-            **attributes,
-        )
-
-    def record_span(
-        self,
-        name: str,
-        counters_delta: PipelineCounters | None = None,
-        transient: bool = False,
-        **attributes: object,
-    ):
-        """Attach an already-completed span (e.g. a worker shard's)."""
-        return self.tracer.record_span(
-            name,
-            counters_delta=counters_delta,
             transient=transient,
             **attributes,
         )

@@ -3,13 +3,12 @@
 One module per artifact family:
 
 * :mod:`~repro.experiments.pruning_tables` — Figures 2-4;
-* :mod:`~repro.experiments.timing` — Figure 6;
+* :mod:`~repro.experiments.timing` — Figure 6, and the X10
+  scalar-vs-vectorized speedup and bit-identity check;
 * :mod:`~repro.experiments.accuracy` — Figure 7 and Table 1;
 * :mod:`~repro.experiments.ablations` — the DESIGN.md X1-X4 ablations;
 * :mod:`~repro.experiments.durability` — the X9 WAL-overhead and
   crash-recovery measurements;
-* :mod:`~repro.experiments.parallel_scaling` — the X10 parallel-speedup
-  and bit-identity sweep;
 * :mod:`~repro.experiments.harness` — shared dataset/predicate/scorer setup;
 * :mod:`~repro.experiments.report` — plain-text table rendering.
 """
@@ -47,11 +46,6 @@ from .observability import (
     observability_overhead_checks,
     run_observability_overhead,
 )
-from .parallel_scaling import (
-    parallel_scaling_checks,
-    run_parallel_speedup,
-    run_vectorize_speedup,
-)
 from .harness import (
     DEFAULT_SCALE,
     Pipeline,
@@ -75,6 +69,7 @@ from .timing import (
     PAPER_TIMING_K_VALUES,
     run_pruning_only_timing,
     run_timing_comparison,
+    run_vectorize_speedup,
     timing_shape_checks,
 )
 
@@ -94,7 +89,6 @@ __all__ = [
     "fidelity_checks",
     "figure7_cases",
     "format_table",
-    "parallel_scaling_checks",
     "prune_iteration_checks",
     "rank_query_checks",
     "run_accuracy_case",
@@ -110,7 +104,6 @@ __all__ = [
     "run_prune_iterations_ablation",
     "robustness_checks",
     "run_noise_sweep",
-    "run_parallel_speedup",
     "run_vectorize_speedup",
     "run_pruning_only_timing",
     "run_pruning_table",

@@ -1,13 +1,13 @@
 """X12: clean-path overhead of the fault plane and hardened fault sites.
 
 PR 7 threaded :func:`~repro.core.retry.fire_fault` calls through every
-hardened fault site — WAL appends and fsyncs, checkpoint writes,
-shared-memory create/attach, shard entry — and wrapped the storage hot
-path in :class:`~repro.core.retry.RetryPolicy`.  The promise mirrors
-X11's for observability: with no hook installed a fault site costs one
-module-global read and a ``None`` check, and a FaultPlane armed with
-all-zero rates costs one early-returning method call per site — the
-robustness machinery is effectively free until a fault actually fires.
+hardened fault site — WAL appends and fsyncs, checkpoint writes — and
+wrapped the storage hot path in :class:`~repro.core.retry.RetryPolicy`.
+The promise mirrors X11's for observability: with no hook installed a
+fault site costs one module-global read and a ``None`` check, and a
+FaultPlane armed with all-zero rates costs one early-returning method
+call per site — the robustness machinery is effectively free until a
+fault actually fires.
 
 This driver times a durable-stream workload (journal every citation
 record into a WAL-backed engine, then answer the top-K count query)
@@ -25,8 +25,8 @@ import time
 from pathlib import Path
 
 from ..core.incremental import IncrementalTopK
-from ..core.parallel import group_fingerprint
 from ..core.persistence import DurabilityPolicy
+from ..core.records import group_fingerprint
 from ..observability import MetricsRegistry
 from ..testing.faultplane import FaultPlane
 from .harness import benchmark_scale, citation_pipeline

@@ -32,8 +32,8 @@ import random
 from pathlib import Path
 
 from ..core.incremental import IncrementalTopK
-from ..core.parallel import group_fingerprint
 from ..core.persistence import DurabilityPolicy
+from ..core.records import group_fingerprint
 from ..server import (
     AdmissionConfig,
     HttpServer,

@@ -5,10 +5,16 @@ citation subset: None (Cartesian), Canopy, Canopy+Collapse, and the full
 pruning pipeline.  We measure the same four, additionally recording how
 many final-predicate pair evaluations each performs (the quantity the
 times are made of).
+
+:func:`run_vectorize_speedup` (X10) times the pruning pipeline on the
+two ways a pair is decided — plain ``evaluate`` (``REPRO_VECTORIZE=0``)
+and the NumPy batch engine — and checks that both give the same groups.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
 
 from ..baselines.full_dedup import (
@@ -17,8 +23,10 @@ from ..baselines.full_dedup import (
     none_pipeline,
 )
 from ..core.pruned_dedup import pruned_dedup
+from ..core.records import group_fingerprint
 from ..core.topk import topk_count_query
-from .harness import Pipeline
+from ..predicates.batch import VECTORIZE_ENV_VAR
+from .harness import Pipeline, benchmark_scale, citation_pipeline
 
 #: The K sweep of Figure 6.
 PAPER_TIMING_K_VALUES = (1, 10, 100, 1000)
@@ -118,6 +126,57 @@ def run_pruning_only_timing(
                 len(result.groups),
             )
         )
+    return rows
+
+
+@contextlib.contextmanager
+def _vectorize(enabled: bool):
+    old = os.environ.get(VECTORIZE_ENV_VAR)
+    os.environ[VECTORIZE_ENV_VAR] = "1" if enabled else "0"
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(VECTORIZE_ENV_VAR, None)
+        else:
+            os.environ[VECTORIZE_ENV_VAR] = old
+
+
+def run_vectorize_speedup(
+    n_records: int | None = None,
+    k: int = 10,
+    seed: int = 0,
+) -> list[dict[str, object]]:
+    """X10: the pruning pipeline forced scalar, then vectorized.
+
+    One row each on the fig2-scale citations workload.  The scalar row
+    is the baseline of both rows' ``speedup`` and ``identical`` columns;
+    ``identical`` compares :func:`group_fingerprint` of the groups.
+    """
+    n = n_records if n_records is not None else benchmark_scale()
+    pipeline = citation_pipeline(n_records=n, seed=seed, with_scorer=False)
+    rows: list[dict[str, object]] = []
+    for mode, vectorized in (("scalar", False), ("vectorized", True)):
+        with _vectorize(vectorized):
+            start = time.perf_counter()
+            result = pruned_dedup(pipeline.store, k, pipeline.levels)
+            seconds = time.perf_counter() - start
+        rows.append(
+            {
+                "n_records": n,
+                "K": k,
+                "mode": mode,
+                "seconds": seconds,
+                "fingerprint": group_fingerprint(result.groups),
+            }
+        )
+    baseline_seconds = rows[0]["seconds"]
+    baseline_fingerprint = rows[0]["fingerprint"]
+    for row in rows:
+        row["speedup"] = (
+            baseline_seconds / row["seconds"] if row["seconds"] > 0 else 0.0
+        )
+        row["identical"] = row.pop("fingerprint") == baseline_fingerprint
     return rows
 
 

@@ -1,8 +1,8 @@
 """Structured observability: tracing, metrics, and exporters.
 
 The subsystem is strictly downstream-free — it imports nothing from the
-rest of ``repro`` — so the core, parallel, resilience, persistence, and
-CLI layers can all depend on it without cycles.  See
+rest of ``repro`` — so the core, resilience, persistence, and CLI
+layers can all depend on it without cycles.  See
 ``docs/observability.md`` for the span model, the metric catalogue, and
 exporter formats.
 """
@@ -17,7 +17,6 @@ from .exporters import (
 from .metrics import (
     LATENCY_BUCKETS,
     NULL_METRICS,
-    RATIO_BUCKETS,
     SIZE_BUCKETS,
     Counter,
     Gauge,
@@ -37,7 +36,6 @@ __all__ = [
     "NULL_TRACER",
     "NullMetrics",
     "NullTracer",
-    "RATIO_BUCKETS",
     "SIZE_BUCKETS",
     "Span",
     "SpanEvent",

@@ -8,7 +8,8 @@ Three views of one run, all derived from the same :class:`Tracer` /
   events (everything needed to replay the run's totals);
   ``mode="deterministic"`` keeps only the machine-independent skeleton
   (names, attributes, tree shape; transient subtrees dropped) and is
-  byte-identical across worker counts and re-runs on the same input.
+  byte-identical across re-runs on the same input, with or without a
+  clean execution policy.
 * :func:`prometheus_text` — the registry in Prometheus exposition
   format (text/plain version 0.0.4), ready for a node exporter's
   textfile collector.

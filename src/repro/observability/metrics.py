@@ -15,9 +15,7 @@ tiny and dependency-free:
 
 Like the tracer, this module imports nothing from the rest of
 ``repro``; pipelines feed it through plain callables or direct method
-calls.  ``MetricsRegistry`` is process-local; the parallel layer's
-workers report histogram-worthy facts (shard sizes, elapsed times) back
-to the parent, which observes them in fixed shard order.
+calls.  ``MetricsRegistry`` is process-local.
 """
 
 from __future__ import annotations
@@ -31,15 +29,10 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0, 10.0,
 )
 
-#: Default buckets for set-size style metrics (candidate sets, shards).
+#: Default buckets for set-size style metrics (candidate sets).
 SIZE_BUCKETS: tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
     512.0, 1024.0, 4096.0, 16384.0,
-)
-
-#: Default buckets for ratio-style metrics (shard imbalance ≥ 1.0).
-RATIO_BUCKETS: tuple[float, ...] = (
-    1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0,
 )
 
 _LabelKey = tuple[tuple[str, str], ...]

@@ -5,26 +5,25 @@ of one pipeline activity (`query` → `pruned_dedup` → `level` → stage),
 carrying:
 
 * deterministic **attributes** (group counts, bounds, k, level names —
-  facts about the computation that are bit-identical across worker
-  counts and re-runs on the same input);
+  facts about the computation that are bit-identical across re-runs on
+  the same input);
 * **wall_seconds** and an optional **counters_delta** (the work the
   interval performed, measured against any counter object exposing
   ``snapshot()``/``delta()`` — in practice
   :class:`repro.core.verification.PipelineCounters`);
-* **events** (degradations, shard deaths, quarantines) pinned to the
-  span they happened under.
+* **events** (degradations, quarantines) pinned to the span they
+  happened under.
 
 Spans marked ``transient`` exist only under some execution
-configurations (per-shard worker spans, the parallel layer's
-neighbor-priming stage): the deterministic trace export skips them so
-traces of the same query are byte-identical at every worker count.
+configurations (the thresholded query's keying sweep, which runs only
+under an :class:`~repro.core.resilience.ExecutionPolicy`): the
+deterministic trace export skips them so traces of the same query are
+byte-identical with and without a clean policy.
 
 This module deliberately imports nothing from the rest of ``repro``:
 the core layers import *it*, never the other way around, and counter
 objects are duck-typed.  Tracers are not thread-safe; the pipelines
-that feed them are single-threaded in the parent process (worker
-*processes* report deltas back to the parent, which records spans on
-their behalf, in fixed shard order).
+that feed them are single-threaded.
 
 :class:`NullTracer` is the default everywhere.  Its methods are no-ops
 returning shared singletons, so an untraced run does no counter
@@ -56,21 +55,17 @@ class Span:
     """One timed, attributed interval in the trace tree.
 
     Attributes:
-        name: Span name (``query``, ``pruned_dedup``, ``level``, a stage
-            name, or ``shard``).
+        name: Span name (``query``, ``pruned_dedup``, ``level``, or a
+            stage name).
         attributes: Deterministic facts about the computation.  Only
-            values that are bit-identical across worker counts belong
+            values that are bit-identical across re-runs belong
             here; timing and machine-dependent data go in
             :attr:`wall_seconds` / :attr:`counters_delta` / event
             attributes instead.
         transient: True for spans that exist only under some execution
-            configurations (shard spans, priming stages); excluded from
-            the deterministic export.
-        wall_seconds: Wall-clock duration (0.0 for synthesized spans
-            whose real time overlapped others, e.g. parallel shards —
-            their worker-side elapsed time is an *event/attribute*
-            concern, never span wall time, so child wall times always
-            nest under the parent's).
+            configurations (the policy-only keying sweep); excluded
+            from the deterministic export.
+        wall_seconds: Wall-clock duration.
         counters_delta: Work done during the span (a counter object
             delta, usually ``PipelineCounters``), or None when the span
             was opened without a counter sink.
@@ -195,15 +190,6 @@ class NullTracer:
     ) -> _NullSpanContext:
         return _NULL_SPAN_CONTEXT
 
-    def record_span(
-        self,
-        name: str,
-        counters_delta: object | None = None,
-        transient: bool = False,
-        **attributes: object,
-    ) -> _NullSpan:
-        return _NULL_SPAN
-
     def event(self, name: str, **attributes: object) -> None:
         pass
 
@@ -266,29 +252,6 @@ class Tracer:
             if before is not None:
                 span.counters_delta = counters.delta(before)
             self._stack.pop()
-
-    def record_span(
-        self,
-        name: str,
-        counters_delta: object | None = None,
-        transient: bool = False,
-        **attributes: object,
-    ) -> Span:
-        """Attach an already-finished span under the current span.
-
-        Used for work that completed elsewhere — a worker shard whose
-        counter delta travelled back to the parent.  The span's wall
-        time is left at 0.0 (it overlapped its siblings in real time;
-        record worker-side elapsed as an attribute instead) so the
-        child-wall-times-nest-under-parent invariant holds.
-        """
-        span = Span(name, attributes, transient=transient)
-        span.counters_delta = counters_delta
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        return span
 
     def event(self, name: str, **attributes: object) -> None:
         """Record an event under the current span (orphaned if none)."""

@@ -21,8 +21,8 @@ encoded once at index-build time:
 
 Every kernel replicates the scalar semantics bit-for-bit (see
 :mod:`repro.similarity.encoding` for the float contract); the
-differential-oracle and parallel property suites assert the equality
-end-to-end on every dataset family.
+differential-oracle, storage and uncertainty property suites assert the
+equality end-to-end on every dataset family.
 
 Predicates opt in via :meth:`~repro.predicates.base.Predicate.batch_verifier`
 / :meth:`~repro.predicates.base.Predicate.batch_count_rule`.  The
@@ -44,11 +44,11 @@ each returning an opaque probe state (None from ``encode_probe`` means
 "cannot encode", and the caller falls back to ``evaluate``).
 
 Engines are built from plain arrays and parameter dicts
-(:meth:`BatchNeighborEngine.export_state`), so the parallel layer can
-ship them to workers through ``multiprocessing.shared_memory`` instead
-of pickling records.  Guarded engines never travel that way: their
-containment state lives in parent objects, which reach workers by fork
-inheritance instead.
+(:meth:`BatchNeighborEngine.export_state`), so :func:`save_engine_state`
+can persist one as a checksummed array container and
+:func:`load_engine_state` can rebuild it over memory-mapped arrays
+without touching a record.  A guard's containment state lives in
+Python objects and is never part of the export.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ class SetSimilarityBatch:
         self._scratch2 = (
             np.zeros(self._vocab2, dtype=bool) if self._indptr2 is not None else None
         )
-        # Parent-only probe-encoding state; absent on worker rebuilds
-        # (workers verify member probes, which need only the arrays).
+        # Probe-encoding state of a built verifier; absent on rebuilds
+        # from exported arrays (member probes need only the arrays).
         self._gate_map = gate_map
         self._bit_of_token = bit_of_token
         self._dict1 = corpus1.dictionary if corpus1 is not None else None
@@ -250,7 +250,7 @@ class SetSimilarityBatch:
 
     def encode_probe(self, record: Record):
         """Encode an external probe, or None when this instance cannot
-        (worker rebuilds drop the dictionaries; callers fall back to
+        (array rebuilds drop the dictionaries; callers fall back to
         ``evaluate``)."""
         features = self._features
         if not features:
@@ -278,7 +278,7 @@ class SetSimilarityBatch:
 
     def member_state(self, position: int):
         """Probe state for the indexed record at *position* (pure array
-        reads — this is the path worker rebuilds use)."""
+        reads — this is the path array rebuilds use)."""
         gate = (
             int(self.gate_ids[position]) if self.gate_ids is not None else None
         )
@@ -373,7 +373,7 @@ class SetSimilarityBatch:
             )
         return ok
 
-    # -- worker transport --------------------------------------------------
+    # -- array export ------------------------------------------------------
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         """(arrays, params) sufficient to rebuild a member-only verifier."""
@@ -482,7 +482,7 @@ class OverlapCountRule:
 
     def encode_probe(self, record: Record):
         """Probe state ``(mask,)`` of an external probe, or None when
-        this instance cannot encode it (worker rebuilds drop the
+        this instance cannot encode it (array rebuilds drop the
         post-check encoding)."""
         if self.masks is not None and self._post_probe is None:
             return None
@@ -545,10 +545,9 @@ class BatchNeighborEngine:
     symmetric pair verified once — under a guard too, which contains
     each chunk's call as one block.
 
-    Built by :meth:`build` in the parent (which keeps the key-id map
-    for external probes) or rebuilt worker-side from
-    :meth:`export_state` arrays (member probes only — exactly what the
-    parallel neighbors stage needs).
+    Built by :meth:`build` (which keeps the key-id map for external
+    probes) or rebuilt from :meth:`export_state` arrays by
+    :func:`load_engine_state` (member probes only).
     """
 
     def __init__(
@@ -791,9 +790,9 @@ class BatchNeighborEngine:
         self, positions: Sequence[int], counters
     ) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor lists of many members as (indptr, flat int32), one
-        row per entry of *positions* — the compact shape worker shards
-        ship back to the parent.  Results are identical to per-member
-        queries; in-shard pairs of a symmetric engine are verified once.
+        row per entry of *positions* — the compact CSR shape, with no
+        Python list per row.  Results are identical to per-member
+        queries; in-batch pairs of a symmetric engine are verified once.
         """
         rows = np.asarray(positions, dtype=np.int64)
         if self.symmetric:
@@ -997,10 +996,10 @@ class BatchNeighborEngine:
             return decide(self._rule)
         return self._contain_chunk(len(candidates), decide)
 
-    # -- worker transport --------------------------------------------------
+    # -- array export ------------------------------------------------------
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """(arrays, params) for a member-only worker rebuild."""
+        """(arrays, params) for a member-only rebuild (:meth:`from_state`)."""
         arrays = {
             "key_indptr": self.key_indptr,
             "key_ids": self.key_ids,
@@ -1051,10 +1050,9 @@ def save_engine_state(engine: BatchNeighborEngine, path) -> None:
     """Persist an engine's :meth:`~BatchNeighborEngine.export_state`
     into one checksummed array container (:mod:`repro.storage.layout`).
 
-    The same transport shape the parallel layer ships over shared
-    memory, just durable: arrays in the body, the params dict in the
-    header (floats survive the JSON round-trip exactly — Python's float
-    repr is shortest-exact).
+    Arrays go in the body, the params dict in the header (floats
+    survive the JSON round-trip exactly — Python's float repr is
+    shortest-exact).
     """
     from ..storage.layout import write_arrays
 

@@ -326,19 +326,9 @@ class NeighborIndex:
         )
 
     @property
-    def memoizing(self) -> bool:
-        """True when neighbor lists are memoized (``memoize=True``)."""
-        return self._memo is not None
-
-    @property
     def batch_engine(self) -> BatchNeighborEngine | None:
         """The vectorized engine, or None when queries run scalar."""
         return self._engine
-
-    @property
-    def key_postings(self) -> dict[Hashable, list[int]]:
-        """The key → positions posting lists (treat as read-only)."""
-        return self._index
 
     def candidate_positions(self, probe: Record) -> set[int]:
         """Return positions sharing at least one key with *probe*."""
@@ -385,22 +375,6 @@ class NeighborIndex:
             return False
         member = self._records[exclude_position]
         return member is probe or member == probe
-
-    def prime(self, position: int, neighbors: list[int]) -> None:
-        """Inject a precomputed neighbor list for the indexed member at
-        *position* (``exclude_position=position`` semantics).
-
-        Used by the parallel execution layer: worker shards compute the
-        lists, the parent primes the shared index so downstream stages
-        (lower bound, prune, rank pruning) hit the memo instead of
-        re-verifying.  Requires ``memoize=True``.
-        """
-        if self._memo is None:
-            raise ValueError("prime() requires a memoizing index")
-        record = self._records[position]
-        self._memo[(record.record_id, position)] = (record, neighbors)
-        if self._probed is not None:
-            self._probed[position] = set(neighbors)
 
     def neighbors_batch(self, positions: Sequence[int]) -> list[list[int]]:
         """Verified neighbor lists for many indexed members at once.

@@ -88,9 +88,6 @@ class ServerConfig:
         snapshot_cache_limit: Distinct cached answers per snapshot; the
             oldest are evicted FIFO past this bound (a parameter sweep
             must not grow server memory without limit).
-        workers: Worker processes per query (sharded pipeline); keep 1
-            unless the host has cores to spare — reader threads already
-            provide request-level parallelism.
         max_insert_batch: Inserts the writer applies per wakeup before
             publishing a snapshot (larger = fewer publications, longer
             reader staleness).
@@ -115,7 +112,6 @@ class ServerConfig:
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     prune_iterations: int = 2
     snapshot_cache_limit: int = 256
-    workers: int = 1
     max_insert_batch: int = 64
     checkpoint_every: int = 0
     checkpoint_on_drain: bool = True
@@ -515,7 +511,6 @@ class QueryService:
                     run = lambda: snapshot.query_topk(  # noqa: E731
                         k,
                         policy=policy,
-                        workers=self.config.workers,
                         metrics=self.metrics,
                     )
                 elif kind == "interval":
@@ -524,21 +519,18 @@ class QueryService:
                         r=worlds,
                         min_probability=min_probability,
                         policy=policy,
-                        workers=self.config.workers,
                         metrics=self.metrics,
                     )
                 elif kind == "rank":
                     run = lambda: snapshot.query_rank(  # noqa: E731
                         k,
                         policy=policy,
-                        workers=self.config.workers,
                         metrics=self.metrics,
                     )
                 else:
                     run = lambda: snapshot.query_threshold(  # noqa: E731
                         min_weight,
                         policy=policy,
-                        workers=self.config.workers,
                         metrics=self.metrics,
                     )
                 result = await asyncio.wait_for(

@@ -230,7 +230,6 @@ class EngineSnapshot:
         self,
         k: int,
         policy: ExecutionPolicy | None = None,
-        workers: int = 1,
         metrics=None,
     ) -> PrunedDedupResult:
         """Top-K count query on the frozen closure (mirrors
@@ -255,11 +254,10 @@ class EngineSnapshot:
                     skip_first_collapse=True,
                     n_starting_records=self.n_records,
                     before_run=before_run,
-                    workers=workers,
                 )
             return result, context.counters
 
-        return self._cached(("topk", k, workers), compute)
+        return self._cached(("topk", k), compute)
 
     def query_interval(
         self,
@@ -267,7 +265,6 @@ class EngineSnapshot:
         r: int = 8,
         min_probability: float = 0.0,
         policy: ExecutionPolicy | None = None,
-        workers: int = 1,
         metrics=None,
     ):
         """Interval-semantics Top-K query on the frozen closure.
@@ -313,7 +310,6 @@ class EngineSnapshot:
                     skip_first_collapse=True,
                     n_starting_records=self.n_records,
                     before_run=before_run,
-                    workers=workers,
                 )
                 result = interval_from_pruning(
                     pruning,
@@ -331,14 +327,13 @@ class EngineSnapshot:
 
         # min_probability + 0.0 canonicalises -0.0 (see query_threshold).
         return self._cached(
-            ("interval", k, r, min_probability + 0.0, workers), compute
+            ("interval", k, r, min_probability + 0.0), compute
         )
 
     def query_rank(
         self,
         k: int,
         policy: ExecutionPolicy | None = None,
-        workers: int = 1,
         metrics=None,
     ) -> RankQueryResult:
         """Top-K rank query over the frozen record store."""
@@ -355,17 +350,15 @@ class EngineSnapshot:
                 prune_iterations=self._prune_iterations,
                 context=context,
                 policy=policy,
-                workers=workers,
             )
             return result, context.counters
 
-        return self._cached(("rank", k, workers), compute)
+        return self._cached(("rank", k), compute)
 
     def query_threshold(
         self,
         min_weight: float,
         policy: ExecutionPolicy | None = None,
-        workers: int = 1,
         metrics=None,
     ) -> RankQueryResult:
         """Thresholded rank query over the frozen record store.
@@ -393,15 +386,12 @@ class EngineSnapshot:
                 prune_iterations=self._prune_iterations,
                 context=context,
                 policy=policy,
-                workers=workers,
             )
             return result, context.counters
 
         # min_weight + 0.0 maps -0.0 to +0.0 (all other finite floats
         # are unchanged), so both spellings of zero share one cache slot.
-        return self._cached(
-            ("threshold", min_weight + 0.0, workers), compute
-        )
+        return self._cached(("threshold", min_weight + 0.0), compute)
 
 
 class SnapshotPublisher:

@@ -154,7 +154,7 @@ class TfIdfIndex:
         # Tie-break equal cosines by doc_id: dict accumulation order
         # reflects posting-list traversal, which must not leak into the
         # result (canopy candidate lists have to be deterministic across
-        # runs and worker counts).
+        # runs).
         return sorted(
             ((doc_id, s) for doc_id, s in scores.items() if s >= threshold),
             key=lambda pair: (-pair[1], pair[0]),

@@ -12,9 +12,8 @@ checkpoint writes mid-rename, and checks recovery restores exactly the
 surviving prefix.
 
 :mod:`repro.testing.faultplane` is the unified fault plane: one seeded
-:class:`FaultPlane` hooks every ``fire_fault`` site across the storage
-and parallel layers (WAL appends, fsyncs, checkpoint writes, shared-
-memory create/attach, worker crash/hang) and bridges to the older chaos
+:class:`FaultPlane` hooks every ``fire_fault`` site of the storage layer
+(WAL appends, fsyncs, checkpoint writes) and bridges to the older chaos
 plans, so a single seed drives a whole-system fault schedule.
 """
 
@@ -39,11 +38,7 @@ from .crashpoints import (
     stream_fingerprint,
     write_stream,
 )
-from .faultplane import (
-    MAX_HANG_SECONDS,
-    WORKER_CRASH_EXIT,
-    FaultPlane,
-)
+from .faultplane import FaultPlane
 
 __all__ = [
     "ChaosError",
@@ -55,8 +50,6 @@ __all__ = [
     "CrashPointResult",
     "FaultPlan",
     "FaultPlane",
-    "MAX_HANG_SECONDS",
-    "WORKER_CRASH_EXIT",
     "chaos_levels",
     "enumerate_crash_points",
     "reference_fingerprints",

@@ -5,10 +5,10 @@ PRs 2 and 3 each grew their own injection harness — predicate chaos
 (:mod:`repro.testing.crashpoints`) truncate the *on-disk log* — but the
 faults a deployment actually throws at the engine live between those
 two: the WAL write that returns ``EIO``, the disk that fills mid-
-stream, the fsync that fails, the shared-memory segment that cannot be
-attached, the worker process that dies or hangs.  :class:`FaultPlane`
-injects exactly those, through the :func:`repro.core.retry.fire_fault`
-hook the hardened production paths call at each fault site.
+stream, the fsync that fails, the checkpoint write that breaks off.
+:class:`FaultPlane` injects exactly those, through the
+:func:`repro.core.retry.fire_fault` hook the hardened production paths
+call at each fault site.
 
 Determinism follows the chaos harness discipline: every potential
 fault is an independent :func:`hashlib.blake2b` draw of
@@ -23,47 +23,27 @@ The plane also *subsumes* the older harnesses as entry points:
 :meth:`FaultPlane.chaos_plan` derives a predicate-level
 :class:`~repro.testing.chaos.FaultPlan` from the same seed and
 :meth:`FaultPlane.wrap_levels` applies it, so one seed can drive
-user-code faults, storage faults, and process faults in a single run.
-
-Worker-site faults (``worker.crash`` / ``worker.hang``) fire inside
-forked children — the hook is installed in the parent before the pool
-forks, so children inherit it.  Their injection *counts* consequently
-stay in the child and are not reflected in the parent's
-:attr:`FaultPlane.injected` tally; storage and shared-memory sites,
-which fire in the parent, are counted exactly.
+user-code faults and storage faults in a single run.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
-import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..core.retry import (
     BREAKERS,
     SITE_CHECKPOINT_WRITE,
-    SITE_SHM_ATTACH,
-    SITE_SHM_CREATE,
     SITE_WAL_APPEND,
     SITE_WAL_FSYNC,
-    SITE_WORKER_CRASH,
-    SITE_WORKER_HANG,
     install_fault_hook,
 )
 from .chaos import FaultPlan, chaos_levels
 
 #: Denominator turning a 64-bit hash prefix into a uniform draw in [0, 1).
 _DRAW_SPACE = float(2**64)
-
-#: Exit status of a fault-crashed worker (distinct from real signals).
-WORKER_CRASH_EXIT = 17
-
-#: Hard cap on an injected hang: the parallel layer's shard timeout must
-#: fire first, but a containment regression must still terminate.
-MAX_HANG_SECONDS = 30.0
 
 
 @dataclass
@@ -86,17 +66,6 @@ class FaultPlane:
         checkpoint_rate: Fraction of checkpoint writes that fail with
             ``EIO`` mid-write (the tmp file may be left behind; the
             prior checkpoint must survive untouched).
-        shm_create_rate: Fraction of shared-memory segment creations
-            that fail (parent side; the batch path must fall back).
-        shm_attach_rate: Fraction of shared-memory attaches that fail
-            (worker side; retried, then the shard degrades serially).
-        worker_crash_rate: Fraction of shard executions whose worker
-            process exits hard (``os._exit``) mid-shard.
-        worker_hang_rate: Fraction of shard executions whose worker
-            sleeps ``hang_seconds`` — long enough to trip the parent's
-            shard timeout, bounded so nothing hangs forever.
-        hang_seconds: Injected hang duration (capped at
-            :data:`MAX_HANG_SECONDS`).
         persistent: Ignore the attempt number in fault draws, so a
             faulted site keeps failing across retries — the
             "infrastructure is actually down" scenario that must end in
@@ -108,22 +77,15 @@ class FaultPlane:
     wal_enospc_rate: float = 0.0
     wal_fsync_rate: float = 0.0
     checkpoint_rate: float = 0.0
-    shm_create_rate: float = 0.0
-    shm_attach_rate: float = 0.0
-    worker_crash_rate: float = 0.0
-    worker_hang_rate: float = 0.0
-    hang_seconds: float = 1.0
     persistent: bool = False
-    injected: dict = field(default_factory=dict, repr=False, compare=False)
+    injected: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     _RATES = {
         SITE_WAL_APPEND: "wal_append_rate",
         SITE_WAL_FSYNC: "wal_fsync_rate",
         SITE_CHECKPOINT_WRITE: "checkpoint_rate",
-        SITE_SHM_CREATE: "shm_create_rate",
-        SITE_SHM_ATTACH: "shm_attach_rate",
-        SITE_WORKER_CRASH: "worker_crash_rate",
-        SITE_WORKER_HANG: "worker_hang_rate",
     }
 
     def __post_init__(self) -> None:
@@ -135,8 +97,6 @@ class FaultPlane:
             raise ValueError(
                 f"wal_enospc_rate must be in [0, 1], got {self.wal_enospc_rate}"
             )
-        if self.hang_seconds < 0:
-            raise ValueError("hang_seconds must be >= 0")
         self._metrics = None
 
     # -- draws --------------------------------------------------------
@@ -175,28 +135,11 @@ class FaultPlane:
         rate = getattr(self, rate_name) if rate_name else 0.0
         if not rate or self.draw(site, ids) >= rate:
             return
-        if site == SITE_WORKER_CRASH:
-            # Counted before dying so single-process tests still see it;
-            # in a real forked worker the tally dies with the child.
-            self._record(site, ids, kind="crash")
-            os._exit(WORKER_CRASH_EXIT)
-        if site == SITE_WORKER_HANG:
-            self._record(site, ids, kind="hang")
-            time.sleep(min(self.hang_seconds, MAX_HANG_SECONDS))
-            return
         self._record(site, ids, kind="eio")
         if site == SITE_WAL_FSYNC:
             raise OSError(errno.EIO, "injected: fsync I/O error")
         if site == SITE_CHECKPOINT_WRITE:
             raise OSError(errno.EIO, "injected: checkpoint write I/O error")
-        if site == SITE_SHM_CREATE:
-            raise OSError(
-                errno.ENOMEM, "injected: cannot allocate shared memory"
-            )
-        if site == SITE_SHM_ATTACH:
-            raise FileNotFoundError(
-                errno.ENOENT, "injected: shared memory segment not found"
-            )
 
     def _record(self, site: str, ids: dict, kind: str) -> None:
         self.injected[site] = self.injected.get(site, 0) + 1
@@ -208,7 +151,7 @@ class FaultPlane:
 
     @property
     def total_injected(self) -> int:
-        """Parent-side injection count across all sites."""
+        """Injection count across all sites."""
         return sum(self.injected.values())
 
     # -- lifecycle ----------------------------------------------------

@@ -136,15 +136,14 @@ def topk_interval_query(
     prune: bool = True,
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
-    workers: int | None = None,
 ) -> IntervalQueryResult:
     """Answer a Top-K query with interval semantics over *store*.
 
     Mirrors :func:`repro.core.topk.topk_count_query` stage for stage
-    (same pruning pipeline, policy containment, worker sharding, and
-    record-store kinds) but replaces the ranked-answer output with
-    per-entity count intervals and membership probabilities over the R
-    highest-scoring worlds.
+    (same pruning pipeline, policy containment, and record-store kinds)
+    but replaces the ranked-answer output with per-entity count
+    intervals and membership probabilities over the R highest-scoring
+    worlds.
 
     Args:
         r: Number of possible worlds to enumerate.
@@ -172,7 +171,6 @@ def topk_interval_query(
             prune_iterations=prune_iterations,
             context=context,
             execution_state=state,
-            workers=workers,
         )
         result = interval_from_pruning(
             pruning,

@@ -16,8 +16,8 @@ from repro.predicates.batch import VECTORIZE_ENV_VAR
 def vectorize_mode(enabled: bool):
     """Force the vectorized hot path on or off for the enclosed block.
 
-    Sets ``REPRO_VECTORIZE`` in the environment (inherited by forked
-    shard workers too) and restores the previous value on exit.
+    Sets ``REPRO_VECTORIZE`` in the environment and restores the
+    previous value on exit.
     """
     old = os.environ.get(VECTORIZE_ENV_VAR)
     os.environ[VECTORIZE_ENV_VAR] = "1" if enabled else "0"

@@ -14,9 +14,9 @@ Three layers, each checked against its scalar reference:
   its symmetric sweep against a per-member reference, counter deltas
   included.
 
-The end-to-end equality lives in the differential-oracle and parallel
-property suites; this module pins down each layer in isolation so a
-regression points at the culprit.
+The end-to-end equality lives in the differential-oracle, storage and
+uncertainty property suites; this module pins down each layer in
+isolation so a regression points at the culprit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel import SharedArrayPack
 from repro.core.records import RecordStore
 from repro.predicates import batch as batch_module
 from repro.predicates.base import FunctionPredicate
@@ -327,7 +326,7 @@ def test_engine_state_roundtrip_preserves_member_queries():
         assert rebuilt.member_neighbors(position, _Sink()) == (
             engine.member_neighbors(position, _Sink())
         )
-    # Worker rebuilds drop the probe-encoding state: external probes
+    # Array rebuilds drop the probe-encoding state: external probes
     # must report "cannot encode" (None), never a wrong answer.
     assert (
         rebuilt.probe_neighbors(records[0], {"x"}, -1, _Sink()) is None
@@ -613,59 +612,3 @@ def test_vectorize_env_switch():
             os.environ.pop(VECTORIZE_ENV_VAR, None)
         else:
             os.environ[VECTORIZE_ENV_VAR] = old
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory transport
-
-
-def test_shared_array_pack_roundtrip():
-    arrays = {
-        "a": np.arange(10, dtype=np.int64),
-        "b": np.array([1, 2, 3], dtype=np.int32),
-        "masks": np.array([5, 9], dtype=np.uint64),
-        "empty": np.empty(0, dtype=np.int32),
-    }
-    pack = SharedArrayPack.create(arrays)
-    try:
-        attached = SharedArrayPack.attach(pack.name, pack.manifest)
-        try:
-            views = attached.arrays()
-            for name, array in arrays.items():
-                assert views[name].dtype == array.dtype
-                assert views[name].tolist() == array.tolist()
-        finally:
-            attached.close()
-    finally:
-        pack.destroy()
-
-
-def test_shared_pack_engine_rebuild_matches_original():
-    predicate = NgramOverlapPredicate(
-        field="author", threshold=0.6, require_common_initial=True
-    )
-    rng = random.Random(23)
-    store = RecordStore.from_rows(_citation_rows(rng, 40))
-    records = list(store)
-    engine = BatchNeighborEngine.build(
-        predicate, records, build_key_index(predicate, records)
-    )
-    arrays, params = engine.export_state()
-    pack = SharedArrayPack.create(arrays)
-
-    class _Sink:
-        predicate_evaluations = 0
-        cache_hits = 0
-
-    try:
-        attached = SharedArrayPack.attach(pack.name, pack.manifest)
-        try:
-            rebuilt = BatchNeighborEngine.from_state(attached.arrays(), params)
-            for position in range(len(records)):
-                assert rebuilt.member_neighbors(position, _Sink()) == (
-                    engine.member_neighbors(position, _Sink())
-                )
-        finally:
-            attached.close()
-    finally:
-        pack.destroy()

@@ -1,7 +1,5 @@
 """Unit tests for repro.predicates.blocking."""
 
-import pytest
-
 from repro.core.records import RecordStore
 from repro.core.verification import PipelineCounters
 from repro.predicates.base import FunctionPredicate
@@ -148,26 +146,6 @@ class TestNeighborIndexMemo:
         index.neighbors(store[0], exclude_position=0)
         index.neighbors(store[0], exclude_position=0)
         assert counters.neighbor_memo_hits == 1
-
-    def test_prime_injects_list(self):
-        store = make_store(["ann smith", "ann jones"])
-        counters = PipelineCounters()
-        index = NeighborIndex(
-            shared_word_predicate(),
-            list(store),
-            memoize=True,
-            counters=counters,
-        )
-        index.prime(0, [1])
-        assert index.neighbors(store[0], exclude_position=0) == [1]
-        assert counters.neighbor_memo_hits == 1
-        assert counters.predicate_evaluations == 0
-
-    def test_prime_requires_memoize(self):
-        store = make_store(["ann smith"])
-        index = NeighborIndex(shared_word_predicate(), list(store))
-        with pytest.raises(ValueError, match="memoizing"):
-            index.prime(0, [])
 
 
 class TestCountFiltering:

@@ -15,16 +15,19 @@ from repro.core.incremental import IncrementalTopK
 from repro.core.collapse import collapse
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.records import GroupSet
-from repro.core.resilience import REASON_DEADLINE, ExecutionPolicy
+from repro.core.resilience import REASON_DEADLINE, ExecutionPolicy, guard_levels
+from repro.core.verification import PipelineCounters
 from repro.datasets import (
     author_idf,
     author_string_idf,
     generate_citations,
     suggest_min_idf,
 )
+from repro.experiments import citation_pipeline
 from repro.experiments.chaos import chaos_checks, refines, run_chaos_sweep
 from repro.predicates import citation_levels
 from repro.predicates.base import Predicate, PredicateLevel
+from repro.predicates.blocking import NeighborIndex
 from repro.scoring.pairwise import PairwiseScorer
 from repro.testing.chaos import (
     ChaosError,
@@ -215,6 +218,18 @@ class TestChaosLevels:
         assert results[0] == results[1]
         assert results[0][1] > 0
 
+    def test_chaos_wrapped_levels_stay_scalar_under_a_guard(self):
+        # Chaos faults are per-pair draws, so chaos runs must keep the
+        # scalar path even when a guard forwards the batch hooks.
+        pipeline = citation_pipeline(n_records=200, seed=0, with_scorer=False)
+        levels = chaos_levels(
+            pipeline.levels, FaultPlan(seed=0, error_rate=0.05)
+        )
+        state = ExecutionPolicy().start(PipelineCounters())
+        for guarded in guard_levels(levels, state):
+            index = NeighborIndex(guarded.necessary, list(pipeline.store))
+            assert index.batch_engine is None
+
 
 class TestChaosSweep:
     def test_sweep_checks_hold_on_small_citations(self):
@@ -250,12 +265,7 @@ class TestAcceptanceScenario:
             + levels[1:],
             plan,
         )
-        # Pinned serial: the recorder mutates in-process state and the
-        # wall-clock bounds below assume no fork overhead, neither of
-        # which survives a REPRO_WORKERS fan-out.
-        pruned_dedup(
-            dataset.store, 5, probe_levels, policy=ExecutionPolicy(), workers=1
-        )
+        pruned_dedup(dataset.store, 5, probe_levels, policy=ExecutionPolicy())
         assert recorders[0].pairs, "probe run evaluated no pairs"
         stall_pair = recorders[0].pairs[0]
 
@@ -273,7 +283,6 @@ class TestAcceptanceScenario:
             5,
             chaos_levels(levels, plan=stall_plan),
             policy=policy,
-            workers=1,
         )
         elapsed = time.perf_counter() - started
 

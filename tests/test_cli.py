@@ -363,6 +363,24 @@ class TestErrorExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        ("spec", "key"),
+        [
+            ('{"worker_crash_rate": 0.1}', "worker_crash_rate"),
+            ('{"bogus": 1}', "bogus"),
+        ],
+    )
+    def test_fault_plane_unknown_key(self, spec, key, capsys, monkeypatch):
+        # A stored spec naming a rate the plane no longer has (or never
+        # had) must not crash `serve` with a TypeError traceback.
+        monkeypatch.setenv("REPRO_FAULT_PLANE", spec)
+        code = main(["serve", "--field", "name", "--port", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert key in err
+
 
 class TestInterrupt:
     """Ctrl-C exits with the conventional 128+SIGINT code, no traceback."""
@@ -375,61 +393,6 @@ class TestInterrupt:
         code = main(["topk", "--input", mentions_csv, "--field", "name"])
         assert code == 130
         assert "interrupted" in capsys.readouterr().err
-
-
-class TestWorkersFlag:
-    def _answer(self, mentions_csv, capsys, *extra):
-        code = main(
-            [
-                "topk",
-                "--input",
-                mentions_csv,
-                "--field",
-                "name",
-                "--weight-field",
-                "count",
-                "--k",
-                "2",
-                *extra,
-            ]
-        )
-        assert code == 0
-        return capsys.readouterr().out
-
-    def test_workers_flag_parsed(self, mentions_csv):
-        args = build_parser().parse_args(
-            ["topk", "--input", mentions_csv, "--field", "name", "--workers", "4"]
-        )
-        assert args.workers == 4
-
-    def test_workers_default_unset(self, mentions_csv):
-        args = build_parser().parse_args(
-            ["topk", "--input", mentions_csv, "--field", "name"]
-        )
-        assert args.workers is None
-
-    def test_workers_answer_identical(self, mentions_csv, capsys):
-        serial = self._answer(mentions_csv, capsys)
-        parallel = self._answer(mentions_csv, capsys, "--workers", "2")
-        assert parallel == serial
-
-    def test_every_query_command_accepts_workers(self, mentions_csv):
-        parser = build_parser()
-        required = {"threshold": ["--min-weight", "5"]}
-        for command in ("topk", "rank", "threshold", "stream"):
-            args = parser.parse_args(
-                [
-                    command,
-                    "--input",
-                    mentions_csv,
-                    "--field",
-                    "name",
-                    "--workers",
-                    "3",
-                    *required.get(command, []),
-                ]
-            )
-            assert args.workers == 3, command
 
 
 class TestStream:

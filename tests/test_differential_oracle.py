@@ -33,9 +33,9 @@ the unguarded one — resilience plumbing must not perturb answers.
 import pytest
 
 from repro.baselines import full_dedup_pipeline
-from repro.core.parallel import fork_available, group_fingerprint
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
+from repro.core.records import group_fingerprint
 from repro.core.resilience import ExecutionPolicy, guard_levels
 from repro.core.topk import topk_count_query
 from repro.core.verification import PipelineCounters
@@ -244,71 +244,74 @@ class TestThresholdedRankQuery:
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("kind", DATASETS)
 class TestVectorizedPathIdentity:
-    """Scalar vs vectorized vs vectorized+sharded: bit-identical answers.
+    """Scalar vs vectorized: bit-identical answers.
 
-    The vectorized batch hot path (``REPRO_VECTORIZE``) and the
-    shared-memory shard transport are pure execution strategies — every
-    seeded dataset must produce byte-for-byte the same groups and
-    weights whichever path runs, at every worker count.
+    The vectorized batch hot path (``REPRO_VECTORIZE``) is a pure
+    execution strategy — every seeded dataset must produce byte-for-byte
+    the same groups and weights whichever path runs.
     """
 
-    def test_scalar_vectorized_sharded_identical(self, kind, seed):
+    def test_scalar_vectorized_identical(self, kind, seed):
         store, levels, _ = pipeline_for(kind, seed)
-        with vectorize_mode(False):
-            scalar = pruned_dedup(store, K, levels, workers=1)
-        baseline = group_fingerprint(scalar.groups)
-        worker_counts = (1, 2, 4) if fork_available() else (1,)
-        with vectorize_mode(True):
-            for workers in worker_counts:
-                result = pruned_dedup(store, K, levels, workers=workers)
-                assert group_fingerprint(result.groups) == baseline, (
-                    kind, seed, workers,
+        threshold = kth_weight(closure_groups(kind, seed))
+        answers = {}
+        for vectorized in (False, True):
+            with vectorize_mode(vectorized):
+                answers[vectorized] = (
+                    pruned_dedup(store, K, levels),
+                    topk_rank_query(store, K, levels),
+                    thresholded_rank_query(store, threshold, levels),
                 )
-                assert result.groups.weights() == scalar.groups.weights()
-                assert result.counters.shards_degraded == 0
+        (scalar, scalar_rank, scalar_above) = answers[False]
+        (result, rank, above) = answers[True]
+        assert group_fingerprint(result.groups) == group_fingerprint(
+            scalar.groups
+        ), (kind, seed)
+        assert result.groups.weights() == scalar.groups.weights()
+        assert rank.ranking == scalar_rank.ranking
+        assert rank.certain == scalar_rank.certain
+        assert group_fingerprint(rank.groups) == group_fingerprint(
+            scalar_rank.groups
+        )
+        assert above.ranking == scalar_above.ranking
+        assert above.certain == scalar_above.certain
 
-    def test_guarded_vectorized_sharded_identical(self, kind, seed):
+    def test_guarded_vectorized_identical(self, kind, seed):
         # A clean policy-armed run keeps the vectorized kernels (the
         # guard forwards them with per-block containment) and must
         # answer exactly what the unguarded scalar reference answers,
-        # for every query type at every worker count.
+        # for every query type.
         store, levels, _ = pipeline_for(kind, seed)
         threshold = kth_weight(closure_groups(kind, seed))
         policy = ExecutionPolicy()
         with vectorize_mode(False):
-            count = pruned_dedup(store, K, levels, workers=1)
-            rank = topk_rank_query(store, K, levels, workers=1)
-            above = thresholded_rank_query(store, threshold, levels, workers=1)
-        worker_counts = (1, 2, 4) if fork_available() else (1,)
+            count = pruned_dedup(store, K, levels)
+            rank = topk_rank_query(store, K, levels)
+            above = thresholded_rank_query(store, threshold, levels)
         with vectorize_mode(True):
             guarded = guard_levels(levels, policy.start(PipelineCounters()))
             for level in guarded:
                 index = NeighborIndex(level.necessary, list(store))
                 assert index.batch_engine is not None, level.name
-            for workers in worker_counts:
-                got = pruned_dedup(
-                    store, K, levels, policy=policy, workers=workers
-                )
-                assert not got.degraded
-                assert group_fingerprint(got.groups) == group_fingerprint(
-                    count.groups
-                ), (kind, seed, workers)
-                assert got.groups.weights() == count.groups.weights()
-                got_rank = topk_rank_query(
-                    store, K, levels, policy=policy, workers=workers
-                )
-                assert not got_rank.degraded
-                assert got_rank.ranking == rank.ranking
-                assert got_rank.certain == rank.certain
-                assert group_fingerprint(got_rank.groups) == group_fingerprint(
-                    rank.groups
-                )
-                got_above = thresholded_rank_query(
-                    store, threshold, levels, policy=policy, workers=workers
-                )
-                assert not got_above.degraded
-                assert got_above.ranking == above.ranking
-                assert got_above.certain == above.certain
+            got = pruned_dedup(store, K, levels, policy=policy)
+            assert not got.degraded
+            assert group_fingerprint(got.groups) == group_fingerprint(
+                count.groups
+            ), (kind, seed)
+            assert got.groups.weights() == count.groups.weights()
+            got_rank = topk_rank_query(store, K, levels, policy=policy)
+            assert not got_rank.degraded
+            assert got_rank.ranking == rank.ranking
+            assert got_rank.certain == rank.certain
+            assert group_fingerprint(got_rank.groups) == group_fingerprint(
+                rank.groups
+            )
+            got_above = thresholded_rank_query(
+                store, threshold, levels, policy=policy
+            )
+            assert not got_above.degraded
+            assert got_above.ranking == above.ranking
+            assert got_above.certain == above.certain
 
     def test_count_query_identical(self, kind, seed):
         store, levels, scorer = pipeline_for(kind, seed)

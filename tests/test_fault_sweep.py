@@ -1,15 +1,14 @@
 """Seeded fault-injection sweep: the fault plane's acceptance contract.
 
 Under **any** injected fault schedule — WAL appends failing with EIO or
-ENOSPC, fsyncs failing, checkpoint writes dying mid-tmp, shared-memory
-attaches vanishing, worker processes crashing or hanging — the engine
+ENOSPC, fsyncs failing, checkpoint writes dying mid-tmp — the engine
 must return answers bit-identical to the clean run, or an explicitly
-flagged degraded one (``durability_degraded``, ``shards_degraded``,
-breaker open).  Never a silently wrong answer, never a corrupted store:
-every recovery here must reproduce the exact fingerprint of replaying
-the journaled prefix, and every restore must pass ``audit()``.
+flagged degraded one (``durability_degraded``, breaker open).  Never a
+silently wrong answer, never a corrupted store: every recovery here
+must reproduce the exact fingerprint of replaying the journaled prefix,
+and every restore must pass ``audit()``.
 
-The sweep is >= 200 parameterized cases across the five fault families
+The sweep is 160 parameterized cases across the storage fault families
 × seeds, with the clean references cached per seed.
 """
 
@@ -18,15 +17,7 @@ import functools
 import pytest
 
 from repro.core import DurabilityPolicy, IncrementalTopK
-from repro.core.parallel import (
-    fork_available,
-    group_fingerprint,
-    set_shard_timeout,
-)
-from repro.baselines import full_dedup_pipeline
 from repro.core.persistence import CheckpointWriteError
-from repro.core.pruned_dedup import pruned_dedup
-from repro.experiments import citation_pipeline
 from repro.testing import FaultPlane
 from repro.testing.crashpoints import reference_fingerprints, stream_fingerprint
 from tests.test_crashpoints import make_levels, seeded_events
@@ -34,9 +25,7 @@ from tests.test_crashpoints import make_levels, seeded_events
 N_EVENTS = 40
 SEGMENT_BYTES = 2048
 STORAGE_SEEDS = range(20)
-PARALLEL_SEEDS = range(10)
-N_RECORDS = 200
-K = 10
+PERSISTENT_SEEDS = range(10)
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,7 +104,7 @@ def test_wal_append_eio(tmp_path, seed, rate):
     _assert_consistent(engine, seed, tmp_path / "state")
 
 
-@pytest.mark.parametrize("seed", PARALLEL_SEEDS)
+@pytest.mark.parametrize("seed", PERSISTENT_SEEDS)
 def test_wal_append_persistent_eio(tmp_path, seed):
     # persistent=True: the retry layer cannot clear the fault, so any
     # faulted append must end in explicit suspension, never corruption.
@@ -154,7 +143,7 @@ def test_checkpoint_write_eio(tmp_path, seed):
     assert store.checkpoints_failed >= 0  # counted, never raised through
 
 
-@pytest.mark.parametrize("seed", PARALLEL_SEEDS)
+@pytest.mark.parametrize("seed", PERSISTENT_SEEDS)
 def test_checkpoint_write_always_fails(tmp_path, seed):
     # Every checkpoint write fails on every attempt: the WAL must be
     # fully retained and recovery must replay it from scratch.
@@ -209,94 +198,3 @@ def test_restore_under_armed_plane(tmp_path, seed, rates):
             )
         finally:
             recovered.close()
-
-
-# -- parallel-layer faults --------------------------------------------------
-
-fork_only = pytest.mark.skipif(
-    not fork_available(), reason="platform has no fork start method"
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _parallel_case(seed):
-    """(pipeline, serial fingerprint, serial weights) for one seed.
-
-    The serial baseline is itself anchored against the exhaustive
-    ``full_dedup_pipeline`` oracle: every closure group heavy enough
-    for the Top-K must survive pruning bit-for-bit.  Faulted runs then
-    compare against the serial fingerprint, so any divergence from the
-    oracle — silent or otherwise — fails the sweep transitively.
-    """
-    pipeline = citation_pipeline(
-        n_records=N_RECORDS, seed=seed, with_scorer=False
-    )
-    serial = pruned_dedup(pipeline.store, K, pipeline.levels, workers=1)
-    oracle = full_dedup_pipeline(pipeline.store, K, pipeline.levels)
-    closure = {
-        frozenset(g.member_ids): g.weight for g in oracle.groups.groups
-    }
-    weights = sorted(closure.values(), reverse=True)
-    bar = weights[min(K, len(weights)) - 1]
-    retained = {frozenset(g.member_ids) for g in serial.groups.groups}
-    for members, weight in closure.items():
-        if weight >= bar:
-            assert members in retained, (
-                f"seed {seed}: serial baseline dropped an oracle "
-                f"Top-K closure group of weight {weight}"
-            )
-    return pipeline, group_fingerprint(serial.groups), serial.groups.weights()
-
-
-def _assert_parallel_identical(plane, seed):
-    pipeline, baseline, weights = _parallel_case(seed)
-    with plane.active():
-        result = pruned_dedup(pipeline.store, K, pipeline.levels, workers=2)
-    assert group_fingerprint(result.groups) == baseline, (
-        f"seed {seed}: sharded answer diverged under {plane!r}"
-    )
-    assert result.groups.weights() == weights
-    return result
-
-
-@fork_only
-@pytest.mark.timeout(300)
-@pytest.mark.parametrize("mode", ["transient", "persistent"])
-@pytest.mark.parametrize("seed", PARALLEL_SEEDS)
-def test_shm_attach_faults(seed, mode):
-    plane = FaultPlane(
-        seed=seed,
-        shm_attach_rate=0.5 if mode == "transient" else 1.0,
-        persistent=mode == "persistent",
-    )
-    _assert_parallel_identical(plane, seed)
-
-
-@fork_only
-@pytest.mark.timeout(300)
-@pytest.mark.parametrize("mode", ["transient", "persistent"])
-@pytest.mark.parametrize("seed", PARALLEL_SEEDS)
-def test_worker_crash_faults(seed, mode):
-    plane = FaultPlane(
-        seed=seed,
-        worker_crash_rate=0.3 if mode == "transient" else 1.0,
-        persistent=mode == "persistent",
-    )
-    result = _assert_parallel_identical(plane, seed)
-    if mode == "persistent":
-        # Every worker died twice: every shard was recomputed serially.
-        assert result.counters.shards_degraded > 0
-
-
-@fork_only
-@pytest.mark.timeout(300)
-@pytest.mark.parametrize("seed", range(6))
-def test_worker_hang_faults(seed):
-    plane = FaultPlane(
-        seed=seed, worker_hang_rate=0.4, hang_seconds=3.0
-    )
-    previous = set_shard_timeout(0.75)
-    try:
-        _assert_parallel_identical(plane, seed)
-    finally:
-        set_shard_timeout(previous)

@@ -1,36 +1,29 @@
 """Unit tests for the unified fault plane (repro.testing.faultplane)."""
 
 import errno
-import multiprocessing
-import time
 
 import pytest
 
-from repro.core.parallel import fork_available
 from repro.core.retry import (
     BREAKERS,
     SITE_CHECKPOINT_WRITE,
-    SITE_SHM_ATTACH,
-    SITE_SHM_CREATE,
     SITE_WAL_APPEND,
     SITE_WAL_FSYNC,
-    SITE_WORKER_CRASH,
-    SITE_WORKER_HANG,
     fault_hook_installed,
     fire_fault,
     install_fault_hook,
 )
 from repro.observability import MetricsRegistry
-from repro.testing import WORKER_CRASH_EXIT, FaultPlan, FaultPlane
+from repro.testing import FaultPlan, FaultPlane
 
 
 def test_rate_validation():
     with pytest.raises(ValueError):
         FaultPlane(wal_append_rate=1.5)
     with pytest.raises(ValueError):
-        FaultPlane(worker_crash_rate=-0.1)
+        FaultPlane(wal_fsync_rate=-0.1)
     with pytest.raises(ValueError):
-        FaultPlane(hang_seconds=-1)
+        FaultPlane(wal_enospc_rate=2.0)
 
 
 def test_draw_is_deterministic_and_order_independent():
@@ -94,8 +87,6 @@ def test_enospc_wins_over_eio_on_same_append():
     [
         (SITE_WAL_FSYNC, "wal_fsync_rate", errno.EIO),
         (SITE_CHECKPOINT_WRITE, "checkpoint_rate", errno.EIO),
-        (SITE_SHM_CREATE, "shm_create_rate", errno.ENOMEM),
-        (SITE_SHM_ATTACH, "shm_attach_rate", errno.ENOENT),
     ],
 )
 def test_site_injection_errno(site, rate_name, expected_errno):
@@ -108,28 +99,6 @@ def test_site_injection_errno(site, rate_name, expected_errno):
     clean = FaultPlane(seed=1)
     clean.hook(site, {"index": 0, "attempt": 0})
     assert clean.total_injected == 0
-
-
-def test_worker_hang_sleeps_bounded():
-    plane = FaultPlane(seed=1, worker_hang_rate=1.0, hang_seconds=0.05)
-    started = time.perf_counter()
-    plane.hook(SITE_WORKER_HANG, {"shard": 0, "attempt": 0})
-    assert 0.04 <= time.perf_counter() - started < 1.0
-    assert plane.injected[SITE_WORKER_HANG] == 1
-
-
-@pytest.mark.skipif(
-    not fork_available(), reason="platform has no fork start method"
-)
-def test_worker_crash_exits_with_marker_status():
-    plane = FaultPlane(seed=1, worker_crash_rate=1.0)
-    ctx = multiprocessing.get_context("fork")
-    child = ctx.Process(
-        target=plane.hook, args=(SITE_WORKER_CRASH, {"shard": 0, "attempt": 0})
-    )
-    child.start()
-    child.join(30)
-    assert child.exitcode == WORKER_CRASH_EXIT
 
 
 def test_active_installs_and_restores_hook():

@@ -1,7 +1,5 @@
 """Unit tests for the health monitor (repro.core.health)."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core import DurabilityPolicy, IncrementalTopK
@@ -29,7 +27,6 @@ class FakeEngine:
         letters=0,
         limit=10,
         dropped=0,
-        shards_degraded=0,
         audit_problems=(),
     ):
         self._status = {
@@ -44,9 +41,6 @@ class FakeEngine:
         self.dead_letters = [object()] * letters
         self._dead_letter_limit = limit
         self.dead_letters_dropped = dropped
-        self.verification = SimpleNamespace(
-            counters=SimpleNamespace(shards_degraded=shards_degraded)
-        )
         self._audit_problems = list(audit_problems)
 
     def durability_status(self):
@@ -71,10 +65,10 @@ def test_empty_monitor_is_live_and_ready():
 
 def test_open_breaker_degrades_but_stays_ready():
     registry = BreakerRegistry()
-    registry.breaker("parallel.shards", failure_threshold=1).record_failure()
+    registry.breaker("storage.wal", failure_threshold=1).record_failure()
     snapshot = HealthMonitor(breakers=registry).snapshot()
     assert snapshot.live and snapshot.ready and snapshot.degraded
-    assert not check(snapshot, "breaker.parallel.shards").ok
+    assert not check(snapshot, "breaker.storage.wal").ok
 
 
 def test_clean_durable_engine_all_ok():
@@ -87,7 +81,6 @@ def test_clean_durable_engine_all_ok():
         "durability.checkpoints",
         "breaker.storage.wal",
         "stream.dead_letters",
-        "parallel.shards_degraded",
     ):
         assert check(snapshot, name).ok, name
 
@@ -128,12 +121,6 @@ def test_dead_letter_pressure(letters, dropped, ok):
     assert 0 < DEAD_LETTER_PRESSURE_THRESHOLD <= 1
 
 
-def test_degraded_shards_flagged():
-    engine = FakeEngine(shards_degraded=3)
-    snapshot = HealthMonitor(engine, breakers=BreakerRegistry()).snapshot()
-    assert not check(snapshot, "parallel.shards_degraded").ok
-
-
 def test_audit_problems_clear_readiness():
     bad = FakeEngine(audit_problems=["group 3 weight mismatch"])
     monitor = HealthMonitor(bad, breakers=BreakerRegistry(), audit=True)
@@ -158,13 +145,13 @@ def test_as_dict_round_trip():
 
 def test_publish_exports_gauges():
     registry = BreakerRegistry()
-    registry.breaker("parallel.shards", failure_threshold=1).record_failure()
+    registry.breaker("example.subsystem", failure_threshold=1).record_failure()
     engine = FakeEngine(degraded=True, letters=3, limit=10)
     metrics = MetricsRegistry()
     snapshot = HealthMonitor(engine, breakers=registry).publish(metrics)
     assert snapshot.degraded
     assert (
-        metrics.value("repro_breaker_state", subsystem="parallel.shards")
+        metrics.value("repro_breaker_state", subsystem="example.subsystem")
         == 2.0
     )
     assert metrics.value("repro_breaker_state", subsystem="storage.wal") == 0.0

@@ -1,10 +1,14 @@
 """Unit tests for repro.observability: tracer, metrics, exporters."""
 
+import ast
 import io
 import json
+import pathlib
+import re
 
 import pytest
 
+from repro.core.verification import PipelineCounters
 from repro.observability import (
     LATENCY_BUCKETS,
     NULL_METRICS,
@@ -96,17 +100,6 @@ class TestTracer:
         assert tracer.current() is None
         assert tracer.roots[0].wall_seconds > 0
 
-    def test_record_span_attaches_finished_child(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("stage") as stage:
-            shard = tracer.record_span(
-                "shard", counters_delta=FakeDelta(3), transient=True, shard=0
-            )
-        assert stage.children == [shard]
-        assert shard.wall_seconds == 0.0
-        assert shard.transient
-        assert shard.counters_delta.work == 3
-
     def test_events_attach_to_current_span_or_orphan(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("query"):
@@ -137,7 +130,6 @@ class TestNullTracer:
             span.add_event("x")
         assert tracer.roots == []
         assert tracer.orphan_events == []
-        assert tracer.record_span("shard") is span
         tracer.event("anything")
         assert tracer.current() is None
         assert NULL_TRACER.enabled is False
@@ -232,13 +224,9 @@ def sample_tracer() -> Tracer:
     tracer = Tracer(clock=FakeClock())
     with tracer.span("query", counters=counters, kind="topk", k=3):
         with tracer.span("level", counters=counters, level="l1"):
-            counters.total += 4
-            tracer.record_span(
-                "shard",
-                counters_delta=FakeDelta(2),
-                transient=True,
-                shard=0,
-            )
+            counters.total += 2
+            with tracer.span("sweep", counters=counters, transient=True):
+                counters.total += 2
         tracer.event("degraded", reason="deadline")
     return tracer
 
@@ -251,7 +239,7 @@ class TestTraceExport:
         lines = out.getvalue().splitlines()
         assert n == len(lines) == 3
         records = [json.loads(line) for line in lines]
-        assert [r["name"] for r in records] == ["query", "level", "shard"]
+        assert [r["name"] for r in records] == ["query", "level", "sweep"]
         assert records[0]["parent"] is None
         assert records[1]["parent"] == records[0]["id"]
         assert records[2]["parent"] == records[1]["id"]
@@ -296,7 +284,7 @@ class TestTraceExport:
     def test_replay_counters_sums_roots_only(self):
         tracer = sample_tracer()
         lines = list(trace_lines(tracer, mode="full"))
-        # Root delta is 4; the level child (4) and shard (2) are
+        # Root delta is 4; the level child (4) and sweep (2) are
         # sub-intervals and must not be double counted.
         assert replay_counters(lines) == {"work": 4, "stage_seconds": {}}
 
@@ -332,12 +320,12 @@ class TestPrometheusExport:
         registry = MetricsRegistry()
         registry.describe("repro_queries_total", "Queries answered")
         registry.counter("repro_queries_total", kind="topk").inc(3)
-        registry.gauge("repro_live_shards").set(2)
+        registry.gauge("repro_open_segments").set(2)
         text = prometheus_text(registry)
         assert "# HELP repro_queries_total Queries answered" in text
         assert "# TYPE repro_queries_total counter" in text
         assert 'repro_queries_total{kind="topk"} 3' in text
-        assert "repro_live_shards 2" in text
+        assert "repro_open_segments 2" in text
         assert text.endswith("\n")
 
     def test_histogram_rendering_cumulative(self):
@@ -380,3 +368,70 @@ class TestRenderExplain:
 
     def test_empty_tracer_renders_empty(self):
         assert render_explain(Tracer(clock=FakeClock())) == ""
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+METRIC_NAME = re.compile(r"repro_[a-z0-9_]*[a-z0-9]")
+PIPELINE_TEMPLATE = "repro_pipeline_<field>_total"
+
+
+def _pipeline_names() -> set[str]:
+    return {
+        PIPELINE_TEMPLATE.replace("<field>", field)
+        for field in PipelineCounters._INT_FIELDS
+    }
+
+
+def emitted_metric_names() -> set[str]:
+    """Every ``repro_*`` metric name the source can emit: whole string
+    literals, plus the one templated f-string expanded over its fields."""
+    names: set[str] = set()
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        templated = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.JoinedStr):
+                continue
+            parts = [
+                part.value if isinstance(part, ast.Constant) else "<field>"
+                for part in node.values
+            ]
+            template = "".join(parts)
+            if template.startswith("repro_"):
+                assert template == PIPELINE_TEMPLATE, (path, template)
+                names |= _pipeline_names()
+            templated.update(id(part) for part in node.values)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in templated
+                and METRIC_NAME.fullmatch(node.value)
+            ):
+                names.add(node.value)
+    return names
+
+
+def catalogued_metric_names() -> set[str]:
+    """The names in docs/observability.md § Metric catalogue's table."""
+    text = (REPO / "docs" / "observability.md").read_text()
+    section = text.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+    names: set[str] = set()
+    for line in section.splitlines():
+        if not line.startswith("| `repro_"):
+            continue
+        first_cell = line.split("|")[1]
+        for name in re.findall(r"`([^`]+)`", first_cell):
+            if name == PIPELINE_TEMPLATE:
+                names |= _pipeline_names()
+            else:
+                names.add(name)
+    return names
+
+
+class TestMetricCatalogue:
+    def test_catalogue_matches_emitted_names(self):
+        emitted = emitted_metric_names()
+        catalogued = catalogued_metric_names()
+        assert emitted - catalogued == set(), "emitted but not catalogued"
+        assert catalogued - emitted == set(), "catalogued but never emitted"

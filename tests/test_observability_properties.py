@@ -9,19 +9,20 @@ on:
 * the root ``query`` span's counter delta equals the run's reported
   :class:`PipelineCounters`, and a full JSONL export replays back to the
   same totals (:func:`replay_counters`);
-* deterministic-mode traces are byte-identical across ``workers`` in
-  {1, 2, 4} — parallel execution changes shard spans (transient, thus
-  excluded) but never the logical span skeleton;
+* deterministic-mode traces are byte-identical with and without a clean
+  :class:`ExecutionPolicy` — the thresholded query's policy-only keying
+  sweep is a transient span (kept in full traces, excluded from
+  deterministic ones), never part of the logical span skeleton;
 * running under the default :class:`NullTracer` / :class:`NullMetrics`
   yields bit-identical answers and counters to running fully traced —
   observability never perturbs the computation.
 """
 
-import pytest
+import json
 
 from repro.core.incremental import IncrementalTopK
-from repro.core.parallel import fork_available
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
+from repro.core.resilience import ExecutionPolicy
 from repro.core.topk import topk_count_query
 from repro.core.verification import VerificationContext
 from repro.observability import (
@@ -31,10 +32,6 @@ from repro.observability import (
     trace_lines,
 )
 from repro.experiments.harness import citation_pipeline
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="platform has no fork start method"
-)
 
 _PIPELINE = {}
 
@@ -47,12 +44,10 @@ def pipeline():
     return _PIPELINE["p"]
 
 
-def traced_count_query(workers: int = 1):
+def traced_count_query():
     p = pipeline()
     context = VerificationContext(tracer=Tracer(), metrics=MetricsRegistry())
-    result = topk_count_query(
-        p.store, 5, p.levels, p.scorer, context=context, workers=workers
-    )
+    result = topk_count_query(p.store, 5, p.levels, p.scorer, context=context)
     return result, context
 
 
@@ -85,21 +80,6 @@ class TestSpanTreeStructure:
                 f"{span.wall_seconds}s"
             )
 
-    @needs_fork
-    def test_parallel_shard_spans_preserve_nesting(self):
-        _, context = traced_count_query(workers=2)
-        spans = all_spans(context.tracer)
-        shard_spans = [s for s in spans for c in [0] if s.name == "shard"]
-        assert shard_spans, "parallel run recorded no shard spans"
-        for span in shard_spans:
-            assert span.transient
-            assert span.wall_seconds == 0.0  # overlapped; see attribute
-            assert span.attributes.get("worker_wall_seconds") is not None
-        # Shard spans carrying zero wall time keeps the nesting invariant.
-        for span in spans:
-            child_sum = sum(child.wall_seconds for child in span.children)
-            assert child_sum <= span.wall_seconds + 1e-6
-
 
 class TestCounterDeltas:
     def test_root_delta_equals_run_counters(self):
@@ -122,12 +102,6 @@ class TestCounterDeltas:
 
     def test_full_trace_replays_to_run_totals(self):
         _, context = traced_count_query()
-        lines = list(trace_lines(context.tracer, mode="full"))
-        assert replay_counters(lines) == context.counters.as_dict()
-
-    @needs_fork
-    def test_parallel_trace_replays_to_run_totals(self):
-        _, context = traced_count_query(workers=2)
         lines = list(trace_lines(context.tracer, mode="full"))
         assert replay_counters(lines) == context.counters.as_dict()
 
@@ -154,18 +128,34 @@ class TestCounterDeltas:
 
 
 class TestDeterministicTraces:
-    @needs_fork
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_trace_byte_identical_across_worker_counts(self, workers):
-        _, serial = traced_count_query(workers=1)
-        _, parallel = traced_count_query(workers=workers)
-        serial_bytes = "\n".join(
-            trace_lines(serial.tracer, mode="deterministic")
+    def test_threshold_trace_byte_identical_with_clean_policy(self):
+        # Under a policy the thresholded query sweeps the necessary
+        # predicate's keys before each level's prune, in a transient
+        # span: full traces keep it, deterministic ones drop it.
+        p = pipeline()
+        tracers = {}
+        for label, policy in (("plain", None), ("policy", ExecutionPolicy())):
+            tracers[label] = Tracer()
+            thresholded_rank_query(
+                p.store,
+                3.0,
+                p.levels,
+                context=VerificationContext(tracer=tracers[label]),
+                policy=policy,
+            )
+        plain, guarded = (
+            "\n".join(trace_lines(tracers[label], mode="deterministic"))
+            for label in ("plain", "policy")
         )
-        parallel_bytes = "\n".join(
-            trace_lines(parallel.tracer, mode="deterministic")
-        )
-        assert serial_bytes == parallel_bytes
+        assert plain == guarded
+
+        def transient_spans(tracer):
+            records = map(json.loads, trace_lines(tracer, mode="full"))
+            return [r["name"] for r in records if r["transient"]]
+
+        assert transient_spans(tracers["plain"]) == []
+        sweeps = transient_spans(tracers["policy"])
+        assert sweeps and set(sweeps) == {"prune"}
 
     def test_deterministic_mode_repeatable(self):
         _, first = traced_count_query()
@@ -175,8 +165,6 @@ class TestDeterministicTraces:
         )
 
     def test_deterministic_mode_carries_no_timings(self):
-        import json
-
         _, context = traced_count_query()
         for line in trace_lines(context.tracer, mode="deterministic"):
             record = json.loads(line)

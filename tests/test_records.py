@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.core.records import Group, GroupSet, Record, RecordStore, merge_groups
-from tests.conftest import make_store
+from repro.core.collapse import collapse
+from repro.core.records import (
+    Group,
+    GroupSet,
+    Record,
+    RecordStore,
+    group_fingerprint,
+    merge_groups,
+)
+from tests.conftest import make_store, shared_word_predicate
 
 
 class TestRecord:
@@ -104,3 +112,22 @@ class TestMergeGroups:
         store = make_store(["a"])
         with pytest.raises(ValueError):
             merge_groups(store, [])
+
+
+class TestGroupFingerprint:
+    def test_order_insensitive(self):
+        store = make_store(["a", "a", "b"])
+        gs = collapse(GroupSet.singletons(store), shared_word_predicate())
+        reversed_gs = GroupSet(store=gs.store, groups=list(gs)[::-1])
+        assert group_fingerprint(gs) == group_fingerprint(reversed_gs)
+
+    def test_weight_sensitive(self):
+        light = collapse(
+            GroupSet.singletons(make_store(["a", "b"])),
+            shared_word_predicate(),
+        )
+        heavy = collapse(
+            GroupSet.singletons(make_store(["a", "b"], weights=[2.0, 1.0])),
+            shared_word_predicate(),
+        )
+        assert group_fingerprint(light) != group_fingerprint(heavy)

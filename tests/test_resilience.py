@@ -12,15 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalTopK
-from repro.core.parallel import (
-    fork_available,
-    group_fingerprint,
-    prime_neighbor_index,
-)
 from repro.core.prune import prune
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
-from repro.core.records import GroupSet, RecordStore
+from repro.core.records import GroupSet, RecordStore, group_fingerprint
 from repro.core import resilience
 from repro.core.resilience import (
     REASON_DEADLINE,
@@ -1017,40 +1012,23 @@ class TestBlockContainment:
         assert runner.reason == REASON_STAGE_BUDGET
         assert context.neighbor_index(guard, groups).batch_engine is not None
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("reason", [REASON_STAGE_BUDGET, REASON_DEADLINE])
-    def test_exhaustion_in_block_verification_degrades(self, workers, reason):
-        if workers > 1 and not fork_available():
-            pytest.skip("platform has no fork start method")
+    def test_exhaustion_in_block_verification_degrades(self, reason):
         store = make_store(name_grid())
         if reason == REASON_STAGE_BUDGET:
             necessary = NgramOverlapPredicate("name", 0.5)
             policy = ExecutionPolicy(max_stage_evaluations=5)
         else:
             # The first block stalls past the deadline; the next block's
-            # tick (in the parent or inside each forked worker) fires it.
+            # tick fires it.
             necessary = BlockFaultNgram(stall_seconds=0.6)
             policy = ExecutionPolicy(deadline_seconds=0.5)
         levels = [PredicateLevel(exact_name_predicate(), necessary)]
-        result = pruned_dedup(store, 2, levels, policy=policy, workers=workers)
+        result = pruned_dedup(store, 2, levels, policy=policy)
         assert result.degraded and result.degraded_reason == reason
         [abandoned] = [r for r in result.stage_records if not r.completed]
-        verifying = ("lower_bound", "prune") if workers == 1 else ("neighbors",)
-        assert abandoned.stage in verifying and abandoned.reason == reason
-
-    @pytest.mark.skipif(not fork_available(), reason="no fork start method")
-    def test_guarded_engine_reaches_workers_by_fork(self):
-        # A guarded engine is never exported to shared memory: its block
-        # containment keeps counting inside the forked workers.
-        store = make_store(name_grid())
-        context = VerificationContext()
-        state = ExecutionPolicy().start(context.counters)
-        guard = GuardedPredicate(BlockFaultNgram(), "necessary", state)
-        groups = GroupSet.singletons(store)
-        index = prime_neighbor_index(groups, guard, 2, context)
-        assert index.batch_engine is not None
-        assert context.counters.shards_degraded == 0
-        assert context.counters.predicate_errors_contained > 0
+        assert abandoned.stage in ("lower_bound", "prune")
+        assert abandoned.reason == reason
 
 
 # -- the symmetric sweep under a guard ----------------------------------
@@ -1195,41 +1173,30 @@ class TestGuardedSweep:
         )
 
     @pytest.mark.parametrize("vectorized", [True, False], ids=["vector", "scalar"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_clean_answers_equal_unguarded_at_any_worker_count(
-        self, workers, vectorized
-    ):
-        if workers > 1 and not fork_available():
-            pytest.skip("platform has no fork start method")
+    def test_clean_answers_equal_unguarded(self, vectorized):
         pipeline = citation_pipeline(n_records=200, seed=3, with_scorer=False)
         necessary = pipeline.levels[0].necessary
         groups = GroupSet.singletons(pipeline.store)
         with vectorize_mode(vectorized):
             plain_context = VerificationContext()
-            plain = prime_neighbor_index(groups, necessary, workers, plain_context)
+            plain = plain_context.neighbor_index(necessary, groups)
             plain_lists = plain.neighbors_batch(range(len(groups)))
             context = VerificationContext()
             guard = GuardedPredicate(
                 necessary, "necessary", ExecutionPolicy().start(context.counters)
             )
-            guarded = prime_neighbor_index(groups, guard, workers, context)
+            guarded = context.neighbor_index(guard, groups)
             assert (guarded.batch_engine is not None) == vectorized
             assert guarded.neighbors_batch(range(len(groups))) == plain_lists
             assert context.counters.total_contained == 0
-            assert context.counters.shards_degraded == 0
-            if workers > 1:  # every list came primed from a shard
-                assert context.counters.neighbor_memo_hits == len(groups)
             if vectorized:
                 assert _verify_counts(context.counters) == _verify_counts(
                     plain_context.counters
                 )
             answer = pruned_dedup(
-                pipeline.store, 5, pipeline.levels, policy=ExecutionPolicy(),
-                workers=workers,
+                pipeline.store, 5, pipeline.levels, policy=ExecutionPolicy()
             )
-            reference = pruned_dedup(
-                pipeline.store, 5, pipeline.levels, workers=workers
-            )
+            reference = pruned_dedup(pipeline.store, 5, pipeline.levels)
         assert not answer.degraded
         assert answer.counters.total_contained == 0
         assert group_fingerprint(answer.groups) == group_fingerprint(

@@ -54,7 +54,7 @@ def test_install_fault_hook_returns_previous_and_fires():
 
 
 def test_fault_sites_are_distinct():
-    assert len(set(FAULT_SITES)) == len(FAULT_SITES) == 7
+    assert len(set(FAULT_SITES)) == len(FAULT_SITES) == 3
 
 
 # -- RetryPolicy ------------------------------------------------------------
@@ -291,9 +291,9 @@ def test_registry_get_or_create_and_states():
     again = registry.breaker("storage.wal", failure_threshold=99)
     assert a is again
     assert a.failure_threshold == 2  # kwargs only apply on first creation
-    registry.breaker("parallel.shards")
+    registry.breaker("example.subsystem")
     assert registry.states() == {
-        "parallel.shards": STATE_CLOSED,
+        "example.subsystem": STATE_CLOSED,
         "storage.wal": STATE_CLOSED,
     }
     a.record_failure()

@@ -23,8 +23,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import DurabilityPolicy, IncrementalTopK
-from repro.core.parallel import group_fingerprint
+from repro.core import DurabilityPolicy, IncrementalTopK, group_fingerprint
 from repro.core.persistence import DurableStateStore
 from repro.core.retry import RetryPolicy
 from repro.observability import MetricsRegistry

@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IncrementalTopK
-from repro.core.parallel import group_fingerprint
+from repro.core import IncrementalTopK, group_fingerprint
 from repro.core.resilience import ExecutionPolicy
 from repro.predicates.base import PredicateLevel
 from repro.server import EngineSnapshot, SnapshotPublisher

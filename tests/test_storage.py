@@ -527,7 +527,7 @@ class TestSnapshotCacheBounds:
 class TestFrozenViewInSnapshots:
     def test_columnar_engine_snapshot_answers_match(self):
         from repro.core import IncrementalTopK
-        from repro.core.parallel import group_fingerprint
+        from repro.core.records import group_fingerprint
         from repro.predicates.base import PredicateLevel
         from repro.server import EngineSnapshot
 

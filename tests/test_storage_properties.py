@@ -3,10 +3,10 @@
 The contract of ``store="columnar"`` is that the storage backend is
 invisible in every answer — stream fingerprints, top-k groups,
 rankings, thresholded answers, and certainty flags must match the
-in-memory engine bit-for-bit, on live streams, on frozen snapshots at
-every worker count, and after restoring from a compacted columnar
-checkpoint.  This module checks that contract across 10 seeds on both
-the citations and students generators.
+in-memory engine bit-for-bit, on live streams, on frozen snapshots, and
+after restoring from a compacted columnar checkpoint.  This module
+checks that contract across 10 seeds on both the citations and students
+generators.
 """
 
 import functools
@@ -14,8 +14,8 @@ import functools
 import pytest
 
 from repro.core.incremental import IncrementalTopK
-from repro.core.parallel import fork_available, group_fingerprint
 from repro.core.persistence import DurabilityPolicy
+from repro.core.records import group_fingerprint
 from repro.experiments import citation_pipeline, student_pipeline
 from repro.server import EngineSnapshot
 from repro.testing.crashpoints import stream_fingerprint
@@ -24,7 +24,6 @@ N_RECORDS = 200
 K = 10
 THRESHOLD = 5.0
 SEEDS = range(10)
-WORKER_COUNTS = (1, 2, 4)
 
 
 @functools.lru_cache(maxsize=8)
@@ -86,34 +85,6 @@ def test_snapshot_queries_bit_identical(dataset, seed):
     threshold_base = snap_memory.query_threshold(THRESHOLD)
     assert threshold.ranking == threshold_base.ranking
     assert threshold.certain == threshold_base.certain
-
-
-@pytest.mark.skipif(
-    not fork_available(), reason="platform has no fork start method"
-)
-@pytest.mark.parametrize("dataset", ["citations", "students"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_worker_counts_bit_identical(dataset, seed):
-    pipeline = _pipeline(dataset, seed)
-    memory, columnar = _engine_pair(pipeline)
-    snap_memory = EngineSnapshot.freeze(memory)
-    snap_columnar = EngineSnapshot.freeze(columnar)
-    rank_base = snap_memory.query_rank(K, workers=1)
-    threshold_base = snap_memory.query_threshold(THRESHOLD, workers=1)
-    topk_base = group_fingerprint(snap_memory.query_topk(K, workers=1).groups)
-    for workers in WORKER_COUNTS:
-        topk = snap_columnar.query_topk(K, workers=workers)
-        assert group_fingerprint(topk.groups) == topk_base, (
-            dataset,
-            seed,
-            workers,
-        )
-        rank = snap_columnar.query_rank(K, workers=workers)
-        assert rank.ranking == rank_base.ranking
-        assert rank.certain == rank_base.certain
-        threshold = snap_columnar.query_threshold(THRESHOLD, workers=workers)
-        assert threshold.ranking == threshold_base.ranking
-        assert threshold.certain == threshold_base.certain
 
 
 @pytest.mark.parametrize("dataset", ["citations", "students"])

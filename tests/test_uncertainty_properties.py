@@ -12,8 +12,8 @@ The invariants proved here are the ones the answer contract in
 * the Bernecker-style membership bound is answer-preserving: pruned and
   unpruned aggregation report bit-identical entities;
 * a single enumerated world collapses every interval to a point;
-* the query is bit-identical across worker counts and record-store
-  backends, like every other query in the engine.
+* the query is bit-identical across record-store backends, like every
+  other query in the engine.
 """
 
 import math
@@ -26,7 +26,6 @@ from repro.clustering.correlation import ScoreMatrix
 from repro.clustering.exact import exact_topk_answers
 from repro.cli import generic_levels, generic_scorer
 from repro.core.incremental import IncrementalTopK
-from repro.core.parallel import fork_available
 from repro.core.records import RecordStore
 from repro.core.verification import VerificationContext
 from repro.datasets import (
@@ -244,38 +243,6 @@ class TestEngineBitIdentity:
             finally:
                 engine.close()
         assert _comparable(results[0]) == _comparable(results[1])
-
-    @pytest.mark.skipif(
-        not fork_available(), reason="fork start method unavailable"
-    )
-    def test_worker_counts_agree(self):
-        baseline = None
-        for workers in (None, 2, 4):
-            engine = _engine("memory")
-            try:
-                result = engine.query(2, kind="interval", r=8, workers=workers)
-            finally:
-                engine.close()
-            if baseline is None:
-                baseline = _comparable(result)
-            else:
-                assert _comparable(result) == baseline
-
-    def test_batch_worker_counts_agree(self):
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        store = _name_store()
-        levels = generic_levels("name", 0.3)
-        scorer = generic_scorer("name", -3.0)
-        baseline = None
-        for workers in (None, 2):
-            result = topk_interval_query(
-                store, 2, levels, scorer, r=8, workers=workers
-            )
-            if baseline is None:
-                baseline = _comparable(result)
-            else:
-                assert _comparable(result) == baseline
 
     def test_snapshot_cache_returns_identical_answer(self):
         engine = _engine("memory")

@@ -266,10 +266,7 @@ class TestPipelineIntegration:
         levels = [
             PredicateLevel(exact_name_predicate(), shared_word_predicate())
         ]
-        # Pinned serial: the exact build/reuse split below is the serial
-        # schedule's (a REPRO_WORKERS fan-out adds a priming stage that
-        # legitimately reuses the index once more).
-        result = pruned_dedup(store, 2, levels, workers=1)
+        result = pruned_dedup(store, 2, levels)
         assert result.counters is not None
         level_counters = result.stats[0].counters
         assert level_counters is not None
