@@ -26,13 +26,15 @@ its Figure-7 datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from ..graphs.union_find import UnionFind
 from .correlation import ScoreMatrix
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 _INTEGRALITY_EPS = 1e-6
 _VIOLATION_EPS = 1e-9
@@ -63,7 +65,13 @@ def lp_cluster(
     max_rounds: int = 50,
     max_new_constraints_per_round: int = 50_000,
 ) -> LpResult:
-    """Solve the correlation-clustering LP with lazy triangle constraints."""
+    """Solve the correlation-clustering LP with lazy triangle constraints.
+
+    scipy is imported here, not at module level: the LP is an offline
+    comparator, and importing :mod:`repro` should not pay for scipy.
+    """
+    from scipy.optimize import linprog
+
     pairs = [(i, j) for i, j, _ in scores.scored_pairs()]
     pairs.sort()
     var_index = {pair: idx for idx, pair in enumerate(pairs)}
@@ -131,6 +139,8 @@ def lp_cluster(
 def _build_matrix(
     rows: list[tuple[list[int], list[float]]], n_vars: int
 ) -> csr_matrix:
+    from scipy.sparse import csr_matrix
+
     data: list[float] = []
     row_idx: list[int] = []
     col_idx: list[int] = []

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..graphs.clique_partition import IncrementalCliquePartition
 from ..predicates.base import Predicate
 from ..predicates.blocking import NeighborIndex
@@ -93,12 +95,8 @@ def estimate_lower_bound(
     next_refine = max(k, 2)
 
     for position, representative in enumerate(representatives):
-        earlier = [
-            p
-            for p in index.neighbors(representative, exclude_position=position)
-            if p < position
-        ]
-        bound = cpn.add_vertex(earlier)
+        row = index.neighbors(representative, exclude_position=position)
+        bound = cpn.add_vertex(row[: int(np.searchsorted(row, position))].tolist())
         can_refine = (
             refine
             and position + 1 <= refine_max_vertices
@@ -146,12 +144,8 @@ def estimate_lower_bound_naive(
     index = NeighborIndex(necessary, representatives)
     count = 0
     for position, representative in enumerate(representatives):
-        earlier = [
-            p
-            for p in index.neighbors(representative, exclude_position=position)
-            if p < position
-        ]
-        if not earlier:
+        row = index.neighbors(representative, exclude_position=position)
+        if not len(row) or row[0] >= position:
             count += 1
         if count >= k:
             return LowerBoundEstimate(

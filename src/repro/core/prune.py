@@ -26,6 +26,13 @@ from .records import GroupSet
 if TYPE_CHECKING:
     from .verification import VerificationContext
 
+#: Neighbor entries one ``np.bincount`` of the bound iteration covers at
+#: most, bounding a pass's working arrays (about 30 B per entry) however
+#: many neighbors the at-risk groups have.  1M entries is the largest
+#: block that left the X14 count query's peak at 6k records unchanged
+#: (docs/performance.md § Memory footprint).
+ROW_SUM_ENTRIES = 1 << 20
+
 
 @dataclass
 class PruneResult:
@@ -91,15 +98,15 @@ def prune(
         at_risk = list(range(n))
     else:
         at_risk = [i for i in range(n) if weights[i] < bound]
-    neighbor_lists = dict(zip(at_risk, index.neighbors_batch(at_risk)))
+    indptr, flat = index.neighbors_csr(at_risk)
 
     if vectorize_enabled():
         upper = _iterate_bounds_numpy(
-            n, weights, at_risk, neighbor_lists, bound, iterations
+            n, weights, at_risk, indptr, flat, bound, iterations
         )
     else:
         upper = _iterate_bounds_python(
-            n, weights, at_risk, neighbor_lists, bound, iterations
+            n, weights, at_risk, indptr, flat, bound, iterations
         )
 
     kept = [i for i in range(n) if upper[i] > bound or weights[i] >= bound]
@@ -114,11 +121,18 @@ def _iterate_bounds_python(
     n: int,
     weights: list[float],
     at_risk: list[int],
-    neighbor_lists: dict[int, list[int]],
+    indptr: np.ndarray,
+    flat: np.ndarray,
     bound: float,
     iterations: int,
 ) -> list[float]:
-    """Reference scalar bound iteration (``REPRO_VECTORIZE=0``)."""
+    """Reference scalar bound iteration (``REPRO_VECTORIZE=0``); the
+    neighbors of ``at_risk[r]`` are CSR row *r* of ``(indptr, flat)``."""
+    bounds = indptr.tolist()
+    neighbor_lists = {
+        i: flat[bounds[r] : bounds[r + 1]].tolist()
+        for r, i in enumerate(at_risk)
+    }
     upper = [math.inf] * n
     for i in at_risk:
         upper[i] = weights[i] + sum(weights[j] for j in neighbor_lists[i])
@@ -148,50 +162,74 @@ def _iterate_bounds_numpy(
     n: int,
     weights: list[float],
     at_risk: list[int],
-    neighbor_lists: dict[int, list[int]],
+    indptr: np.ndarray,
+    flat: np.ndarray,
     bound: float,
     iterations: int,
 ) -> list[float]:
     """Vectorized bound iteration, bit-identical to the scalar one.
 
-    Neighbor lists are flattened once into a CSR-style (segments, flat)
-    pair; each pass is then one weighted ``np.bincount``.  bincount
-    accumulates in input order, so every per-group float sum adds the
-    same weights in the same left-to-right order as the Python loop —
-    including the refinement passes, where dead neighbors are *filtered
-    out* of the flat array (preserving the survivors' relative order)
-    rather than zeroed, exactly mirroring the scalar ``if live(j)``
-    skip.
+    The neighbor rows arrive as CSR, one row per at-risk group; each
+    pass sums them with weighted ``np.bincount`` calls
+    (:func:`_row_sums`).  bincount accumulates in input order, so every
+    per-group float sum adds the same weights in the same left-to-right
+    order as the Python loop — including the refinement passes, where
+    dead neighbors are *filtered out* of the flat array (preserving the
+    survivors' relative order) rather than zeroed, exactly mirroring the
+    scalar ``if live(j)`` skip.
     """
     w = np.asarray(weights, dtype=np.float64)
     risk = np.asarray(at_risk, dtype=np.int64)
     upper = np.full(n, np.inf)
     if len(risk) == 0:
         return upper.tolist()
-    lengths = np.fromiter(
-        (len(neighbor_lists[i]) for i in at_risk),
-        dtype=np.int64,
-        count=len(at_risk),
-    )
-    flat = np.fromiter(
-        (j for i in at_risk for j in neighbor_lists[i]),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    segments = np.repeat(np.arange(len(risk), dtype=np.int64), lengths)
-    upper[risk] = w[risk] + np.bincount(
-        segments, weights=w[flat], minlength=len(risk)
-    )
+    upper[risk] = w[risk] + _row_sums(w, indptr, flat)
     # Scalar refinement skips groups already at weight >= bound.
     refinable = w[risk] < bound
     for _ in range(iterations - 1):
         live = (upper > bound) | (w >= bound)
-        keep = live[flat]
-        tightened = w[risk] + np.bincount(
-            segments[keep], weights=w[flat[keep]], minlength=len(risk)
-        )
+        tightened = w[risk] + _row_sums(w, indptr, flat, live)
         update = refinable & (tightened < upper[risk])
         if not update.any():
             break
         upper[risk[update]] = tightened[update]
     return upper.tolist()
+
+
+def _row_sums(
+    w: np.ndarray,
+    indptr: np.ndarray,
+    flat: np.ndarray,
+    live: np.ndarray | None = None,
+) -> np.ndarray:
+    """``w`` summed over each CSR row's neighbors (only the *live* ones
+    when given), one weighted ``np.bincount`` per block of rows holding
+    at most :data:`ROW_SUM_ENTRIES` entries; a row is never split, so
+    its sum adds the same weights in the same order as one bincount
+    over all rows would."""
+    n_rows = len(indptr) - 1
+    sums = np.empty(n_rows)
+    first = 0
+    while first < n_rows:
+        stop = max(
+            int(
+                np.searchsorted(
+                    indptr, indptr[first] + ROW_SUM_ENTRIES, side="right"
+                )
+            )
+            - 1,
+            first + 1,
+        )
+        neighbors = flat[indptr[first] : indptr[stop]]
+        rows = np.repeat(
+            np.arange(stop - first, dtype=np.int64),
+            np.diff(indptr[first : stop + 1]),
+        )
+        if live is not None:
+            keep = live[neighbors]
+            rows, neighbors = rows[keep], neighbors[keep]
+        sums[first:stop] = np.bincount(
+            rows, weights=w[neighbors], minlength=stop - first
+        )
+        first = stop
+    return sums

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
+import numpy as np
+
 from ..predicates.base import PredicateLevel
 from ..predicates.blocking import NeighborIndex
 from .collapse import collapse
@@ -91,15 +93,14 @@ class RankQueryResult:
 def _resolved_flags(
     weights: list[float],
     upper: list[float],
-    neighbor_lists: dict[int, list[int]],
+    neighbor_rows: list[np.ndarray],
     bound: float,
 ) -> list[bool]:
     """Apply Section 7.1's two resolution conditions to every group."""
     n = len(weights)
-    neighbor_sets = {i: set(neighbors) for i, neighbors in neighbor_lists.items()}
     flags = []
     for j in range(n):
-        neighbors_j = neighbor_sets.get(j, set())
+        neighbors_j = set(neighbor_rows[j].tolist())
         resolved = True
         for g in range(n):
             if g == j:
@@ -135,25 +136,25 @@ def _rank_prune(
         index = context.neighbor_index(necessary, group_set)
     else:
         index = NeighborIndex(necessary, representatives)
-    neighbor_lists = {
-        i: index.neighbors(representatives[i], exclude_position=i)
+    neighbor_rows = [
+        index.neighbors(representatives[i], exclude_position=i)
         for i in range(n)
-    }
-    resolved = _resolved_flags(weights, upper, neighbor_lists, bound)
+    ]
+    resolved = _resolved_flags(weights, upper, neighbor_rows, bound)
 
     # A group is prunable when it is below M on its own and disconnected
     # from every *unresolved* group with u_i >= M.
-    unresolved_live = {
-        i for i in range(n) if not resolved[i] and upper[i] >= bound
-    }
+    unresolved_live = ~np.asarray(resolved, dtype=bool) & (
+        np.asarray(upper, dtype=np.float64) >= bound
+    )
     kept: list[int] = []
     flags: list[bool] = []
     for g in range(n):
-        if resolved[g] or weights[g] >= bound:
-            kept.append(g)
-            flags.append(resolved[g])
-            continue
-        if any(neighbor in unresolved_live for neighbor in neighbor_lists[g]):
+        if (
+            resolved[g]
+            or weights[g] >= bound
+            or unresolved_live[neighbor_rows[g]].any()
+        ):
             kept.append(g)
             flags.append(resolved[g])
     return kept, flags
@@ -518,10 +519,11 @@ def _threshold_termination(
         index = context.neighbor_index(necessary, retained)
     else:
         index = NeighborIndex(necessary, representatives)
-    neighbor_lists = [
-        set(index.neighbors(representatives[i], exclude_position=i))
+    neighbor_rows = [
+        index.neighbors(representatives[i], exclude_position=i)
         for i in range(n)
     ]
+    w = np.asarray(weights, dtype=np.float64)
     for k in range(n + 1):
         prefix_ok = all(
             weights[i] >= threshold and weights[i] >= upper[j]
@@ -532,11 +534,10 @@ def _threshold_termination(
             continue
         tail_ok = True
         for j in range(k, n):
-            redundant = any(
-                i in neighbor_lists[j] and upper[j] - weights[i] <= threshold
-                for i in range(k)
-            )
-            if not redundant:
+            # j's neighbors inside the prefix (rows ascend).
+            row = neighbor_rows[j]
+            inside = row[: int(np.searchsorted(row, k))]
+            if not (upper[j] - w[inside] <= threshold).any():
                 tail_ok = False
                 break
         if tail_ok:

@@ -16,9 +16,9 @@ pairs.  :class:`VerificationContext` removes that duplication:
   merges a group elects a new representative, which retires the old
   pair keys without any explicit invalidation (records are immutable,
   so a cached verdict can never go stale).  The batch engine shares
-  verdicts by symmetric membership in already-probed neighbor sets
-  instead (see
-  :meth:`~repro.predicates.blocking.NeighborIndex.neighbors_batch`) —
+  verdicts by looking pairs up in the neighbor rows of already-probed
+  members instead (see
+  :meth:`~repro.predicates.blocking.NeighborIndex.neighbors_csr`) —
   its per-pair decision is cheaper than per-pair dict traffic would be;
 * both verification paths are instrumented with cheap counters
   (:class:`PipelineCounters`) so the pipeline's work is measurable per
@@ -54,15 +54,17 @@ class PipelineCounters:
             one per candidate pair decided — by ``evaluate`` or inside a
             batch engine block.
         cache_hits: Pair verdicts answered by sharing — from the
-            record-id verdict cache (``evaluate``) or by neighbor-set
-            membership (batch engine).
+            record-id verdict cache (``evaluate``) or by a lookup in
+            an already-filled neighbor row (batch engine).
         cache_misses: Pair verdicts computed and inserted into the
             record-id verdict cache (batch engine verdicts are not
             inserted, so they never count as misses).
         index_builds: ``NeighborIndex`` constructions (posting-list
             builds over all representatives).
         index_reuses: Stages that received an already-built index.
-        neighbor_queries: ``NeighborIndex.neighbors`` calls.
+        neighbor_queries: Member or probe rows asked of a
+            ``NeighborIndex`` (one per ``neighbors`` call, one per
+            position of ``neighbors_csr``).
         neighbor_memo_hits: Neighbor queries answered from the
             per-index memo without touching the postings.
         predicate_errors_contained: Predicate ``evaluate`` exceptions

@@ -17,7 +17,10 @@ encoded once at index-build time:
   keys per candidate with one ``np.unique``, verify the whole
   candidate block with the rule or verifier.  Its symmetric sweep
   does the same for a chunk of member probes at once, keyed by
-  ``(probe, candidate)`` pair.
+  ``(probe, candidate)`` pair;
+* :class:`NeighborRows` — verified member rows as one growing int32
+  CSR, the memo a :class:`~repro.predicates.blocking.NeighborIndex`
+  keeps and the sweep reads pairs from.
 
 Every kernel replicates the scalar semantics bit-for-bit (see
 :mod:`repro.similarity.encoding` for the float contract); the
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Hashable, Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -66,6 +68,7 @@ from ..similarity.encoding import (
     bitmask_encode,
     bitmask_probe,
     gather_rows,
+    gather_spans,
     intersection_counts,
     jaccard_block,
     overlap_block,
@@ -532,6 +535,132 @@ class OverlapCountRule:
         return cls(params["threshold"], masks=arrays.get("rule_masks"))
 
 
+def distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct *values* ascending, by one sort.
+
+    Plain ``np.unique`` would do, but in NumPy >= 2.3 it asks
+    ``np.ma.is_masked`` and so imports :mod:`numpy.ma` on its first
+    call, which would land in a process's first query.
+    """
+    ordered = np.sort(values)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
+def _offsets(lengths) -> np.ndarray:
+    """CSR ``indptr`` (int64) of rows with these *lengths*."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def stack_rows(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """*rows* as one CSR ``(indptr, flat)``, flat int32."""
+    flat = np.concatenate([np.empty(0, dtype=np.int32), *rows])
+    return _offsets([len(row) for row in rows]), flat.astype(np.int32, copy=False)
+
+
+def take_rows(
+    order: np.ndarray, indptr: np.ndarray, flat: np.ndarray, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of the distinct ascending *order*, re-indexed to one row
+    per entry of *positions* (each an entry of *order*; any order,
+    repeats allowed)."""
+    if np.array_equal(positions, order):
+        return indptr, flat
+    flat, lengths = gather_rows(indptr, flat, np.searchsorted(order, positions))
+    return _offsets(lengths), flat
+
+
+class NeighborRows:
+    """Verified neighbor rows of indexed members, as one growing CSR.
+
+    Row *p* holds *p*'s neighbor positions ascending, as int32, in
+    ``indices[start[p]:stop[p]]``; ``probed[p]`` says the row is filled.
+    Each row is filled once and never changes; rows sit in the order
+    they were filled, so a row can be read, and a pair ``(p, q)``
+    looked up in it (:meth:`contains`), but rows are not in position
+    order.  The index buffer grows by half its size when full (to at
+    least 4,096 entries), so the store costs at most 6 B per entry, plus
+    17 B per indexed member and the 16 KB floor.
+    """
+
+    def __init__(self, n_records: int) -> None:
+        self.probed = np.zeros(n_records, dtype=bool)
+        self.start = np.zeros(n_records, dtype=np.int64)
+        self.stop = np.zeros(n_records, dtype=np.int64)
+        self.filled = 0
+        self._size = 0
+        self._grow(0)
+
+    def _grow(self, capacity: int) -> None:
+        """Move the index buffer to one of *capacity* entries, keeping a
+        read-only view of it for :meth:`row`."""
+        grown = np.empty(capacity, dtype=np.int32)
+        if self._size:
+            grown[: self._size] = self._indices[: self._size]
+        self._indices = grown
+        self._view = grown.view()
+        self._view.flags.writeable = False
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the store holds: index buffer plus per-member arrays."""
+        return (
+            self._indices.nbytes
+            + self.probed.nbytes
+            + self.start.nbytes
+            + self.stop.nbytes
+        )
+
+    def row(self, position: int) -> np.ndarray:
+        """The filled row of *position*, a read-only int32 view."""
+        return self._view[self.start[position] : self.stop[position]]
+
+    def add(
+        self, positions: np.ndarray, indptr: np.ndarray, flat: np.ndarray
+    ) -> None:
+        """Fill the rows of *positions* (unfilled, distinct) with the
+        CSR rows ``flat[indptr[i]:indptr[i + 1]]``."""
+        size = self._size
+        need = size + len(flat)
+        if need > len(self._indices):
+            self._grow(max(need, len(self._indices) * 3 // 2, 4096))
+        self._indices[size:need] = flat
+        self.start[positions] = indptr[:-1] + size
+        self.stop[positions] = indptr[1:] + size
+        self.probed[positions] = True
+        self.filled += len(positions)
+        self._size = need
+
+    def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The filled rows of *positions* as ``(indptr, flat)``."""
+        starts = self.start[positions]
+        flat, lengths = gather_spans(
+            self._indices, starts, self.stop[positions] - starts
+        )
+        return _offsets(lengths), flat
+
+    def contains(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Whether ``values[e]`` is in the filled row ``rows[e]``, per
+        entry: a bisection run in every row at once."""
+        lo = self.start[rows]
+        stop = self.stop[rows]
+        hi = stop.copy()
+        data = self._indices
+        last = max(len(data) - 1, 0)
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            below = (lo < hi) & (data[np.minimum(mid, last)] < values)
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        found = lo < stop
+        found[found] = data[lo[found]] == values[found]
+        return found
+
+
 class BatchNeighborEngine:
     """Vectorized neighbor computation over inverted-index postings.
 
@@ -540,10 +669,9 @@ class BatchNeighborEngine:
     pairwise verifier.  One member query is then: gather the probe's
     posting rows, ``np.unique`` for (candidates, shared counts), verify
     the block, done — no per-candidate Python.  Many member queries at
-    once (:meth:`member_neighbors_block`, :meth:`member_neighbors_csr`)
-    run the same steps over a chunk of probes per NumPy call, each
-    symmetric pair verified once — under a guard too, which contains
-    each chunk's call as one block.
+    once (:meth:`member_neighbors_csr`) run the same steps over a chunk
+    of probes per NumPy call, each symmetric pair verified once — under
+    a guard too, which contains each chunk's call as one block.
 
     Built by :meth:`build` (which keeps the key-id map for external
     probes) or rebuilt from :meth:`export_state` arrays by
@@ -690,9 +818,9 @@ class BatchNeighborEngine:
         n_probe_keys: int,
         probe_state,
         counters,
-    ) -> list[int]:
+    ) -> np.ndarray:
         if len(candidates) == 0:
-            return []
+            return candidates
         counters.predicate_evaluations += len(candidates)
         if self.count_rule is not None:
             ok = self.count_rule.accepts(
@@ -704,16 +832,16 @@ class BatchNeighborEngine:
             )
         else:
             ok = self.verifier.verify_block(probe_state, candidates)
-        return candidates[ok].tolist()
+        return candidates[ok]
 
-    def member_neighbors(self, position: int, counters) -> list[int]:
-        """Verified neighbor list of the indexed member at *position*
-        (``exclude_position=position`` semantics), ascending."""
+    def member_neighbors(self, position: int, counters) -> np.ndarray:
+        """Verified neighbors of the indexed member at *position*
+        (``exclude_position=position`` semantics), ascending int64."""
         return self._member_neighbors(position, counters)[1]
 
     def _member_neighbors(
         self, position: int, counters
-    ) -> tuple[np.ndarray, list[int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(candidates, verified neighbors) of the member at
         *position*, decided in one block."""
         probe_key_ids = self.key_ids[
@@ -734,7 +862,7 @@ class BatchNeighborEngine:
         probe_keys: set,
         exclude: int,
         counters,
-    ) -> list[int] | None:
+    ) -> np.ndarray | None:
         """Verified neighbors of an external *probe*; None when this
         engine cannot encode it (caller falls back to
         ``evaluate``)."""
@@ -759,65 +887,38 @@ class BatchNeighborEngine:
             candidates, shared, len(probe_keys), probe_state, counters
         )
 
-    def member_neighbors_block(
+    def member_neighbors_csr(
         self,
         positions: Sequence[int],
         counters,
-        known: dict[int, set[int]] | None = None,
-    ) -> dict[int, list[int]]:
-        """Neighbor lists of many members, each symmetric pair verified
-        once — the lists of :meth:`member_neighbors_csr` keyed by
-        position, *known* as in :meth:`_sweep`.
-
-        The sharing is only sound for symmetric decisions; an
-        asymmetric engine probes each member on its own, through
-        :meth:`member_neighbors`.
-        """
-        if not self.symmetric:
-            return {
-                p: self.member_neighbors(p, counters)
-                for p in sorted({int(position) for position in positions})
-            }
-        order, indptr, flat = self._sweep(positions, counters, known)
-        flat_list = flat.tolist()
-        bounds = indptr.tolist()
-        return {
-            p: flat_list[bounds[row] : bounds[row + 1]]
-            for row, p in enumerate(order.tolist())
-        }
-
-    def member_neighbors_csr(
-        self, positions: Sequence[int], counters
+        known: NeighborRows | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor lists of many members as (indptr, flat int32), one
         row per entry of *positions* — the compact CSR shape, with no
         Python list per row.  Results are identical to per-member
-        queries; in-batch pairs of a symmetric engine are verified once.
+        queries; in-batch pairs of a symmetric engine are verified once,
+        and pairs against *known* rows are read from them (see
+        :meth:`_sweep`).
+
+        The sharing is only sound for symmetric decisions; an
+        asymmetric engine probes each member on its own, through
+        :meth:`member_neighbors`, and ignores *known*.
         """
         rows = np.asarray(positions, dtype=np.int64)
         if self.symmetric:
-            order, indptr, flat = self._sweep(rows, counters)
+            order, indptr, flat = self._sweep(rows, counters, known)
         else:
-            order = np.unique(rows)
-            lists = [self.member_neighbors(p, counters) for p in order.tolist()]
-            indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-            np.cumsum([len(found) for found in lists], out=indptr[1:])
-            flat = np.fromiter(
-                chain.from_iterable(lists), dtype=np.int32, count=int(indptr[-1])
+            order = distinct_sorted(rows)
+            indptr, flat = stack_rows(
+                [self.member_neighbors(p, counters) for p in order.tolist()]
             )
-        if not np.array_equal(rows, order):
-            flat, lengths = gather_rows(
-                indptr, flat, np.searchsorted(order, rows)
-            )
-            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-        return indptr, flat
+        return take_rows(order, indptr, flat, rows)
 
     def _sweep(
         self,
         positions: Sequence[int],
         counters,
-        known: dict[int, set[int]] | None = None,
+        known: NeighborRows | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The symmetric sweep: ``(order, indptr, flat)``, the distinct
         *positions* ascending and their neighbor lists as CSR rows
@@ -830,11 +931,12 @@ class BatchNeighborEngine:
         each probe's own position and every batch member below it —
         that pair is decided from its lower end, and the verdict flows
         back as a reverse edge — count shared keys per ``(probe,
-        candidate)`` with one ``np.unique``, and decide every pair in
-        one rule or verifier call.  *known* maps already-answered member
-        positions to their neighbor sets (the index's ``_probed``
-        store); pairs against those are decided by set membership
-        instead.  Both shortcuts count as ``cache_hits``, as a
+        candidate)`` with one sort, and decide every pair in one rule
+        or verifier call.  *known* holds already-answered members' rows
+        (a :class:`~repro.predicates.blocking.NeighborIndex`'s memo); a
+        pair against a filled row is decided by a lookup in that sorted
+        row instead.  Both
+        shortcuts count as ``cache_hits``, as a
         verdict-cache hit would; a skipped lower pair is counted as the
         in-batch upper pair it equals, because key sharing is symmetric.
 
@@ -846,18 +948,15 @@ class BatchNeighborEngine:
         on its own, exactly as :meth:`member_neighbors` does
         (:meth:`_decide_alone`).  A fallback verdict thus only ever
         reaches the list of the probe whose own block fell back.  (A
-        guarded index has no probed store, so *known* is then empty.)
+        guarded index never passes its memo, so *known* is then None.)
         """
         n = self.n_records
-        order = np.unique(np.asarray(positions, dtype=np.int64))
+        order = distinct_sorted(np.asarray(positions, dtype=np.int64))
         in_batch = np.zeros(n, dtype=bool)
         in_batch[order] = True
         known_mask = None
-        if known:
-            known_mask = np.zeros(n, dtype=bool)
-            known_mask[
-                np.fromiter(known.keys(), dtype=np.int64, count=len(known))
-            ] = True
+        if known is not None and known.filled:
+            known_mask = known.probed.copy()
             # A batch member is probed here, so its pairs are decided by
             # the sweep alone, never also through *known*.
             known_mask[order] = False
@@ -870,20 +969,11 @@ class BatchNeighborEngine:
             if known_mask is not None:
                 known_here = known_mask[candidates]
                 if known_here.any():
-                    counters.cache_hits += int(known_here.sum())
-                    edges.append(
-                        np.array(
-                            [
-                                p * n + c
-                                for p, c in zip(
-                                    probes[known_here].tolist(),
-                                    candidates[known_here].tolist(),
-                                )
-                                if p in known[c]
-                            ],
-                            dtype=np.int64,
-                        )
-                    )
+                    counters.cache_hits += int(np.count_nonzero(known_here))
+                    rows = candidates[known_here]
+                    values = probes[known_here]
+                    hit = known.contains(rows, values)
+                    edges.append(values[hit] * n + rows[hit])
                     keep = ~known_here
                     probes = probes[keep]
                     candidates = candidates[keep]
@@ -894,20 +984,22 @@ class BatchNeighborEngine:
                 alone.append(self._decide_alone(chunk, in_batch, counters))
                 continue
             upper = in_batch[candidates]
-            counters.cache_hits += int(upper.sum())
+            counters.cache_hits += int(np.count_nonzero(upper))
             edges.append(probes[ok] * n + candidates[ok])
             back = ok & upper
             edges.append(candidates[back] * n + probes[back])
         codes = np.concatenate(edges)
+        del edges
         if alone:
             # Rows decided alone are their probes' own lists: drop the
             # reverse edges earlier chunks sent them.
             codes = np.concatenate([codes[in_batch[codes // n]], *alone])
-        codes = np.sort(codes)
+        codes.sort()
         indptr = np.empty(len(order) + 1, dtype=np.int64)
         indptr[:-1] = np.searchsorted(codes, order * n)
         indptr[-1] = len(codes)
-        return order, indptr, (codes % n).astype(np.int32)
+        codes %= n
+        return order, indptr, codes.astype(np.int32)
 
     def _decide_alone(
         self, chunk: np.ndarray, in_batch: np.ndarray, counters
@@ -928,7 +1020,7 @@ class BatchNeighborEngine:
             counters.cache_hits -= int(
                 np.count_nonzero(in_batch[candidates[candidates < probe]])
             )
-            codes.append(probe * n + np.asarray(found, dtype=np.int64))
+            codes.append(probe * n + found)
         return np.concatenate(codes)
 
     def _sweep_chunks(self, order: np.ndarray):
@@ -962,10 +1054,17 @@ class BatchNeighborEngine:
         probes = np.repeat(np.repeat(chunk, key_lengths), post_lengths)
         keep = (candidates > probes) | ~in_batch[candidates]
         n = np.int64(self.n_records)
-        codes, shared = np.unique(
-            probes[keep] * n + candidates[keep], return_counts=True
-        )
-        return codes // n, codes % n, shared
+        codes = probes[keep]
+        codes *= n
+        codes += candidates[keep]
+        codes.sort()
+        # A run of equal codes is one pair; its length, the keys shared.
+        first = np.empty(len(codes) + 1, dtype=bool)
+        first[0] = first[-1] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:-1])
+        bounds = np.flatnonzero(first)
+        probes, candidates = np.divmod(codes[bounds[:-1]], n)
+        return probes, candidates, np.diff(bounds)
 
     def _decide_pairs(
         self,

@@ -21,14 +21,20 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterator, Sequence
-from itertools import chain
 
 import numpy as np
 
 from ..core.records import Record
 from ..graphs.union_find import UnionFind
 from .base import Predicate
-from .batch import BatchNeighborEngine, vectorize_enabled
+from .batch import (
+    BatchNeighborEngine,
+    NeighborRows,
+    distinct_sorted,
+    stack_rows,
+    take_rows,
+    vectorize_enabled,
+)
 
 #: Minimum block size for batch (vectorized) closure verification;
 #: smaller blocks stay scalar — kernel setup would dominate.
@@ -160,35 +166,36 @@ def candidate_pair_arrays(
     """Every position pair sharing a key (N-verified when *verify*), as
     ``(left, right)`` int64 arrays in ascending ``(i, j)`` order, i < j.
 
-    The pairs are the member neighbour lists of a :class:`NeighborIndex`
-    over *records* (:meth:`NeighborIndex.neighbors_batch`): the
-    vectorized batch engine's symmetric sweep, which verifies each pair
-    once, whenever the predicate offers one, else ``evaluate`` per
-    pair.  A verified pair ``(i, j)`` is decided as
-    ``predicate.evaluate(records[i], records[j])``.  Only the upper half
-    of each list is kept, as arrays, so the result holds 16 bytes per
-    pair.
+    The pairs are the upper triangle of the member neighbour rows of a
+    :class:`NeighborIndex` over *records*
+    (:meth:`NeighborIndex.neighbors_csr`): the vectorized batch
+    engine's symmetric sweep, which verifies each pair once, whenever
+    the predicate offers one.  Otherwise each record's candidates above
+    it are verified with ``evaluate``, so each pair is decided once
+    there too.  A verified pair ``(i, j)`` is decided as
+    ``predicate.evaluate(records[i], records[j])``.  The result holds 16
+    bytes per pair.
     """
     n = len(records)
-    # Scalar verification shares symmetric verdicts through a cache
-    # keyed by record id, sound only when the ids are distinct.
-    share_verdicts = getattr(predicate, "symmetric", True) and n == len(
-        {record.record_id for record in records}
-    )
-    index = NeighborIndex(
-        predicate, records, verdicts={} if share_verdicts else None
-    )
-    if verify:
-        found = index.neighbors_batch(range(n))
-    else:
-        found = [sorted(index.candidate_positions(record)) for record in records]
-    lengths = np.fromiter(map(len, found), dtype=np.int64, count=n)
-    right = np.fromiter(
-        chain.from_iterable(found), dtype=np.int64, count=int(lengths.sum())
-    )
-    left = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    upper = right > left
-    return left[upper], right[upper]
+    index = NeighborIndex(predicate, records)
+    if verify and index.batch_engine is not None:
+        indptr, right = index.neighbors_csr(range(n))
+        left = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        upper = right > left
+        return left[upper], right[upper].astype(np.int64)
+    verify = verify and not predicate.key_implies_match
+    left: list[int] = []
+    right: list[int] = []
+    for position, record in enumerate(records):
+        above = sorted(
+            other
+            for other in index.candidate_positions(record)
+            if other > position
+            and (not verify or predicate.evaluate(record, records[other]))
+        )
+        left.extend([position] * len(above))
+        right.extend(above)
+    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
 
 
 def candidate_pairs(
@@ -234,7 +241,8 @@ class NeighborIndex:
     queries return candidate positions that share a blocking key with the
     probe, optionally verified with the predicate.  Probes can be records
     outside the indexed set or members of it (the member itself is then
-    excluded from its own neighbor list).
+    excluded from its own neighbor list).  Every answer is a read-only
+    int32 array of positions, ascending.
 
     Args:
         predicate: The (necessary) predicate to verify candidates with.
@@ -247,16 +255,15 @@ class NeighborIndex:
             sound for symmetric predicates; supplied by
             :class:`~repro.core.verification.VerificationContext` and
             consulted by scalar ``evaluate`` verification (the batch
-            engine shares verdicts via the neighbor sets of members
+            engine shares verdicts by lookup in the rows of members
             already probed instead — cheaper than per-pair dict
             traffic).
-        memoize: Cache full neighbor lists per
-            ``(probe.record_id, exclude_position)``.  Each cached entry
-            also remembers the probe record it was computed for and is
-            only served to an identical probe, so two distinct records
-            that happen to share a ``record_id`` can never receive each
-            other's neighbor list.  Callers must not mutate returned
-            lists when enabled.
+        memoize: Keep each member's verified row, in one growing CSR
+            (:class:`~repro.predicates.batch.NeighborRows`), and answer
+            repeated member queries from it.  A member query is a probe
+            that *is* the indexed record at ``exclude_position`` (or
+            equals it); any other probe — an external record, even one
+            sharing a member's ``record_id`` — is computed afresh.
         latency_observe: Optional callable fed sampled per-pair
             verification latencies in seconds (1 in
             ``LATENCY_SAMPLE_EVERY`` scalar ``evaluate`` calls; the
@@ -291,12 +298,6 @@ class NeighborIndex:
         self._latency_observe = latency_observe
         self._candidate_observe = candidate_observe
         self._verify_calls = 0
-        # memo_key -> (probe record, neighbor list).  The probe record is
-        # kept so a lookup can verify the cached list was computed for
-        # *this* record, not merely one with the same record_id.
-        self._memo: dict[tuple[int, int], tuple[Record, list[int]]] | None = (
-            {} if memoize else None
-        )
         self._counters.index_builds += 1
         self._index = build_key_index(predicate, records)
         # Batch engine: whole-candidate-block verification in NumPy.
@@ -312,15 +313,15 @@ class NeighborIndex:
             self._engine = BatchNeighborEngine.build(
                 predicate, records, self._index
             )
-        # Position -> neighbor-position set for fully self-probed members.
-        # For a symmetric predicate, membership in an already-computed
-        # neighbor set decides a pair with zero storage beyond the memo:
-        # the engine's sweep reads these sets, where a per-pair verdict
-        # dict would cost more than the block decision it replaces.
-        self._probed: dict[int, set[int]] | None = (
-            {}
-            if memoize
-            and self._engine is not None
+        self._rows = NeighborRows(len(records)) if memoize else None
+        # For a symmetric predicate, a filled row decides every pair
+        # with its member: the engine's sweep looks pairs up in the
+        # rows, where a per-pair verdict dict would cost more than the
+        # block decision it replaces.  A guard is not symmetric, so its
+        # rows (fallback verdicts included) are never shared.
+        self._known = (
+            self._rows
+            if self._engine is not None
             and getattr(predicate, "symmetric", True)
             else None
         )
@@ -337,35 +338,43 @@ class NeighborIndex:
             result.update(self._index.get(key, ()))
         return result
 
-    def neighbors(self, probe: Record, exclude_position: int = -1) -> list[int]:
+    def neighbors(self, probe: Record, exclude_position: int = -1) -> np.ndarray:
         """Return verified neighbor positions of *probe* under N."""
         counters = self._counters
         counters.neighbor_queries += 1
-        memo_key = (probe.record_id, exclude_position)
-        if self._memo is not None:
-            cached = self._memo.get(memo_key)
-            # Serve the memo only for the record it was computed for:
-            # distinct records sharing a record_id (e.g. probes built
-            # outside the store) must not collide on the cached list.
-            if cached is not None and (
-                cached[0] is probe or cached[0] == probe
-            ):
-                counters.neighbor_memo_hits += 1
-                return cached[1]
-        result = None
-        if self._engine is not None:
-            result = self._engine_neighbors(probe, exclude_position)
-        if result is None:
-            result = self._neighbors_by_pairs(probe, exclude_position)
+        rows = self._rows
+        if not self._is_member_probe(probe, exclude_position):
+            found = None
+            if self._engine is not None:
+                probe_keys = set(self._predicate.blocking_keys(probe))
+                found = self._engine.probe_neighbors(
+                    probe, probe_keys, exclude_position, counters
+                )
+            if found is None:
+                found = self._neighbors_by_pairs(probe, exclude_position)
+            if self._candidate_observe is not None:
+                self._candidate_observe(len(found))
+            return _read_only(found)
+        if rows is not None and rows.probed[exclude_position]:
+            counters.neighbor_memo_hits += 1
+            return rows.row(exclude_position)
+        position = np.array([exclude_position], dtype=np.int64)
+        if self._known is not None and self._known.filled:
+            # Pairs against already-probed members are looked up in
+            # their rows.
+            found = self._engine.member_neighbors_csr(
+                position, counters, known=self._known
+            )[1]
+        elif self._engine is not None:
+            found = self._engine.member_neighbors(exclude_position, counters)
+        else:
+            found = self._neighbors_by_pairs(probe, exclude_position)
         if self._candidate_observe is not None:
-            self._candidate_observe(len(result))
-        if self._memo is not None:
-            self._memo[memo_key] = (probe, result)
-        if self._probed is not None and self._is_member_probe(
-            probe, exclude_position
-        ):
-            self._probed[exclude_position] = set(result)
-        return result
+            self._candidate_observe(len(found))
+        if rows is None:
+            return _read_only(found)
+        rows.add(position, np.array([0, len(found)], dtype=np.int64), found)
+        return rows.row(exclude_position)
 
     def _is_member_probe(self, probe: Record, exclude_position: int) -> bool:
         """True when *probe* IS the indexed record at *exclude_position*
@@ -376,110 +385,74 @@ class NeighborIndex:
         member = self._records[exclude_position]
         return member is probe or member == probe
 
-    def neighbors_batch(self, positions: Sequence[int]) -> list[list[int]]:
-        """Verified neighbor lists for many indexed members at once.
+    def neighbors_csr(
+        self, positions: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Verified neighbor rows of many indexed members as ``(indptr,
+        flat)`` (int64, int32), one row per entry of *positions*.
 
-        Equivalent to ``[self.neighbors(records[p], exclude_position=p)
-        for p in positions]`` — memo/probed caches included — but
-        member probes skip the probe-side key recomputation and, with a
-        symmetric batch engine, run its symmetric sweep: a chunk of
-        probes per NumPy pass, each in-batch pair verified once.  A
-        guarded predicate's engine sweeps too when its inner predicate
-        is symmetric (see :class:`~repro.core.resilience.GuardedPredicate`);
+        Equivalent to ``self.neighbors(records[p], exclude_position=p)``
+        for each ``p`` — memo and counters included — but member probes
+        skip the probe-side key recomputation and, with a symmetric
+        batch engine, run its symmetric sweep: a chunk of probes per
+        NumPy pass, each in-batch pair verified once.  A guarded
+        predicate's engine sweeps too when its inner predicate is
+        symmetric (see :class:`~repro.core.resilience.GuardedPredicate`);
         the guard itself stays asymmetric, so no pair-verdict cache or
-        probed set ever holds its verdicts and *known* stays empty.
+        shared row ever holds its verdicts.
         """
+        positions = np.asarray(positions, dtype=np.int64)
         counters = self._counters
-        results: dict[int, list[int]] = {}
-        pending: list[int] = []
-        seen: set[int] = set()
-        for position in positions:
-            counters.neighbor_queries += 1
-            if position in seen:
-                if self._memo is not None:
-                    counters.neighbor_memo_hits += 1
-                continue
-            seen.add(position)
-            record = self._records[position]
-            if self._memo is not None:
-                cached = self._memo.get((record.record_id, position))
-                if cached is not None and (
-                    cached[0] is record or cached[0] == record
-                ):
-                    counters.neighbor_memo_hits += 1
-                    results[position] = cached[1]
-                    continue
-            pending.append(position)
-        if pending:
-            if self._engine is not None and self._engine.symmetric:
-                # Batch symmetric sweep: each in-batch pair verified
-                # once, pairs against already-probed members decided by
-                # membership in their `_probed` sets.
-                known = self._probed if self._probed else None
-                computed = self._engine.member_neighbors_block(
-                    pending, counters, known=known
-                )
-                for position in pending:
-                    self._record_batch_result(
-                        position, computed[position], results
-                    )
-            else:
-                # One probe at a time: scalar `evaluate` shares verdicts
-                # through the pair-verdict cache as it goes.
-                for position in pending:
-                    if self._engine is not None:
-                        result = self._engine.member_neighbors(
-                            position, counters
-                        )
-                    else:
-                        result = self._neighbors_by_pairs(
-                            self._records[position], position
-                        )
-                    self._record_batch_result(position, result, results)
-        return [results[position] for position in positions]
-
-    def _record_batch_result(
-        self,
-        position: int,
-        result: list[int],
-        results: dict[int, list[int]],
-    ) -> None:
-        record = self._records[position]
-        if self._candidate_observe is not None:
-            self._candidate_observe(len(result))
-        if self._memo is not None:
-            self._memo[(record.record_id, position)] = (record, result)
-        if self._probed is not None:
-            self._probed[position] = set(result)
-        results[position] = result
-
-    def _engine_neighbors(
-        self, probe: Record, exclude_position: int
-    ) -> list[int] | None:
-        """Engine-backed neighbor query; None when the engine cannot
-        encode this probe (caller falls back to ``evaluate``)."""
-        if self._is_member_probe(probe, exclude_position):
-            if self._probed:
-                # Answer pairs against already-probed members from their
-                # recorded sets.
-                return self._engine.member_neighbors_block(
-                    [exclude_position], self._counters, known=self._probed
-                )[exclude_position]
-            return self._engine.member_neighbors(
-                exclude_position, self._counters
+        counters.neighbor_queries += len(positions)
+        distinct = distinct_sorted(positions)
+        rows = self._rows
+        if rows is None:
+            return take_rows(
+                distinct, *self._compute_rows(distinct), positions
             )
-        probe_keys = set(self._predicate.blocking_keys(probe))
-        return self._engine.probe_neighbors(
-            probe, probe_keys, exclude_position, self._counters
-        )
+        pending = distinct[~rows.probed[distinct]]
+        counters.neighbor_memo_hits += len(positions) - len(pending)
+        if len(pending):
+            indptr, flat = self._compute_rows(pending)
+            rows.add(pending, indptr, flat)
+            if np.array_equal(positions, pending):
+                # Every row was just computed, in the asked order.
+                return indptr, flat
+        return rows.gather(positions)
 
-    def _neighbors_by_pairs(self, probe: Record, exclude_position: int) -> list[int]:
+    def _compute_rows(
+        self, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of the distinct members *positions* (ascending), with
+        nothing read from or written to the memo except through the
+        sweep's *known* lookups."""
+        if self._engine is not None:
+            indptr, flat = self._engine.member_neighbors_csr(
+                positions, self._counters, known=self._known
+            )
+        else:
+            # One probe at a time: scalar `evaluate` shares verdicts
+            # through the pair-verdict cache as it goes.
+            indptr, flat = stack_rows(
+                [
+                    self._neighbors_by_pairs(self._records[p], p)
+                    for p in positions.tolist()
+                ]
+            )
+        if self._candidate_observe is not None:
+            for length in np.diff(indptr).tolist():
+                self._candidate_observe(length)
+        return indptr, flat
+
+    def _neighbors_by_pairs(
+        self, probe: Record, exclude_position: int
+    ) -> np.ndarray:
         """Pairwise ``evaluate`` verification, consulting the shared
         verdict cache per candidate pair."""
         candidates = self.candidate_positions(probe)
         candidates.discard(exclude_position)
         if self._predicate.key_implies_match:
-            return sorted(candidates)
+            return np.array(sorted(candidates), dtype=np.int32)
         counters = self._counters
         verdicts = self._verdicts
         out = []
@@ -504,7 +477,7 @@ class NeighborIndex:
             if verdict:
                 out.append(position)
         out.sort()
-        return out
+        return np.array(out, dtype=np.int32)
 
     def _verify_pair(self, probe: Record, position: int) -> bool:
         self._counters.predicate_evaluations += 1
@@ -517,3 +490,10 @@ class NeighborIndex:
                 self._latency_observe(time.perf_counter() - start)
                 return verdict
         return self._predicate.evaluate(probe, other)
+
+
+def _read_only(row: np.ndarray) -> np.ndarray:
+    """*row* as an int32 array callers cannot write through."""
+    row = row.astype(np.int32, copy=False)
+    row.flags.writeable = False
+    return row

@@ -147,15 +147,21 @@ def gather_rows(
     ``lengths`` the per-row element counts.
     """
     starts = indptr[rows]
-    lengths = indptr[rows + np.int64(1)] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype), lengths
-    out_starts = np.cumsum(lengths) - lengths
-    flat_index = np.repeat(starts - out_starts, lengths) + np.arange(
-        total, dtype=np.int64
-    )
-    return data[flat_index], lengths
+    return gather_spans(data, starts, indptr[rows + np.int64(1)] - starts)
+
+
+def gather_spans(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``data[starts[i]:starts[i] + lengths[i]]`` for each *i*
+    in order, as :func:`gather_rows` does for CSR rows; returns
+    ``(flat, lengths)``."""
+    shift = np.cumsum(lengths)
+    shift -= lengths
+    np.subtract(starts, shift, out=shift)
+    index = np.repeat(shift, lengths)
+    index += np.arange(len(index), dtype=np.int64)
+    return data[index], lengths
 
 
 def intersection_counts(

@@ -6,11 +6,16 @@ tokens, character n-grams (the paper uses 3-grams throughout), name
 initials, and stop-word-filtered word sets.  Keeping the derivations in one
 module guarantees that a predicate and the similarity feature that mirrors
 it tokenize identically.
+
+The set builders intern every token (:func:`sys.intern`), so the sets the
+caches below hold for a whole corpus share one string per distinct word
+or gram instead of one copy per set.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -71,8 +76,8 @@ def words(text: str) -> list[str]:
 
 
 def word_set(text: str) -> frozenset[str]:
-    """Return the set of lower-cased word tokens of *text*."""
-    return frozenset(words(text))
+    """Return the set of lower-cased word tokens of *text* (interned)."""
+    return frozenset(map(sys.intern, words(text)))
 
 
 def content_words(text: str, stop_words: frozenset[str]) -> list[str]:
@@ -81,8 +86,8 @@ def content_words(text: str, stop_words: frozenset[str]) -> list[str]:
 
 
 def content_word_set(text: str, stop_words: frozenset[str]) -> frozenset[str]:
-    """Return the set of non-stop-word tokens of *text*."""
-    return frozenset(content_words(text, stop_words))
+    """Return the set of non-stop-word tokens of *text* (interned)."""
+    return frozenset(map(sys.intern, content_words(text, stop_words)))
 
 
 def ngrams(text: str, n: int = 3) -> list[str]:
@@ -103,8 +108,8 @@ def ngrams(text: str, n: int = 3) -> list[str]:
 
 
 def ngram_set(text: str, n: int = 3) -> frozenset[str]:
-    """Return the set of character *n*-grams of *text*."""
-    return frozenset(ngrams(text, n))
+    """Return the set of character *n*-grams of *text* (interned)."""
+    return frozenset(map(sys.intern, ngrams(text, n)))
 
 
 def initials(text: str) -> tuple[str, ...]:

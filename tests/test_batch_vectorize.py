@@ -28,12 +28,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.records import RecordStore
+from repro.core.records import GroupSet, RecordStore
+from repro.core.verification import VerificationContext
+from repro.experiments.storage_scale import synthetic_events
 from repro.predicates import batch as batch_module
 from repro.predicates.base import FunctionPredicate
 from repro.predicates.batch import (
     VECTORIZE_ENV_VAR,
     BatchNeighborEngine,
+    NeighborRows,
     vectorize_enabled,
 )
 from repro.predicates.blocking import NeighborIndex, build_key_index
@@ -51,11 +54,13 @@ from repro.similarity.encoding import (
     bitmask_encode,
     bitmask_probe,
     gather_rows,
+    gather_spans,
     intersection_counts,
     jaccard_block,
     overlap_block,
 )
 from repro.similarity.measures import jaccard, overlap_coefficient
+from tests.conftest import vectorize_mode
 
 # ---------------------------------------------------------------------------
 # Encoding kernels
@@ -92,6 +97,18 @@ def test_gather_rows_matches_manual_concatenation():
     expected = np.concatenate([corpus.row(r) for r in rows])
     assert flat.tolist() == expected.tolist()
     assert lengths.tolist() == [len(corpus.row(r)) for r in rows]
+
+
+def test_gather_spans_matches_slices():
+    rng = random.Random(3)
+    data = np.arange(500, dtype=np.int32)[::-1].copy()
+    starts = np.array([rng.randrange(400) for _ in range(40)], dtype=np.int64)
+    lengths = np.array([rng.choice([0, 1, 3, 9, 40]) for _ in range(40)])
+    expected = [int(v) for s, n in zip(starts, lengths) for v in data[s : s + n]]
+    flat, got_lengths = gather_spans(data, starts, lengths)
+    assert flat.dtype == np.int32
+    assert flat.tolist() == expected
+    assert got_lengths.tolist() == lengths.tolist()
 
 
 def test_intersection_counts_matches_set_arithmetic():
@@ -299,12 +316,14 @@ def test_vectorized_index_matches_scalar_index(predicate):
     for position in range(len(records)):
         assert vector.neighbors(
             records[position], exclude_position=position
-        ) == scalar.neighbors(records[position], exclude_position=position)
+        ).tolist() == scalar.neighbors(
+            records[position], exclude_position=position
+        ).tolist()
     # External probes (not in the index), including tokens the encoding
     # dictionaries have never seen.
     probes = RecordStore.from_rows(_citation_rows(random.Random(99), 20))
     for probe in probes:
-        assert vector.neighbors(probe) == scalar.neighbors(probe)
+        assert vector.neighbors(probe).tolist() == scalar.neighbors(probe).tolist()
 
 
 def test_engine_state_roundtrip_preserves_member_queries():
@@ -323,8 +342,8 @@ def test_engine_state_roundtrip_preserves_member_queries():
         cache_hits = 0
 
     for position in range(len(records)):
-        assert rebuilt.member_neighbors(position, _Sink()) == (
-            engine.member_neighbors(position, _Sink())
+        assert rebuilt.member_neighbors(position, _Sink()).tolist() == (
+            engine.member_neighbors(position, _Sink()).tolist()
         )
     # Array rebuilds drop the probe-encoding state: external probes
     # must report "cannot encode" (None), never a wrong answer.
@@ -350,7 +369,7 @@ def test_engine_csr_matches_per_member_lists():
     indptr, flat = engine.member_neighbors_csr(positions, _Sink())
     for row, position in enumerate(positions):
         assert flat[indptr[row] : indptr[row + 1]].tolist() == (
-            engine.member_neighbors(position, _Sink())
+            engine.member_neighbors(position, _Sink()).tolist()
         )
 
 
@@ -448,26 +467,41 @@ def _sweep_rows(seed, n):
     return rows
 
 
+def _known_rows(known, n):
+    """*known* ({position: set of positions}) as the NeighborRows memo
+    the sweep reads."""
+    rows = NeighborRows(n)
+    for position in sorted(known or {}):
+        row = np.array(sorted(known[position]), dtype=np.int32)
+        rows.add(
+            np.array([position], dtype=np.int64),
+            np.array([0, len(row)], dtype=np.int64),
+            row,
+        )
+    return rows
+
+
+def _csr_lists(indptr, flat):
+    return [
+        flat[indptr[row] : indptr[row + 1]].tolist()
+        for row in range(len(indptr) - 1)
+    ]
+
+
 def _check_sweep(predicate, records, positions, known):
-    """member_neighbors_block and member_neighbors_csr against the
-    per-member reference: equal lists and equal counter deltas."""
+    """member_neighbors_csr against the per-member reference: equal
+    lists and equal counter deltas, with *known* read from the rows."""
     engine = _engine(predicate, records)
     expected, expected_counts = _reference_sweep(
         engine, records, predicate, positions, known
     )
     counts = _Counts()
-    lists = engine.member_neighbors_block(positions, counts, known=known)
-    assert lists == expected
+    indptr, flat = engine.member_neighbors_csr(
+        positions, counts, known=_known_rows(known, len(records))
+    )
+    assert flat.dtype == np.int32
+    assert _csr_lists(indptr, flat) == [expected[int(p)] for p in positions]
     assert counts.totals() == expected_counts.totals()
-    if known is None:
-        counts = _Counts()
-        indptr, flat = engine.member_neighbors_csr(positions, counts)
-        assert flat.dtype == np.int32
-        assert [
-            flat[indptr[row] : indptr[row + 1]].tolist()
-            for row in range(len(positions))
-        ] == [expected[int(p)] for p in positions]
-        assert counts.totals() == expected_counts.totals()
 
 
 @pytest.mark.parametrize("budget", [1, None, 10**12], ids=["1", "default", "huge"])
@@ -502,12 +536,125 @@ def test_sweep_with_true_known_sets_equals_member_lists(index):
     predicate = _sweep_predicates()[index]
     records = list(RecordStore.from_rows(_sweep_rows(37, 70)))
     engine = _engine(predicate, records)
-    truth = [engine.member_neighbors(p, _Counts()) for p in range(len(records))]
+    truth = [
+        engine.member_neighbors(p, _Counts()).tolist()
+        for p in range(len(records))
+    ]
     known = {c: set(truth[c]) for c in range(0, len(records), 2)}
-    lists = engine.member_neighbors_block(
-        range(1, len(records), 2), _Counts(), known=known
+    probes = range(1, len(records), 2)
+    indptr, flat = engine.member_neighbors_csr(
+        probes, _Counts(), known=_known_rows(known, len(records))
     )
-    assert lists == {p: truth[p] for p in range(1, len(records), 2)}
+    assert _csr_lists(indptr, flat) == [truth[p] for p in probes]
+
+
+# ---------------------------------------------------------------------------
+# A memoizing NeighborIndex keeps its rows as one CSR
+
+
+@pytest.mark.parametrize("budget", [1, None, 10**12], ids=["1", "default", "huge"])
+@pytest.mark.parametrize("with_known", [False, True], ids=["plain", "known"])
+@pytest.mark.parametrize("index", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
+def test_memo_rows_equal_per_probe_lists(index, with_known, budget, monkeypatch):
+    """Every row a memoizing index serves equals the member's own
+    per-probe list (``member_neighbors``), whether the sweep filled it
+    alone or read pairs from rows filled before it."""
+    if budget is not None:
+        monkeypatch.setattr(batch_module, "SWEEP_ENTRY_BUDGET", budget)
+    predicate = _sweep_predicates()[index]
+    records = list(RecordStore.from_rows(_sweep_rows(29, 90)))
+    engine = _engine(predicate, records)
+    truth = [
+        engine.member_neighbors(p, _Counts()).tolist()
+        for p in range(len(records))
+    ]
+    memo = NeighborIndex(predicate, records, memoize=True, vectorize=True)
+    rng = random.Random(31)
+    if with_known:
+        # One probe at a time first, as the lower-bound walk does: the
+        # sweep below then reads these rows.
+        for p in rng.sample(range(len(records)), 30):
+            row = memo.neighbors(records[p], exclude_position=p)
+            assert row.tolist() == truth[p]
+    positions = rng.sample(range(len(records)), 40)
+    positions += positions[:5]
+    rng.shuffle(positions)
+    indptr, flat = memo.neighbors_csr(positions)
+    assert flat.dtype == np.int32
+    assert _csr_lists(indptr, flat) == [truth[p] for p in positions]
+    assert _csr_lists(*memo.neighbors_csr(range(len(records)))) == truth
+    for p, record in enumerate(records):
+        row = memo.neighbors(record, exclude_position=p)
+        assert row.dtype == np.int32 and not row.flags.writeable
+        assert row.tolist() == truth[p]
+
+
+def _walk_and_fill(predicate, groups, vectorized):
+    """Rows and counters of the three ways a query reads a level's
+    index: a one-probe-at-a-time walk (lower bound), one batch over
+    every member (prune), then every member again (rank pruning)."""
+    with vectorize_mode(vectorized):
+        context = VerificationContext()
+        index = context.neighbor_index(predicate, groups)
+        assert (index.batch_engine is not None) == vectorized
+        representatives = groups.representatives()
+        walk = [
+            index.neighbors(representatives[p], exclude_position=p).tolist()
+            for p in range(12)
+        ]
+        indptr, flat = index.neighbors_csr(range(len(groups)))
+        again = [
+            index.neighbors(record, exclude_position=p).tolist()
+            for p, record in enumerate(representatives)
+        ]
+    counters = context.counters
+    return (
+        walk,
+        _csr_lists(indptr, flat),
+        again,
+        counters.predicate_evaluations,
+        counters.cache_hits,
+        counters.neighbor_queries,
+        counters.neighbor_memo_hits,
+    )
+
+
+@pytest.mark.parametrize("index", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
+def test_vectorized_and_scalar_fills_agree(index):
+    """The batch engine and plain ``evaluate`` (``REPRO_VECTORIZE=0``)
+    fill equal rows and move the shared counters alike: each pair is
+    decided once and its second side is a cache hit, from a filled row
+    or from the verdict dict."""
+    predicate = _sweep_predicates()[index]
+    groups = GroupSet.singletons(RecordStore.from_rows(_sweep_rows(43, 80)))
+    vectorized = _walk_and_fill(predicate, groups, True)
+    scalar = _walk_and_fill(predicate, groups, False)
+    assert vectorized == scalar
+
+
+def test_memo_costs_at_most_8_bytes_per_directed_edge():
+    records = list(
+        RecordStore.from_rows(
+            [fields for fields, _ in synthetic_events(600, seed=1)]
+        )
+    )
+    predicate = NgramOverlapPredicate(field="name", threshold=0.6)
+    index = NeighborIndex(predicate, records, memoize=True, vectorize=True)
+    # Row by row, so the buffer grows many times.
+    edges = sum(
+        len(index.neighbors(record, exclude_position=p))
+        for p, record in enumerate(records)
+    )
+    assert edges > 10 * len(records)
+    assert 0 < index._rows.nbytes <= 8 * edges
+    # No Python container per probe: the indexed records and the key
+    # index, both built before any probe, are the only ones.
+    containers = {
+        name
+        for name, value in vars(index).items()
+        if isinstance(value, (list, set, dict))
+    }
+    assert containers == {"_records", "_index"}
 
 
 @pytest.mark.parametrize("index", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
@@ -592,7 +739,7 @@ def test_custom_predicate_without_hooks_stays_scalar():
     index = NeighborIndex(predicate, list(store), vectorize=True)
     assert not predicate.supports_batch
     assert index.batch_engine is None
-    assert index.neighbors(store[0], exclude_position=0) == [1]
+    assert index.neighbors(store[0], exclude_position=0).tolist() == [1]
 
 
 def test_vectorize_env_switch():

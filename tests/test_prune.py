@@ -1,7 +1,10 @@
 """Unit tests for the prune stage (Section 4.3)."""
 
+import importlib
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.core.prune import prune
@@ -13,6 +16,10 @@ def weighted_groups(names_weights):
     names = [n for n, _ in names_weights]
     weights = [w for _, w in names_weights]
     return GroupSet.singletons(make_store(names, weights=weights))
+
+
+# ``repro.core`` re-exports the ``prune`` function under the module's name.
+prune_module = importlib.import_module("repro.core.prune")
 
 
 class TestPrune:
@@ -105,3 +112,27 @@ class TestPrune:
         result = prune(gs, shared_word_predicate(), bound=10.0)
         names = {gs.store[g.representative_id]["name"] for g in result.retained}
         assert names == {"big a"}
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+def test_numpy_bounds_equal_scalar_bounds_in_blocks(block, monkeypatch):
+    """Summed a block of rows per bincount, every bound still equals the
+    scalar loop's bit for bit: weights of mixed magnitude make the
+    floating-point sums depend on the order they are added in."""
+    if block is not None:
+        monkeypatch.setattr(prune_module, "ROW_SUM_ENTRIES", block)
+    rng = random.Random(5)
+    n = 60
+    weights = [rng.choice([1e-3, 0.1, 1.0, 3.0, 1e4]) * rng.random() for _ in range(n)]
+    at_risk = sorted(rng.sample(range(n), 45))
+    rows = [sorted(rng.sample(range(n), rng.randint(0, 12))) for _ in at_risk]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    flat = np.array([j for row in rows for j in row], dtype=np.int32)
+    bound = sorted(weights)[n // 2] * 4
+    for iterations in (1, 2, 3):
+        args = (n, weights, at_risk, indptr, flat, bound, iterations)
+        assert prune_module._iterate_bounds_numpy(*args) == (
+            prune_module._iterate_bounds_python(*args)
+        )
+

@@ -860,8 +860,8 @@ class TestBlockContainment:
         engine = index.batch_engine
         assert engine is not None and engine.count_mode
         assert engine.symmetric
-        index.neighbors_batch(range(len(records)))
-        assert index._probed is None
+        index.neighbors_csr(range(len(records)))
+        assert index._known is None
         # An asymmetric inner predicate keeps the per-probe path.
         one_way = BlockFaultNgram()
         one_way.symmetric = False
@@ -908,13 +908,15 @@ class TestBlockContainment:
         expected_contained = 0
         for position, record in enumerate(records):
             candidates = plain.candidate_positions(record) - {position}
-            got = guarded.neighbors(record, exclude_position=position)
+            got = guarded.neighbors(record, exclude_position=position).tolist()
             if poisoned[sorted(candidates)].any():
                 # The raising block kept every candidate as an edge.
                 assert got == sorted(candidates)
                 expected_contained += len(candidates)
             else:
-                assert got == plain.neighbors(record, exclude_position=position)
+                assert got == plain.neighbors(
+                    record, exclude_position=position
+                ).tolist()
         assert expected_contained > 0
         assert counters.predicate_errors_contained == expected_contained
 
@@ -924,7 +926,7 @@ class TestBlockContainment:
         guard = GuardedPredicate(BlockFaultNgram(), "necessary", state)
         groups = GroupSet.singletons(make_store(name_grid()))
         index = context.neighbor_index(guard, groups)
-        index.neighbors_batch(list(range(len(groups))))
+        index.neighbors_csr(list(range(len(groups))))
         assert index.batch_engine is not None
         assert context.counters.predicate_errors_contained > 0
         assert context.cached_verdicts(guard) == 0
@@ -969,7 +971,9 @@ class TestBlockContainment:
             "necessary",
             armed_state(counters, call_timeout_seconds=per_pair),
         )
-        got = NeighborIndex(guard, records).neighbors(probe, exclude_position=0)
+        got = NeighborIndex(guard, records).neighbors(
+            probe, exclude_position=0
+        ).tolist()
         if timed_out:
             # Over (timeout x size): every candidate becomes a kept
             # edge, counted once per pair.
@@ -978,7 +982,7 @@ class TestBlockContainment:
         else:
             # A 0.05 s stall is over the per-pair timeout but within the
             # block's scaled budget: the verdicts stand.
-            assert got == plain.neighbors(probe, exclude_position=0)
+            assert got == plain.neighbors(probe, exclude_position=0).tolist()
             assert counters.predicate_timeouts_contained == 0
 
     def test_build_or_probe_failure_falls_back_to_scalar(self):
@@ -991,7 +995,7 @@ class TestBlockContainment:
         index = NeighborIndex(guard, records, vectorize=True)
         assert index.batch_engine is not None
         probe = make_store(["annie smyth"])[0]
-        assert index.neighbors(probe) == plain.neighbors(probe)
+        assert index.neighbors(probe).tolist() == plain.neighbors(probe).tolist()
         assert state.counters.total_contained == 0
 
     def test_budget_exhausts_mid_prune(self):
@@ -1069,11 +1073,20 @@ def _verify_counts(counters):
     return {name: getattr(counters, name) for name in _COUNTERS}
 
 
+def _csr_lists(index, positions):
+    """The rows of ``index.neighbors_csr(positions)``, as lists."""
+    indptr, flat = index.neighbors_csr(positions)
+    return [
+        flat[indptr[row] : indptr[row + 1]].tolist()
+        for row in range(len(indptr) - 1)
+    ]
+
+
 def _member_lists(predicate, records, counters=None):
-    """Every member's list in one ``neighbors_batch`` call (the sweep
+    """Every member's list in one ``neighbors_csr`` call (the sweep
     for a symmetric engine)."""
     index = NeighborIndex(predicate, records, counters=counters)
-    return index.neighbors_batch(range(len(records)))
+    return _csr_lists(index, range(len(records)))
 
 
 def _per_probe_lists(predicate, records):
@@ -1081,7 +1094,7 @@ def _per_probe_lists(predicate, records):
     per probe: the reference a contained chunk must fall back to."""
     index = NeighborIndex(predicate, records)
     return [
-        index.neighbors(record, exclude_position=position)
+        index.neighbors(record, exclude_position=position).tolist()
         for position, record in enumerate(records)
     ]
 
@@ -1180,14 +1193,14 @@ class TestGuardedSweep:
         with vectorize_mode(vectorized):
             plain_context = VerificationContext()
             plain = plain_context.neighbor_index(necessary, groups)
-            plain_lists = plain.neighbors_batch(range(len(groups)))
+            plain_lists = _csr_lists(plain, range(len(groups)))
             context = VerificationContext()
             guard = GuardedPredicate(
                 necessary, "necessary", ExecutionPolicy().start(context.counters)
             )
             guarded = context.neighbor_index(guard, groups)
             assert (guarded.batch_engine is not None) == vectorized
-            assert guarded.neighbors_batch(range(len(groups))) == plain_lists
+            assert _csr_lists(guarded, range(len(groups))) == plain_lists
             assert context.counters.total_contained == 0
             if vectorized:
                 assert _verify_counts(context.counters) == _verify_counts(
@@ -1312,7 +1325,7 @@ class TestGuardedSweep:
         index = NeighborIndex(guard, records)
         assert index.batch_engine.symmetric
         with pytest.raises(RuntimeError, match="block exploded"):
-            index.neighbors_batch(range(len(records)))
+            index.neighbors_csr(range(len(records)))
 
 
 # -- block-level containment of the scorer ------------------------------

@@ -435,8 +435,8 @@ class TestMappedNeighborEngine:
         save_engine_state(engine, path)
         mapped = load_engine_state(path)
         for position in range(len(records)):
-            assert mapped.member_neighbors(position, _Sink()) == (
-                engine.member_neighbors(position, _Sink())
+            assert mapped.member_neighbors(position, _Sink()).tolist() == (
+                engine.member_neighbors(position, _Sink()).tolist()
             )
         indptr_a, flat_a = engine.member_neighbors_csr(range(0, 50, 3), _Sink())
         indptr_b, flat_b = mapped.member_neighbors_csr(range(0, 50, 3), _Sink())

@@ -126,8 +126,8 @@ def _cached_and_bare_lists(context, necessary, groups):
     bare = NeighborIndex(necessary, groups.representatives())
     return [
         (
-            cached.neighbors(representative, exclude_position=position),
-            bare.neighbors(representative, exclude_position=position),
+            cached.neighbors(representative, exclude_position=position).tolist(),
+            bare.neighbors(representative, exclude_position=position).tolist(),
         )
         for position, representative in enumerate(groups.representatives())
     ]
