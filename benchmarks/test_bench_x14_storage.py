@@ -1,17 +1,19 @@
-"""X14: columnar-store cold start vs. in-memory (docs/storage.md).
+"""X14: cold start from a sidecar checkpoint vs inline JSON (docs/storage.md).
 
 Three tiers of the same measurement
-(:func:`repro.experiments.run_storage_scale` — build both store kinds,
-checkpoint, cold-start each in a fresh subprocess):
+(:func:`repro.experiments.run_storage_scale` — checkpoint one corpus in
+both layouts, cold-start each in a fresh subprocess, timing restore +
+audit (*ready*) and ``current_store()``):
 
-* **Smoke** (``REPRO_BENCH_SMOKE=1``, CI storage job): 2k records;
+* **Smoke** (``REPRO_BENCH_SMOKE=1``, CI crash-suite job): 2k records;
   asserts only the contract shape — zero WAL replay, clean audit,
-  identical restored answers — since timing at this size is noise.
+  identical restored state — since timing at this size is noise.
 * **Default** (always runs): 10k records; same contract at a size
   where restore cost is measurable but timing still too noisy to rank.
 * **Large** (``REPRO_BENCH_LARGE=1``): 100k and 1M records; asserts
-  the headline claim — columnar cold-start wall time *and* peak RSS
-  both strictly below the in-memory store's.
+  the headline claim — the sidecar's time to ready, time to
+  ``current_store()`` *and* peak RSS all strictly below the
+  inline-JSON baseline's.
 """
 
 import os
@@ -26,9 +28,9 @@ from repro.experiments import (
 
 
 def _assert_contract(report):
-    for store, stats in report["results"].items():
-        assert stats["entries_replayed"] == 0, (store, stats)
-        assert stats["audit_problems"] == 0, (store, stats)
+    for layout, stats in report["results"].items():
+        assert stats["entries_replayed"] == 0, (layout, stats)
+        assert stats["audit_problems"] == 0, (layout, stats)
         assert stats["entries"] == report["n_records"]
 
 
@@ -63,9 +65,9 @@ def test_x14_cold_start_10k(benchmark, record_table, tmp_path):
     )
     _assert_contract(report)
     # Both artifacts exist and hold the full corpus; no size assertion —
-    # the columnar sidecar also persists the blocking-key index (which
-    # the JSON checkpoint omits and rebuilds on restore), so relative
-    # size is a design trade, not a contract.
+    # the sidecar also persists the blocking-key index (which the JSON
+    # checkpoint omits and rebuilds on restore), so relative size is a
+    # design trade, not a contract.
     for stats in report["results"].values():
         assert stats["checkpoint_bytes"] > 0
 
@@ -76,7 +78,7 @@ def test_x14_cold_start_10k(benchmark, record_table, tmp_path):
 )
 @pytest.mark.timeout(3600)
 @pytest.mark.parametrize("n_records", [100_000, 1_000_000])
-def test_x14_large_columnar_beats_memory(record_table, tmp_path, n_records):
+def test_x14_large_sidecar_beats_json(record_table, tmp_path, n_records):
     report = run_storage_scale(tmp_path, n_records, seed=14)
     record_table(
         format_table(
@@ -86,16 +88,13 @@ def test_x14_large_columnar_beats_memory(record_table, tmp_path, n_records):
         )
     )
     _assert_contract(report)
-    results = report["results"]
-    assert (
-        results["columnar"]["cold_start_s"] < results["memory"]["cold_start_s"]
-    ), (
-        "columnar cold start slower than in-memory: "
-        f"{results['columnar']['cold_start_s']:.3f}s vs "
-        f"{results['memory']['cold_start_s']:.3f}s"
-    )
-    assert results["columnar"]["maxrss_kb"] < results["memory"]["maxrss_kb"], (
-        "columnar cold start peaked above in-memory: "
-        f"{results['columnar']['maxrss_kb']}kB vs "
-        f"{results['memory']['maxrss_kb']}kB"
+    sidecar, baseline = report["results"]["sidecar"], report["results"]["json"]
+    for key in ("ready_s", "store_s"):
+        assert sidecar[key] < baseline[key], (
+            f"sidecar cold start slower than inline JSON on {key}: "
+            f"{sidecar[key]:.3f}s vs {baseline[key]:.3f}s"
+        )
+    assert sidecar["maxrss_kb"] < baseline["maxrss_kb"], (
+        "sidecar cold start peaked above inline JSON: "
+        f"{sidecar['maxrss_kb']}kB vs {baseline['maxrss_kb']}kB"
     )

@@ -187,18 +187,6 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _store_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        choices=("memory", "columnar"),
-        default="memory",
-        help="record store backend: 'columnar' compacts checkpoints "
-        "into memory-mapped array generations, so large corpora "
-        "cold-start by mapping instead of replaying (answers are "
-        "bit-identical either way)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -272,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot the stream state after every N inserts and once "
         "at the end (0 = never; requires --state-dir)",
     )
-    _store_argument(stream)
 
     checkpoint = commands.add_parser(
         "checkpoint",
@@ -288,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.6,
         help="necessary-predicate 3-gram overlap threshold (default 0.6)",
     )
-    _store_argument(checkpoint)
 
     restore = commands.add_parser(
         "restore",
@@ -304,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.6,
         help="necessary-predicate 3-gram overlap threshold (default 0.6)",
     )
-    _store_argument(restore)
 
     health = commands.add_parser(
         "health",
@@ -394,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint after every N applied inserts (0 = only on "
         "drain; requires --state-dir)",
     )
-    _store_argument(serve)
     serve.add_argument(
         "--max-pending-queries",
         type=int,
@@ -732,7 +716,6 @@ def _open_stream_engine(
     ngram_threshold: float,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    store: str = "memory",
     scorer: CachedScorer | None = None,
 ) -> IncrementalTopK:
     """Restore an engine from *state_dir*, or start a fresh durable one."""
@@ -743,7 +726,6 @@ def _open_stream_engine(
             levels,
             tracer=tracer,
             metrics=metrics,
-            store=store,
             scorer=scorer,
         )
         _print_recovery(engine)
@@ -753,7 +735,6 @@ def _open_stream_engine(
         durability=state_dir,
         tracer=tracer,
         metrics=metrics,
-        store=store,
         scorer=scorer,
     )
 
@@ -771,14 +752,12 @@ def run_stream(args: argparse.Namespace) -> int:
             args.ngram_threshold,
             tracer=tracer,
             metrics=metrics,
-            store=args.store,
         )
     else:
         engine = IncrementalTopK(
             generic_levels(args.field, args.ngram_threshold),
             tracer=tracer,
             metrics=metrics,
-            store=args.store,
         )
     try:
         store = load_csv(args.input, args.field, args.weight_field)
@@ -810,7 +789,7 @@ def run_stream(args: argparse.Namespace) -> int:
 
 def run_checkpoint(args: argparse.Namespace) -> int:
     engine = _open_stream_engine(
-        args.state_dir, args.field, args.ngram_threshold, store=args.store
+        args.state_dir, args.field, args.ngram_threshold
     )
     try:
         path = engine.checkpoint()
@@ -827,7 +806,6 @@ def run_restore(args: argparse.Namespace) -> int:
     engine = IncrementalTopK.restore(
         args.state_dir,
         generic_levels(args.field, args.ngram_threshold),
-        store=args.store,
     )
     try:
         _print_recovery(engine)
@@ -956,14 +934,12 @@ def run_serve(args: argparse.Namespace) -> int:
                 args.field,
                 args.ngram_threshold,
                 metrics=metrics,
-                store=args.store,
                 scorer=scorer,
             )
         else:
             engine = IncrementalTopK(
                 generic_levels(args.field, args.ngram_threshold),
                 metrics=metrics,
-                store=args.store,
                 scorer=scorer,
             )
         if args.input is not None:

@@ -35,8 +35,9 @@ engine.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict, deque
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,7 @@ import numpy as np
 from ..graphs.union_find import UnionFind
 from ..predicates.base import PredicateLevel
 from .persistence import (
+    CheckpointError,
     DurabilityPolicy,
     DurableStateStore,
     PersistenceError,
@@ -71,11 +73,8 @@ class EngineSnapshotState:
     reader holding this snapshot is isolated from every later insert.
 
     Attributes:
-        records: All records at freeze time, in id order — a tuple for
-            the in-memory store, or an immutable lazily-materialising
-            :class:`~repro.storage.columnar.FrozenRecordView` over the
-            mapped generation for the columnar store (either way,
-            isolated from every later insert).
+        records: All records at freeze time, in id order, as a tuple
+            (isolated from every later insert).
         components: The level-1 sufficient closure as member-id tuples,
             ordered by smallest member id (deterministic across runs).
         generation: The engine :attr:`~IncrementalTopK.version` the
@@ -85,7 +84,7 @@ class EngineSnapshotState:
             not replayable state).
     """
 
-    records: Sequence
+    records: tuple[Record, ...]
     components: tuple[tuple[int, ...], ...]
     generation: int
     entries_applied: int
@@ -109,6 +108,48 @@ class DeadLetter:
     weight: float
     error: str
     stage: str
+
+
+def validate_fields(fields) -> dict[str, str]:
+    """Check a record's fields; return them as a plain dict.
+
+    Keys and values must be strings that encode as UTF-8 (a lone
+    surrogate such as ``"\\ud800"`` is a legal JSON string but does
+    not), else :class:`ValueError` names the rule broken.
+    """
+    if not isinstance(fields, Mapping) or not all(
+        isinstance(key, str) and isinstance(value, str)
+        for key, value in fields.items()
+    ):
+        raise ValueError("fields must be a string-to-string object")
+    try:
+        for key, value in fields.items():
+            key.encode("utf-8")
+            value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("fields must be valid UTF-8 strings") from None
+    return dict(fields)
+
+
+def validate_insert(fields, weight) -> tuple[dict[str, str], float]:
+    """Check one insert's payload; return the ``(fields, weight)`` to store.
+
+    *fields* must pass :func:`validate_fields` and *weight* must convert
+    to a finite float.  A record outside that domain would be journaled
+    and then break the directory for good: its fields cannot be encoded
+    into a checkpoint sidecar, and a non-finite weight fails the audit
+    of every later restore.  :meth:`IncrementalTopK.add` and the
+    service's ``/insert`` handler both call this before anything is
+    journaled; the :class:`ValueError` it raises names the rule broken.
+    """
+    fields = validate_fields(fields)
+    try:
+        value = float(weight)
+    except (TypeError, ValueError):
+        raise ValueError("weight must be a finite number") from None
+    if not math.isfinite(value):
+        raise ValueError("weight must be a finite number")
+    return fields, value
 
 
 def _walk_root(parent: list[int], record_id: int) -> int:
@@ -159,15 +200,6 @@ class IncrementalTopK:
             journal inserts into.  Must not already hold stream state —
             resume an existing directory with :meth:`restore` instead.
             None (the default) keeps the engine purely in-memory.
-        store: ``"memory"`` (the default) keeps records as resident
-            Python objects and writes inline-JSON checkpoints;
-            ``"columnar"`` keeps records in a
-            :class:`~repro.storage.columnar.HybridRecordList` (an
-            immutable mapped base generation plus an in-memory tail)
-            and compacts checkpoints into ``columnar-<entries>.col``
-            array sidecars, so a restore cold-starts by mapping the
-            sidecar instead of parsing JSON.  Answers are bit-identical
-            between the two.
         scorer: Final pairwise criterion P
             (:class:`~repro.scoring.pairwise.PairwiseScorer`), required
             only for ``query(kind="interval")`` — interval semantics
@@ -189,7 +221,6 @@ class IncrementalTopK:
         quarantine: bool = True,
         dead_letter_limit: int = 1000,
         durability: DurabilityPolicy | str | Path | None = None,
-        store: str = "memory",
         scorer=None,
         tracer=None,
         metrics=None,
@@ -200,21 +231,11 @@ class IncrementalTopK:
             raise ValueError(
                 f"dead_letter_limit must be >= 0, got {dead_letter_limit}"
             )
-        if store not in ("memory", "columnar"):
-            raise ValueError(
-                f"store must be 'memory' or 'columnar', got {store!r}"
-            )
         self._levels = levels
         self._scorer = scorer
         self._max_verifications = max_block_verifications
         self._quarantine = quarantine
-        self._store_kind = store
-        if store == "columnar":
-            from ..storage.columnar import HybridRecordList
-
-            self._records: Sequence[Record] = HybridRecordList()
-        else:
-            self._records = []
+        self._records: list[Record] = []
         self._uf = UnionFind(0)
         self._key_members: dict[Hashable, list[int]] = defaultdict(list)
         self._version = 0
@@ -270,11 +291,6 @@ class IncrementalTopK:
         return self._entries_applied
 
     @property
-    def store_kind(self) -> str:
-        """The record-store backend: ``"memory"`` or ``"columnar"``."""
-        return self._store_kind
-
-    @property
     def durable(self) -> bool:
         """True when inserts are journaled to a state directory."""
         return self._durable is not None
@@ -316,10 +332,15 @@ class IncrementalTopK:
         write-ahead log *before* any engine state mutates — a crash at
         any point loses at most inserts whose WAL entries did not
         survive, never the applied prefix.
+
+        Raises :class:`ValueError` (see :func:`validate_insert`) before
+        journaling anything when *fields* is not string-to-string or
+        *weight* is not a finite number.
         """
+        fields, weight = validate_insert(fields, weight)
         if self._durable is not None:
             self._durable.append(
-                {"op": "add", "fields": dict(fields), "weight": weight}
+                {"op": "add", "fields": fields, "weight": weight}
             )
         return self._apply_add(fields, weight)
 
@@ -405,12 +426,8 @@ class IncrementalTopK:
             tuple(members)
             for members in sorted(by_root.values(), key=lambda m: m[0])
         )
-        # The columnar container freezes into an immutable view sharing
-        # the mapped base — copying one tuple of tail references, not
-        # the corpus; the in-memory list is copied wholesale as before.
-        freeze = getattr(self._records, "freeze", None)
         return EngineSnapshotState(
-            records=freeze() if freeze is not None else tuple(self._records),
+            records=tuple(self._records),
             components=components,
             generation=self._version,
             entries_applied=self._entries_applied,
@@ -555,18 +572,19 @@ class IncrementalTopK:
     def checkpoint(self, *, prune: bool = True) -> Path:
         """Snapshot the full stream state into the state directory.
 
-        The snapshot (record store, union-find closure, per-group
-        weights, dead letters) is written atomically; WAL segments and
+        The bulk state (records, union-find closure, per-group weights,
+        blocking-key postings) goes into a ``columnar-<entries>.col``
+        array sidecar, written before the small JSON checkpoint file
+        (header, dead letters) that references it; both writes are
+        atomic, retried on transient I/O errors and guarded by the
+        checkpoint breaker.  A crash between the two leaves an orphan
+        sidecar that the next prune removes.  A failed write — or state
+        replayed from an older directory whose fields cannot be encoded
+        — raises :class:`~repro.core.persistence.CheckpointWriteError`
+        and counts in ``checkpoints_failed``.  WAL segments and
         checkpoints subsumed by the retention policy are pruned unless
         *prune* is False (crash harnesses keep the full history so any
         write moment stays reconstructible).
-
-        With the columnar store, the bulk state is **compacted** into a
-        ``columnar-<entries>.col`` array sidecar written before the
-        (now small) checkpoint file that references it, and the live
-        container swaps its base to the freshly mapped generation —
-        releasing the resident tail.  A crash between the two writes
-        leaves an orphan sidecar that the next prune removes.
 
         Returns the checkpoint's path.  Requires durability.
         """
@@ -575,13 +593,37 @@ class IncrementalTopK:
                 "checkpoint() requires durability: construct the engine "
                 "with a state directory (durability=...)"
             )
-        parent, size, n_components = self._uf.state()
+        from ..storage import engine_state
+
+        def build_sidecar():
+            parent, size, n_components = self._uf.state()
+            arrays, meta = engine_state.build_sidecar_arrays(
+                self._records, parent, size, n_components, self._key_members
+            )
+            meta["engine_version"] = self._version
+            meta["entries_applied"] = self._entries_applied
+            return arrays, meta
+
+        sidecar = self._durable.write_sidecar(
+            self._entries_applied, build_sidecar
+        )
         header = {
             "engine_version": self._version,
             "entries_applied": self._entries_applied,
             "n_records": len(self._records),
         }
-        dead_letters_section = {
+        sections = {
+            "columnar": {"file": sidecar.name, "n_records": len(self._records)},
+            "dead_letters": self._dead_letter_section(),
+        }
+        path = self._durable.write_checkpoint(header, sections)
+        if prune:
+            self._durable.prune()
+        return path
+
+    def _dead_letter_section(self) -> dict:
+        """The checkpoint's ``dead_letters`` section (JSON-ready)."""
+        return {
             "letters": [
                 {
                     "fields": dict(letter.fields),
@@ -594,48 +636,6 @@ class IncrementalTopK:
             "dropped": self._dead_letters_dropped,
             "limit": self._dead_letter_limit,
         }
-        if self._store_kind == "columnar":
-            from ..storage import engine_state as col_state
-
-            arrays, meta, _has_postings = col_state.build_sidecar_arrays(
-                self._records, parent, size, n_components, self._key_members
-            )
-            meta["engine_version"] = self._version
-            meta["entries_applied"] = self._entries_applied
-            sidecar = col_state.write_sidecar(
-                self._durable.directory, self._entries_applied, arrays, meta
-            )
-            sections: dict[str, object] = {
-                "columnar": {
-                    "file": sidecar.name,
-                    "n_records": len(self._records),
-                },
-                "dead_letters": dead_letters_section,
-            }
-            path = self._durable.write_checkpoint(header, sections)
-            generation = col_state.open_sidecar(sidecar)
-            self._records.swap_base(generation.records)
-        else:
-            group_weights: dict[int, float] = defaultdict(float)
-            for record in self._records:
-                group_weights[self._uf.find(record.record_id)] += record.weight
-            sections = {
-                "records": [
-                    {"fields": dict(r.fields), "weight": r.weight}
-                    for r in self._records
-                ],
-                "union_find": {
-                    "parent": parent,
-                    "size": size,
-                    "n_components": n_components,
-                },
-                "groups": sorted(group_weights.items()),
-                "dead_letters": dead_letters_section,
-            }
-            path = self._durable.write_checkpoint(header, sections)
-        if prune:
-            self._durable.prune()
-        return path
 
     @classmethod
     def restore(
@@ -647,33 +647,33 @@ class IncrementalTopK:
         verdict_cache_limit: int = 2_000_000,
         quarantine: bool = True,
         dead_letter_limit: int = 1000,
-        store: str = "memory",
         scorer=None,
         tracer=None,
         metrics=None,
     ) -> "IncrementalTopK":
         """Rebuild an engine from a state directory after a crash.
 
-        Loads the newest checkpoint that validates (corrupt newer ones
-        fall back to older), rebuilds the blocking-key index from the
-        record store, replays the surviving WAL tail, absorbs a torn or
-        corrupt *trailing* entry (the signature of a crash mid-append)
-        and raises :class:`~repro.core.persistence.WalCorruptionError`
-        on mid-log damage.  The recovered state must pass
-        :meth:`audit` before it is accepted; what recovery did is
-        recorded in :attr:`last_recovery`.  The returned engine keeps
-        journaling into the same directory.
+        Seeds from the newest checkpoint that installs, replays the
+        surviving WAL tail, absorbs a torn or corrupt *trailing* entry
+        (the signature of a crash mid-append) and raises
+        :class:`~repro.core.persistence.WalCorruptionError` on mid-log
+        damage.  The recovered state must pass :meth:`audit` before it
+        is accepted; what recovery did is recorded in
+        :attr:`last_recovery`.  The returned engine keeps journaling
+        into the same directory.
 
-        A ``store="columnar"`` engine restoring from a compacted
-        (format-2) checkpoint maps the ``columnar-<entries>.col``
-        sidecar: records stay on disk and materialise lazily, the
-        closure is validated with array kernels, and the blocking-key
-        index is loaded from persisted postings instead of re-keying
-        every record — no per-record Python work before the WAL tail
-        replays.  Either store kind restores either checkpoint format
-        (a memory engine materialises a columnar checkpoint; a columnar
-        engine accepts an inline-JSON one and compacts at its next
-        checkpoint), with bit-identical answers throughout.
+        A checkpoint's ``columnar-<entries>.col`` sidecar is mapped,
+        every array checksum verified, its closure validated with array
+        kernels, and its records and blocking-key index decoded in bulk
+        (no predicate calls).  A checkpoint that fails any of that — or
+        its own frame checksums — is skipped for the next older one
+        (counted in ``corrupt_checkpoints_skipped``); the WAL retained
+        behind that one replays forward.  When nothing older reaches
+        the skipped checkpoint's entry count, restore raises
+        :class:`~repro.core.persistence.CheckpointError` rather than
+        silently dropping entries.  Checkpoints written before the
+        sidecar became the only layout (inline JSON sections) stay
+        readable; the next :meth:`checkpoint` writes a sidecar.
 
         *levels* must be the same predicate suite the stream was built
         with (predicates are code and are not serialized); recovery
@@ -685,29 +685,46 @@ class IncrementalTopK:
             raise PersistenceError(
                 f"{policy.path} holds no stream state to restore"
             )
-        engine = cls(
-            levels,
-            max_block_verifications=max_block_verifications,
-            verdict_cache_limit=verdict_cache_limit,
-            quarantine=quarantine,
-            dead_letter_limit=dead_letter_limit,
-            durability=None,
-            store=store,
-            scorer=scorer,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        loaded = durable.load_latest_checkpoint()
+
+        def empty_engine() -> "IncrementalTopK":
+            return cls(
+                levels,
+                max_block_verifications=max_block_verifications,
+                verdict_cache_limit=verdict_cache_limit,
+                quarantine=quarantine,
+                dead_letter_limit=dead_letter_limit,
+                durability=None,
+                scorer=scorer,
+                tracer=tracer,
+                metrics=metrics,
+            )
+
+        engine = empty_engine()
         checkpoint_path: Path | None = None
         checkpoint_entries = 0
-        corrupt_skipped = 0
-        if loaded is not None:
-            header, sections, checkpoint_path, corrupt_skipped = loaded
-            engine._install_checkpoint(
-                header, sections, directory=durable.directory
-            )
+        skipped: list[tuple[int, CheckpointError]] = []
+        for entries, path in reversed(durable.checkpoints()):
+            try:
+                header, sections = durable.read_checkpoint(path)
+                engine._install_checkpoint(
+                    header, sections, directory=durable.directory
+                )
+            except CheckpointError as exc:
+                skipped.append((entries, exc))
+                engine = empty_engine()  # drop a partial install
+                continue
+            checkpoint_path = path
             checkpoint_entries = engine._entries_applied
+            break
         log = durable.recover_log()
+        if skipped:
+            lost, reason = skipped[0]
+            if max(checkpoint_entries, log.end_index) < lost:
+                raise CheckpointError(
+                    f"the checkpoint at entry {lost} is unusable "
+                    f"({reason}) and no older checkpoint or WAL segment "
+                    f"reaches that entry"
+                ) from reason
         if log.segments and log.first_index > checkpoint_entries:
             raise WalCorruptionError(
                 f"WAL starts at entry {log.first_index} but the newest "
@@ -743,7 +760,7 @@ class IncrementalTopK:
             checkpoint_entries=checkpoint_entries,
             entries_replayed=replayed,
             torn_tail_bytes=log.torn_tail_bytes,
-            corrupt_checkpoints_skipped=corrupt_skipped,
+            corrupt_checkpoints_skipped=len(skipped),
         )
         return engine
 
@@ -752,12 +769,9 @@ class IncrementalTopK:
     ) -> None:
         """Load a validated checkpoint's sections into this (empty) engine.
 
-        Dispatches on the checkpoint's shape, not the engine's store
-        kind: a ``columnar`` reference section installs by mapping the
-        array sidecar, inline JSON sections install the v1 way.  Either
-        engine kind accepts either shape — the store kind only decides
-        whether the installed records live in a hybrid mapped container
-        or a plain list.
+        A ``columnar`` reference section installs from the array
+        sidecar; inline JSON sections (written before the sidecar was
+        the only layout) install through the legacy reader.
         """
         if "columnar" in sections:
             self._install_columnar_checkpoint(header, sections, directory)
@@ -767,18 +781,18 @@ class IncrementalTopK:
     def _install_columnar_checkpoint(
         self, header: dict, sections: dict[str, object], directory
     ) -> None:
-        """Map a format-2 checkpoint's array sidecar and adopt it.
+        """Map a checkpoint's array sidecar and decode it into the engine.
 
         The sidecar's closure is validated with array kernels (same
-        invariants as the scalar path, bit for bit), and when the
-        blocking-key index was persisted it loads from postings with
-        zero predicate calls; otherwise it is re-derived exactly like a
-        v1 restore.
+        invariants as the scalar path, bit for bit), the records are
+        decoded in one bulk pass, and when the blocking-key index was
+        persisted it loads from postings with zero predicate calls;
+        otherwise it is re-derived from the records.
         """
-        from ..storage import engine_state as col_state
-        from ..storage.columnar import HybridRecordList
+        import struct
+
+        from ..storage import engine_state
         from ..storage.layout import ArrayFileError
-        from .persistence import CheckpointError
 
         if directory is None:
             raise CheckpointError(
@@ -807,7 +821,7 @@ class IncrementalTopK:
                 f"checkpoint sections are malformed: {exc!r}"
             ) from exc
         try:
-            columns = col_state.open_sidecar(Path(directory) / name)
+            columns = engine_state.open_sidecar(Path(directory) / name)
             columns.validate()
         except (ArrayFileError, OSError) as exc:
             raise CheckpointError(
@@ -820,18 +834,21 @@ class IncrementalTopK:
                 f"checkpoint declares {n_declared} records but the sidecar "
                 f"holds {columns.records.n}"
             )
+        try:
+            records = columns.records.to_records()
+            key_members = columns.key_members()
+        except (IndexError, ValueError, struct.error) as exc:
+            # The bodies' checksums held, so this sidecar was written
+            # wrong: an id out of range, bad UTF-8, a truncated key.
+            raise CheckpointError(
+                f"columnar sidecar {name} does not decode: {exc!r}"
+            ) from exc
         self._uf = UnionFind.from_state(
             columns.uf_parent.tolist(),
             columns.uf_size.tolist(),
             columns.n_components,
         )
-        if self._store_kind == "columnar":
-            self._records = HybridRecordList(columns.records)
-        else:
-            self._records = [
-                columns.records.record(i) for i in range(columns.records.n)
-            ]
-        key_members = columns.key_members()
+        self._records = records
         if key_members is not None:
             self._key_members = key_members
         else:
@@ -861,9 +878,8 @@ class IncrementalTopK:
     def _install_json_checkpoint(
         self, header: dict, sections: dict[str, object]
     ) -> None:
-        """Install inline (v1-style) JSON sections."""
-        from .persistence import CheckpointError
-
+        """Install inline JSON sections, the checkpoint layout written
+        before every checkpoint carried an array sidecar."""
         try:
             records = sections["records"]
             uf_state = sections["union_find"]
@@ -920,30 +936,19 @@ class IncrementalTopK:
             raise StateAuditError(
                 "checkpointed group weights do not sum to member weights"
             )
-        if self._store_kind == "columnar":
-            # A columnar engine restoring a v1 checkpoint keeps its
-            # hybrid container (all records in the tail); the next
-            # checkpoint compacts them into a mapped generation.
-            from ..storage.columnar import HybridRecordList
-
-            hybrid = HybridRecordList()
-            for record in self._records:
-                hybrid.append(record)
-            self._records = hybrid
-        # The v1 format deliberately does not persist the blocking-key
-        # index; it is re-derived from the records.
+        # This layout does not persist the blocking-key index; it is
+        # re-derived from the records.
         self._rebuild_key_index()
 
     def _audit_closure_fast(self, parent, record_weights, n):
         """Vectorised closure walk: ``(root → count, root → weight)``.
 
-        Only applicable when the record store exposes its weights as an
-        array (hybrid/columnar containers) and the union-find covers the
-        store exactly.  Returns ``None`` when inapplicable or when the
-        parent array is malformed — the scalar walk then re-discovers
-        the damage one record at a time with precise messages.
+        Only applicable when the union-find covers the store exactly.
+        Returns ``None`` when inapplicable or when the parent array is
+        malformed — the scalar walk then re-discovers the damage one
+        record at a time with precise messages.
         """
-        if record_weights is None or len(parent) != n or n == 0:
+        if len(parent) != n or n == 0:
             return None
         from ..storage.engine_state import resolve_roots
         from ..storage.layout import ArrayFileError
@@ -955,12 +960,9 @@ class IncrementalTopK:
         counts = np.bincount(resolved, minlength=n)
         sums = np.bincount(resolved, weights=record_weights, minlength=n)
         root_ids = np.nonzero(counts)[0]
-        roots = {
-            int(root): int(counts[root]) for root in root_ids.tolist()
-        }
-        weights = {
-            int(root): float(sums[root]) for root in root_ids.tolist()
-        }
+        root_list = root_ids.tolist()
+        roots = dict(zip(root_list, counts[root_ids].tolist()))
+        weights = dict(zip(root_list, sums[root_ids].tolist()))
         return roots, weights
 
     def _audit_closure_scalar(self, parent, record_weights, n, problems):
@@ -991,10 +993,7 @@ class IncrementalTopK:
             if node is None:
                 continue
             roots[node] += 1
-            if record_weights is not None:
-                weights[node] += float(record_weights[record_id])
-            else:
-                weights[node] += self._records[record_id].weight
+            weights[node] += float(record_weights[record_id])
         return roots, weights
 
     def audit(self, strict: bool = True) -> list[str]:
@@ -1019,8 +1018,11 @@ class IncrementalTopK:
                 f"union-find covers {len(parent)} elements but the store "
                 f"holds {n} records"
             )
-        weights_array = getattr(self._records, "weights_array", None)
-        record_weights = weights_array() if weights_array is not None else None
+        record_weights = np.fromiter(
+            (record.weight for record in self._records),
+            dtype=np.float64,
+            count=n,
+        )
         fast = self._audit_closure_fast(parent, record_weights, n)
         if fast is not None:
             roots, weights = fast
@@ -1044,21 +1046,18 @@ class IncrementalTopK:
             if not math.isfinite(weight):
                 problems.append(f"group at root {root} has non-finite weight")
         total_group = sum(weights.values())
-        if record_weights is not None:
-            total_records = float(np.sum(record_weights))
-        else:
-            total_records = sum(r.weight for r in self._records)
+        total_records = float(np.sum(record_weights))
         if not math.isclose(total_group, total_records, rel_tol=1e-9, abs_tol=1e-9):
             problems.append(
                 f"group weights sum to {total_group} but record weights "
                 f"sum to {total_records}"
             )
         for key, members in self._key_members.items():
-            if any(not 0 <= m < n for m in members):
+            if members and (min(members) < 0 or max(members) >= n):
                 problems.append(
                     f"key index entry {key!r} references an invalid record id"
                 )
-            elif any(a >= b for a, b in zip(members, members[1:])):
+            elif not all(map(operator.lt, members, members[1:])):
                 problems.append(
                     f"key index entry {key!r} is not in insertion order"
                 )

@@ -12,23 +12,21 @@ log-structured stores:
   size.  A crash can therefore only ever lose the suffix of inserts
   whose WAL entries did not survive — never corrupt the applied prefix.
 * **Checkpoints** — versioned snapshot files
-  (``checkpoint-<entries>.ckpt``) of the record store, union-find
-  closure, per-group weights and dead letters, written atomically
-  (tmp file + fsync + rename + directory fsync) as framed sections,
-  each carrying its own CRC32, behind a format-version header.
-  Segments fully subsumed by a retained checkpoint are deleted.
+  (``checkpoint-<entries>.ckpt``) written atomically (tmp file + fsync
+  + rename + directory fsync) as framed sections, each carrying its
+  own CRC32, behind a format-version header.  The bulk state — record
+  store, union-find closure, per-group weights and blocking-key
+  postings — lives in a ``columnar-<entries>.col`` array sidecar
+  (:mod:`repro.storage`) the checkpoint names; the checkpoint file
+  itself keeps the header and the dead letters.  Segments fully
+  subsumed by a retained checkpoint are deleted, sidecars with their
+  checkpoints.
 * **Recovery** — load the newest *valid* checkpoint (corrupt ones fall
   back to older), replay the WAL tail, stop cleanly at a torn or
   corrupt **trailing** entry (the signature of a crash mid-append) and
   raise :class:`WalCorruptionError` on **mid-log** damage (an invalid
   entry with intact data after it, a missing segment, or an index gap
   — real damage, not a crash).
-
-The index side of the state (the blocking-key inverted lists) is
-deliberately *not* persisted: as in the Sarawagi–Kirpal set-join
-infrastructure, indexes are cheap to rebuild from the record store,
-while the closure — the expensive pairwise-verified part — is exactly
-what the checkpoint preserves.
 
 File formats are private to this module; the public surface is
 :class:`DurabilityPolicy`, :class:`DurableStateStore`,
@@ -58,11 +56,11 @@ from .retry import (
 )
 
 FORMAT_VERSION = 2
-#: Checkpoint formats this build can restore.  Format 2 (current) may
-#: carry a ``columnar`` section referencing a ``columnar-<entries>.col``
-#: array sidecar instead of inline JSON state; format 1 (inline JSON
-#: only) stays fully readable for state directories written before the
-#: columnar store existed.
+#: Checkpoint formats this build can restore.  The writer emits format
+#: 2 with a ``columnar`` section referencing a ``columnar-<entries>.col``
+#: array sidecar; checkpoints with inline JSON state (format 1, and
+#: format-2 files written before the sidecar was the only layout) stay
+#: readable, so older state directories keep restoring.
 SUPPORTED_FORMAT_VERSIONS = (1, 2)
 CHECKPOINT_MAGIC = "repro-checkpoint"
 
@@ -71,7 +69,7 @@ _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"
 _CKPT_PREFIX = "checkpoint-"
 _CKPT_SUFFIX = ".ckpt"
-#: Columnar engine-state sidecars (format-2 checkpoints reference one).
+#: Engine-state array sidecars (each checkpoint references one).
 _COL_PREFIX = "columnar-"
 _COL_SUFFIX = ".col"
 _INDEX_DIGITS = 12
@@ -636,11 +634,15 @@ class DurableStateStore:
         numbering stays contiguous with what recovery restored.
         """
         self.close()
-        # A crash mid-checkpoint can leave a ``.tmp`` behind; recovery
-        # never reads them, but clear them so the directory only holds
-        # live state.
-        for stale in self.directory.glob(f"{_CKPT_PREFIX}*{_CKPT_SUFFIX}.tmp"):
-            stale.unlink()
+        # A crash mid-checkpoint can leave a ``.tmp`` behind (of the
+        # checkpoint or of its sidecar); recovery never reads them, but
+        # clear them so the directory only holds live state.
+        for prefix, suffix in (
+            (_CKPT_PREFIX, _CKPT_SUFFIX),
+            (_COL_PREFIX, _COL_SUFFIX),
+        ):
+            for stale in self.directory.glob(f"{prefix}*{suffix}.tmp"):
+                stale.unlink()
         if log.segments:
             last = log.segments[-1]
             if last.torn_reason is not None:
@@ -679,14 +681,65 @@ class DurableStateStore:
         path = self.directory / (
             f"{_CKPT_PREFIX}{entries:0{_INDEX_DIGITS}d}{_CKPT_SUFFIX}"
         )
+        return self._write_atomic(
+            path, lambda: [blob], entries=entries, what="checkpoint"
+        )
+
+    def write_sidecar(self, entries: int, build) -> Path:
+        """Atomically write the ``columnar-<entries>.col`` array sidecar
+        that the checkpoint at *entries* will reference.
+
+        *build* returns the sidecar's ``(arrays, meta)``; it runs once,
+        after the checkpoint breaker admits the write, so an open
+        breaker refuses before the corpus is encoded.  Written *before*
+        that checkpoint: an orphan sidecar is harmless (the next prune
+        removes it), a dangling reference is not.  The write is retried
+        and counted like :meth:`write_checkpoint`'s; a
+        :class:`ValueError` from *build* (state that cannot be encoded)
+        fails it the same way, without a retry.
+        """
+        from ..storage.layout import array_file_chunks
+
+        return self._write_atomic(
+            columnar_sidecar_path(self.directory, entries),
+            lambda: array_file_chunks(*build()),
+            entries=entries,
+            what="checkpoint sidecar",
+            fault_ids={"file": "sidecar"},
+        )
+
+    def _write_atomic(
+        self,
+        path: Path,
+        encode,
+        *,
+        entries: int,
+        what: str,
+        fault_ids: dict | None = None,
+    ) -> Path:
+        """Write the buffers ``encode()`` returns to *path* atomically
+        (tmp + fsync + rename + directory fsync) under the checkpoint
+        retry policy and breaker, with the checkpoint fault site armed.
+
+        ``encode`` runs once, before the first attempt opens the tmp
+        file.  Any failure counts in :attr:`checkpoints_failed`, removes
+        the tmp file and raises :class:`CheckpointWriteError`.
+        """
         tmp = path.with_suffix(path.suffix + ".tmp")
+        chunks: list = []
 
         def _attempt(attempt: int) -> None:
+            if not chunks:
+                chunks.extend(encode())
             with open(tmp, "wb") as handle:
                 fire_fault(
-                    SITE_CHECKPOINT_WRITE, entries=entries, attempt=attempt
+                    SITE_CHECKPOINT_WRITE,
+                    entries=entries,
+                    attempt=attempt,
+                    **(fault_ids or {}),
                 )
-                handle.write(blob)
+                for chunk in chunks:
+                    handle.write(chunk)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -701,7 +754,7 @@ class DurableStateStore:
                 metrics=self._metrics,
                 subsystem="checkpoint",
             )
-        except (RetryExhausted, OSError) as exc:
+        except (RetryExhausted, OSError, ValueError) as exc:
             self.checkpoints_failed += 1
             if self._metrics is not None:
                 self._metrics.counter("repro_checkpoint_failures_total").inc()
@@ -710,7 +763,7 @@ class DurableStateStore:
             except OSError:
                 pass
             raise CheckpointWriteError(
-                f"checkpoint at entry {entries} failed ({exc}); the prior "
+                f"{what} at entry {entries} failed ({exc}); the prior "
                 f"checkpoint and all WAL segments are retained"
             ) from exc
         return path
@@ -762,37 +815,19 @@ class DurableStateStore:
             )
         return header, sections
 
-    def load_latest_checkpoint(
-        self,
-    ) -> tuple[dict, dict[str, object], Path, int] | None:
-        """Return the newest checkpoint that validates, or None.
+    def checkpoints(self) -> list[tuple[int, Path]]:
+        """``(entries, path)`` of every checkpoint file, oldest first
+        (valid or not: see :meth:`checkpoint_usable`)."""
+        return _list_indexed(self.directory, _CKPT_PREFIX, _CKPT_SUFFIX)
 
-        Corrupt newer checkpoints are skipped (their count is returned
-        as the 4th element) — a torn checkpoint write must never make
-        older durable state unreachable.
-        """
-        skipped = 0
-        for _entries, path in reversed(
-            _list_indexed(self.directory, _CKPT_PREFIX, _CKPT_SUFFIX)
-        ):
-            try:
-                header, sections = self.read_checkpoint(path)
-            except CheckpointError:
-                skipped += 1
-                continue
-            if not self._sidecar_valid(sections):
-                # A format-2 checkpoint whose columnar sidecar is gone
-                # or damaged is as unusable as a corrupt checkpoint:
-                # fall back to the next older one.
-                skipped += 1
-                continue
-            return header, sections, path, skipped
-        return None
-
-    def _sidecar_valid(self, sections: dict[str, object]) -> bool:
-        """Whether the columnar sidecar *sections* references (if any)
-        exists with an intact header.  Cheap: the sidecar's array
-        bodies are checksum-verified lazily, never at validation."""
+    def checkpoint_usable(self, path: Path) -> bool:
+        """Whether a restore could actually seed from this checkpoint:
+        it parses, its checksums hold, and the array sidecar it names
+        (if any) is intact, every body checksum included."""
+        try:
+            _header, sections = self.read_checkpoint(path)
+        except CheckpointError:
+            return False
         ref = sections.get("columnar")
         if ref is None:
             return True
@@ -801,23 +836,13 @@ class DurableStateStore:
         name = ref.get("file")
         if not isinstance(name, str) or "/" in name or name in (".", ".."):
             return False
-        from ..storage.layout import read_header_meta
+        from ..storage.layout import MappedArrays
 
         try:
-            read_header_meta(self.directory / name)
+            MappedArrays(self.directory / name, verify=True)
         except (ValueError, OSError):
             return False
         return True
-
-    def checkpoint_usable(self, path: Path) -> bool:
-        """Whether a restore could actually seed from this checkpoint:
-        it parses, its checksums hold, and (format 2) its columnar
-        sidecar's header validates."""
-        try:
-            _header, sections = self.read_checkpoint(path)
-        except CheckpointError:
-            return False
-        return self._sidecar_valid(sections)
 
     def prune(self) -> None:
         """Drop checkpoints beyond the retention count, then WAL
@@ -835,10 +860,9 @@ class DurableStateStore:
         every segment (and every checkpoint file, for forensics) is
         still load-bearing.
         """
-        checkpoints = _list_indexed(self.directory, _CKPT_PREFIX, _CKPT_SUFFIX)
         valid: list[tuple[int, Path]] = []
         corrupt: list[Path] = []
-        for entries, path in checkpoints:
+        for entries, path in self.checkpoints():
             if self.checkpoint_usable(path):
                 valid.append((entries, path))
             else:

@@ -79,20 +79,6 @@ class RecordStore:
             for i, (row, w) in enumerate(zip(rows, weight_list))
         )
 
-    @classmethod
-    def backed_by(cls, records) -> "RecordStore":
-        """Wrap a position-indexed sequence without copying it.
-
-        For lazily-materialising columnar views
-        (:class:`repro.storage.FrozenRecordView`), whose construction
-        already guarantees ``records[i].record_id == i``: skipping the
-        eager copy keeps mapped records unmaterialised until touched.
-        The caller vouches for the id invariant.
-        """
-        store = cls.__new__(cls)
-        store._records = records
-        return store
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -215,7 +201,7 @@ def group_fingerprint(group_set: GroupSet) -> tuple:
     Two group sets with equal fingerprints have identical members,
     weights (bit-exact floats), and elected representatives — the
     equality the bit-identity checks compare (scalar vs vectorized
-    paths, memory vs columnar stores, restored vs replayed engines).
+    paths, live vs restored engines, restored vs replayed engines).
     """
     return tuple(
         sorted(

@@ -10,12 +10,7 @@ from .citations import (
     generate_getoor_sample,
     suggest_min_idf,
 )
-from .io import (
-    load_dataset,
-    load_dataset_columnar,
-    save_dataset,
-    save_dataset_columnar,
-)
+from .io import load_dataset, save_dataset
 from .labeled import sample_labeled_pairs, split_groups
 from .restaurants import generate_restaurants
 from .students import CURRENT_DATE, generate_students
@@ -33,10 +28,8 @@ __all__ = [
     "generate_restaurants",
     "generate_students",
     "load_dataset",
-    "load_dataset_columnar",
     "sample_labeled_pairs",
     "save_dataset",
-    "save_dataset_columnar",
     "split_groups",
     "suggest_min_idf",
 ]

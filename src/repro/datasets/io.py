@@ -1,17 +1,10 @@
-"""CSV and columnar round-tripping for labeled datasets.
+"""CSV round-tripping for labeled datasets.
 
 `python -m repro generate` writes synthetic corpora with a
 ``gold_entity`` column; this module reads such files (or any labeled
 CSV in the same shape) back into a :class:`SyntheticDataset`, so
 external data can flow through the validation, training and experiment
 machinery unchanged.
-
-For corpora too large to re-parse on every run,
-:func:`save_dataset_columnar` / :func:`load_dataset_columnar`
-round-trip the same dataset through the tokenized columnar container
-(:mod:`repro.storage`): one checksummed array file, loaded via
-``np.memmap`` with records materialised lazily — no CSV parsing, no
-per-row Python objects until a record is actually touched.
 """
 
 from __future__ import annotations
@@ -90,49 +83,4 @@ def load_dataset(path: str) -> SyntheticDataset:
             encoding[raw] = len(encoding)
         labels.append(encoding[raw])
     store = RecordStore.from_rows(rows, weights=weights)
-    return SyntheticDataset(store=store, labels=labels)
-
-
-def save_dataset_columnar(dataset: SyntheticDataset, path: str) -> None:
-    """Write *dataset* as one columnar array file (records + labels).
-
-    Bit-identical round-trip: field insertion order, the
-    missing-vs-empty distinction, exact float64 weights, and the dense
-    label encoding all survive (property-tested against the CSV path).
-    """
-    import numpy as np
-
-    from ..storage.columnar import RecordColumns
-    from ..storage.layout import write_arrays
-
-    columns = RecordColumns.from_records(list(dataset.store))
-    arrays = dict(columns.to_arrays())
-    arrays["labels"] = np.asarray(dataset.labels, dtype=np.int64)
-    meta = {"kind": "labeled-dataset", "n_records": len(dataset.store)}
-    write_arrays(path, arrays, meta)
-
-
-def load_dataset_columnar(path: str) -> SyntheticDataset:
-    """Map a columnar dataset file back into a :class:`SyntheticDataset`.
-
-    The record payload stays mapped; records materialise as the store
-    is indexed (the store itself holds the lazily-built list).
-    """
-    from ..storage.columnar import FrozenRecordView, RecordColumns
-    from ..storage.layout import ArrayFileError, MappedArrays
-
-    mapped = MappedArrays(path)
-    if mapped.meta.get("kind") != "labeled-dataset":
-        raise ArrayFileError(
-            f"{path} is not a columnar dataset "
-            f"(kind={mapped.meta.get('kind')!r})"
-        )
-    columns = RecordColumns.from_arrays(mapped.arrays)
-    view = FrozenRecordView(columns, [None] * columns.n, ())
-    store = RecordStore.backed_by(view)
-    labels = [int(label) for label in mapped.arrays["labels"].tolist()]
-    if len(labels) != len(store):
-        raise ArrayFileError(
-            f"{path} holds {len(store)} records but {len(labels)} labels"
-        )
     return SyntheticDataset(store=store, labels=labels)

@@ -1,16 +1,21 @@
-"""X14: cold-start scaling of the columnar record store.
+"""X14: cold start from an engine checkpoint, sidecar vs inline JSON.
 
-The claim under test (docs/storage.md): a corpus checkpointed through
-``store="columnar"`` cold-starts from its compacted checkpoint by
-memory-mapping the sidecar — no WAL replay, no per-record JSON
-parsing — so both restore-to-ready wall time and peak RSS come in
-below the in-memory store restoring the same corpus from its inline
-JSON checkpoint.
+Every :meth:`~repro.core.incremental.IncrementalTopK.checkpoint` writes
+its bulk state into a ``columnar-<entries>.col`` array sidecar, which a
+restore maps and decodes in bulk.  The baseline is the same corpus
+checkpointed in the inline-JSON layout that predates the sidecar
+(written by :func:`repro.testing.write_json_checkpoint`), which restore
+still reads: every record parsed from JSON and the blocking-key index
+re-derived by keying every record again.
 
-Each cold start runs in a **fresh subprocess** so peak RSS
-(``ru_maxrss``) measures exactly one restore: interpreter + import +
-``IncrementalTopK.restore`` + ``audit`` + one top-k query touching the
-restored state.
+Each cold start runs in a **fresh subprocess** so peak RSS measures
+exactly one restore: interpreter + import + ``IncrementalTopK.restore``
++ ``audit`` (*ready*), then ``current_store()`` (the record store the
+first query starts from).  It runs no query: predicate verification
+costs the same from either layout and would swamp the restore-path
+difference the benchmark exists to measure.  For the sidecar it also
+reports ``crc_s``, the share of *ready* spent verifying the sidecar's
+body checksums.
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ import time
 from pathlib import Path
 
 from ..core.incremental import IncrementalTopK
-from ..core.persistence import DurabilityPolicy
+from ..core.persistence import DurabilityPolicy, DurableStateStore
 from ..predicates.base import PredicateLevel
 from ..predicates.library import ExactFieldsPredicate, NgramOverlapPredicate
 
-STORE_KINDS = ("memory", "columnar")
+#: Checkpoint layouts compared: the engine's own (array sidecar) and the
+#: inline-JSON baseline.
+LAYOUTS = ("json", "sidecar")
 
 
 def bench_levels() -> list[PredicateLevel]:
@@ -56,20 +63,25 @@ def synthetic_events(n_records: int, seed: int = 0):
 
 
 def build_state_dir(
-    work_dir: str | Path, n_records: int, *, seed: int = 0, store: str
+    work_dir: str | Path, n_records: int, *, seed: int = 0, layout: str
 ) -> Path:
-    """Feed the synthetic stream into a durable engine and compact it.
+    """Feed the synthetic stream into a durable engine and checkpoint it
+    in *layout* (``"sidecar"`` or ``"json"``).
 
-    Returns the state directory; after the final ``checkpoint()`` the
-    WAL is fully subsumed, so a restore replays zero entries — cold
-    start measures checkpoint loading alone.
+    Returns the state directory; after the final checkpoint the WAL is
+    fully subsumed, so a restore replays zero entries — cold start
+    measures checkpoint loading alone.
     """
-    state_dir = Path(work_dir) / f"state-{store}"
+    if layout not in LAYOUTS:
+        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
+    state_dir = Path(work_dir) / f"state-{layout}"
     policy = DurabilityPolicy(state_dir, fsync=False, keep_checkpoints=1)
-    engine = IncrementalTopK(bench_levels(), durability=policy, store=store)
+    engine = IncrementalTopK(bench_levels(), durability=policy)
     for fields, weight in synthetic_events(n_records, seed):
         engine.add(fields, weight)
-    engine.checkpoint()
+    from ..testing.checkpoints import checkpoint_as
+
+    checkpoint_as(engine, layout)
     engine.close()
     return state_dir
 
@@ -89,42 +101,74 @@ def _peak_rss_kb() -> int:
 
 
 def _cold_start_main() -> None:
-    """Subprocess entry: restore to *ready*, report one JSON line.
+    """Subprocess entry: restore to *ready*, then build the record store.
 
     Ready means the engine can serve: state restored, closure audited.
-    Deliberately no top-k query — predicate verification cost is the
-    same either way and would swamp the restore-path difference the
-    benchmark exists to measure.
+    ``store_s`` adds ``current_store()``, the record store every query
+    starts from.
 
     Peak RSS comes from ``/proc/self/status`` ``VmHWM``, which resets
     at exec; ``ru_maxrss`` does NOT reset across exec on Linux, so a
     forked child would inherit the launching process's high-water mark
-    and both store kinds would report the parent's peak.
+    and both layouts would report the parent's peak.
     """
-    state_dir, store = sys.argv[1], sys.argv[2]
+    state_dir = sys.argv[1]
     started = time.perf_counter()
-    engine = IncrementalTopK.restore(state_dir, bench_levels(), store=store)
+    engine = IncrementalTopK.restore(state_dir, bench_levels())
     problems = engine.audit()
-    elapsed = time.perf_counter() - started
+    ready_s = time.perf_counter() - started
+    store = engine.current_store()
+    store_s = time.perf_counter() - started
+    maxrss_kb = _peak_rss_kb()
     info = engine.last_recovery
     _parent, _size, n_components = engine._uf.state()
+    sidecar = None
+    if info.checkpoint_path is not None:
+        _header, sections = DurableStateStore.read_checkpoint(
+            info.checkpoint_path
+        )
+        sidecar = sections.get("columnar")
     print(
         json.dumps(
             {
-                "cold_start_s": elapsed,
-                "maxrss_kb": _peak_rss_kb(),
+                "ready_s": ready_s,
+                "store_s": store_s,
+                "crc_s": (
+                    _crc_pass_s(Path(state_dir) / sidecar["file"])
+                    if sidecar
+                    else None
+                ),
+                "maxrss_kb": maxrss_kb,
                 "entries": engine.entries_applied,
                 "entries_replayed": info.entries_replayed,
                 "checkpoint_entries": info.checkpoint_entries,
                 "audit_problems": len(problems),
                 "n_components": n_components,
+                "total_weight": store.total_weight(),
             }
         )
     )
     engine.close()
 
 
-def measure_cold_start(state_dir: str | Path, store: str) -> dict:
+def _crc_pass_s(sidecar: Path) -> float:
+    """What the restore's body-checksum pass costs on *sidecar*: a
+    verifying open minus a plain one, both from a warm page cache, best
+    of three."""
+    from ..storage.layout import MappedArrays
+
+    def best(verify: bool) -> float:
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            MappedArrays(sidecar, verify=verify)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    return max(0.0, best(True) - best(False))
+
+
+def measure_cold_start(state_dir: str | Path) -> dict:
     """Cold-start *state_dir* in a fresh interpreter; return its stats."""
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])
@@ -138,7 +182,6 @@ def measure_cold_start(state_dir: str | Path, store: str) -> dict:
             "from repro.experiments.storage_scale import _cold_start_main; "
             "_cold_start_main()",
             str(state_dir),
-            store,
         ],
         env=env,
         capture_output=True,
@@ -151,43 +194,52 @@ def measure_cold_start(state_dir: str | Path, store: str) -> dict:
 def run_storage_scale(
     work_dir: str | Path, n_records: int, *, seed: int = 0
 ) -> dict:
-    """Build both store kinds at *n_records* and cold-start each.
+    """Checkpoint *n_records* in each layout and cold-start each.
 
-    Returns ``{"n_records": ..., "results": {kind: stats}}`` where the
-    stats are the subprocess measurements plus the ingest/compact time.
+    Returns ``{"n_records": ..., "results": {layout: stats}}`` where the
+    stats are the subprocess measurements plus the ingest/checkpoint
+    time and the checkpoint's size on disk.
     """
     results: dict[str, dict] = {}
-    for store in STORE_KINDS:
+    for layout in LAYOUTS:
         ingest_started = time.perf_counter()
-        state_dir = build_state_dir(work_dir, n_records, seed=seed, store=store)
+        state_dir = build_state_dir(
+            work_dir, n_records, seed=seed, layout=layout
+        )
         ingest_s = time.perf_counter() - ingest_started
-        stats = measure_cold_start(state_dir, store)
+        stats = measure_cold_start(state_dir)
         stats["ingest_s"] = ingest_s
         stats["checkpoint_bytes"] = sum(
             p.stat().st_size
             for p in Path(state_dir).iterdir()
             if p.name.startswith(("checkpoint-", "columnar-"))
         )
-        results[store] = stats
-    baseline, columnar = results["memory"], results["columnar"]
+        results[layout] = stats
+    baseline, sidecar = results["json"], results["sidecar"]
     # Both cold starts restored identical state, whatever the timings.
-    for key in ("entries", "checkpoint_entries", "n_components"):
-        if baseline[key] != columnar[key]:
+    for key in ("entries", "checkpoint_entries", "n_components", "total_weight"):
+        if baseline[key] != sidecar[key]:
             raise AssertionError(
                 f"cold-started state diverged on {key}: "
-                f"{baseline[key]!r} != {columnar[key]!r}"
+                f"{baseline[key]!r} != {sidecar[key]!r}"
             )
     return {"n_records": n_records, "results": results}
 
 
 def storage_report_rows(report: dict) -> list[dict]:
     rows = []
-    for store, stats in report["results"].items():
+    for layout, stats in report["results"].items():
         rows.append(
             {
-                "store": store,
+                "checkpoint": layout,
                 "records": report["n_records"],
-                "cold_start_s": round(stats["cold_start_s"], 3),
+                "ready_s": round(stats["ready_s"], 3),
+                "store_s": round(stats["store_s"], 3),
+                "crc_ms": (
+                    "-"
+                    if stats["crc_s"] is None
+                    else round(stats["crc_s"] * 1000, 1)
+                ),
                 "peak_rss_mb": round(stats["maxrss_kb"] / 1024, 1),
                 "ckpt_mb": round(stats["checkpoint_bytes"] / 2**20, 1),
                 "replayed": stats["entries_replayed"],

@@ -45,13 +45,6 @@ Rules and verifiers share one probe protocol: ``member_state(position)``
 for indexed members and ``encode_probe(record)`` for external probes,
 each returning an opaque probe state (None from ``encode_probe`` means
 "cannot encode", and the caller falls back to ``evaluate``).
-
-Engines are built from plain arrays and parameter dicts
-(:meth:`BatchNeighborEngine.export_state`), so :func:`save_engine_state`
-can persist one as a checksummed array container and
-:func:`load_engine_state` can rebuild it over memory-mapped arrays
-without touching a record.  A guard's containment state lives in
-Python objects and is never part of the export.
 """
 
 from __future__ import annotations
@@ -154,8 +147,6 @@ class SetSimilarityBatch:
         masks: np.ndarray | None = None,
         corpus1: EncodedSetCorpus | None = None,
         corpus2: EncodedSetCorpus | None = None,
-        vocab1: int = 0,
-        vocab2: int = 0,
         gate_map: dict[Hashable, int] | None = None,
         bit_of_token: dict[Hashable, int] | None = None,
         features: dict[str, Callable[[Record], object]] | None = None,
@@ -170,20 +161,17 @@ class SetSimilarityBatch:
         self._ids1 = corpus1.token_ids if corpus1 is not None else None
         self._indptr2 = corpus2.indptr if corpus2 is not None else None
         self._ids2 = corpus2.token_ids if corpus2 is not None else None
-        self._vocab1 = (
-            corpus1.vocabulary_size if corpus1 is not None else vocab1
-        )
-        self._vocab2 = (
-            corpus2.vocabulary_size if corpus2 is not None else vocab2
-        )
         self._scratch1 = (
-            np.zeros(self._vocab1, dtype=bool) if self._indptr1 is not None else None
+            np.zeros(corpus1.vocabulary_size, dtype=bool)
+            if corpus1 is not None
+            else None
         )
         self._scratch2 = (
-            np.zeros(self._vocab2, dtype=bool) if self._indptr2 is not None else None
+            np.zeros(corpus2.vocabulary_size, dtype=bool)
+            if corpus2 is not None
+            else None
         )
-        # Probe-encoding state of a built verifier; absent on rebuilds
-        # from exported arrays (member probes need only the arrays).
+        # Probe-encoding state (external probes).
         self._gate_map = gate_map
         self._bit_of_token = bit_of_token
         self._dict1 = corpus1.dictionary if corpus1 is not None else None
@@ -252,12 +240,8 @@ class SetSimilarityBatch:
     # -- probe encoding ----------------------------------------------------
 
     def encode_probe(self, record: Record):
-        """Encode an external probe, or None when this instance cannot
-        (array rebuilds drop the dictionaries; callers fall back to
-        ``evaluate``)."""
+        """Encode an external probe."""
         features = self._features
-        if not features:
-            return None
         gate = None
         if self.gate_ids is not None:
             # -2 is "gate unseen in the index": matches no candidate.
@@ -281,7 +265,7 @@ class SetSimilarityBatch:
 
     def member_state(self, position: int):
         """Probe state for the indexed record at *position* (pure array
-        reads — this is the path array rebuilds use)."""
+        reads)."""
         gate = (
             int(self.gate_ids[position]) if self.gate_ids is not None else None
         )
@@ -376,61 +360,6 @@ class SetSimilarityBatch:
             )
         return ok
 
-    # -- array export ------------------------------------------------------
-
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """(arrays, params) sufficient to rebuild a member-only verifier."""
-        arrays: dict[str, np.ndarray] = {}
-        if self.gate_ids is not None:
-            arrays["verifier_gate_ids"] = self.gate_ids
-        if self.masks is not None:
-            arrays["verifier_masks"] = self.masks
-        if self._indptr1 is not None:
-            arrays["verifier_indptr1"] = self._indptr1
-            arrays["verifier_ids1"] = self._ids1
-        if self._indptr2 is not None:
-            arrays["verifier_indptr2"] = self._indptr2
-            arrays["verifier_ids2"] = self._ids2
-        params = {
-            "rule": self.rule,
-            "params": dict(self.params),
-            "vocab1": self._vocab1,
-            "vocab2": self._vocab2,
-        }
-        return arrays, params
-
-    @classmethod
-    def from_state(
-        cls, arrays: dict[str, np.ndarray], params: dict
-    ) -> "SetSimilarityBatch":
-        """Rebuild from exported arrays (member-probe verification only)."""
-        verifier = cls.__new__(cls)
-        verifier.rule = params["rule"]
-        verifier.params = params["params"]
-        verifier.gate_ids = arrays.get("verifier_gate_ids")
-        verifier.masks = arrays.get("verifier_masks")
-        verifier._indptr1 = arrays.get("verifier_indptr1")
-        verifier._ids1 = arrays.get("verifier_ids1")
-        verifier._indptr2 = arrays.get("verifier_indptr2")
-        verifier._ids2 = arrays.get("verifier_ids2")
-        verifier._vocab1 = params["vocab1"]
-        verifier._vocab2 = params["vocab2"]
-        verifier._scratch1 = (
-            np.zeros(verifier._vocab1, dtype=bool)
-            if verifier._indptr1 is not None
-            else None
-        )
-        verifier._scratch2 = (
-            np.zeros(verifier._vocab2, dtype=bool)
-            if verifier._indptr2 is not None
-            else None
-        )
-        verifier._gate_map = None
-        verifier._bit_of_token = None
-        verifier._dict1 = None
-        verifier._dict2 = None
-        verifier._features = {}
-        return verifier
 
 
 def _pair_overlaps(
@@ -474,21 +403,15 @@ class OverlapCountRule:
 
     def probe_mask(self, record: Record) -> np.uint64 | None:
         """Bitmask of an external probe's post-check set (None when the
-        rule has no post-check or cannot encode probes)."""
+        rule has no post-check)."""
         if self.masks is None:
             return None
-        if self._post_probe is None or self._bit_of_token is None:
-            raise ValueError("rule rebuilt without probe-encoding state")
         return np.uint64(
             bitmask_probe(self._post_probe(record), self._bit_of_token)
         )
 
     def encode_probe(self, record: Record):
-        """Probe state ``(mask,)`` of an external probe, or None when
-        this instance cannot encode it (array rebuilds drop the
-        post-check encoding)."""
-        if self.masks is not None and self._post_probe is None:
-            return None
+        """Probe state ``(mask,)`` of an external probe."""
         return (self.probe_mask(record),)
 
     def member_state(self, position):
@@ -521,18 +444,6 @@ class OverlapCountRule:
         if self.masks is not None:
             ok &= (self.masks[candidates] & probe_mask) != np.uint64(0)
         return ok
-
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        arrays: dict[str, np.ndarray] = {}
-        if self.masks is not None:
-            arrays["rule_masks"] = self.masks
-        return arrays, {"threshold": self.threshold}
-
-    @classmethod
-    def from_state(
-        cls, arrays: dict[str, np.ndarray], params: dict
-    ) -> "OverlapCountRule":
-        return cls(params["threshold"], masks=arrays.get("rule_masks"))
 
 
 def distinct_sorted(values: np.ndarray) -> np.ndarray:
@@ -673,9 +584,8 @@ class BatchNeighborEngine:
     of probes per NumPy call, each symmetric pair verified once — under
     a guard too, which contains each chunk's call as one block.
 
-    Built by :meth:`build` (which keeps the key-id map for external
-    probes) or rebuilt from :meth:`export_state` arrays by
-    :func:`load_engine_state` (member probes only).
+    Built by :meth:`build`, which keeps the key-id map for external
+    probes.
     """
 
     def __init__(
@@ -685,9 +595,9 @@ class BatchNeighborEngine:
         key_ids: np.ndarray,
         post_indptr: np.ndarray,
         post_positions: np.ndarray,
+        key_id_of: dict[Hashable, int],
         count_rule: OverlapCountRule | None = None,
         verifier: SetSimilarityBatch | None = None,
-        key_id_of: dict[Hashable, int] | None = None,
         symmetric: bool = True,
     ) -> None:
         self.n_records = n_records
@@ -866,8 +776,6 @@ class BatchNeighborEngine:
         """Verified neighbors of an external *probe*; None when this
         engine cannot encode it (caller falls back to
         ``evaluate``)."""
-        if self._key_id_of is None:
-            return None
         probe_state = self._rule.encode_probe(probe)
         if probe_state is None:
             return None
@@ -1094,89 +1002,3 @@ class BatchNeighborEngine:
         if self._contain_chunk is None:
             return decide(self._rule)
         return self._contain_chunk(len(candidates), decide)
-
-    # -- array export ------------------------------------------------------
-
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """(arrays, params) for a member-only rebuild (:meth:`from_state`)."""
-        arrays = {
-            "key_indptr": self.key_indptr,
-            "key_ids": self.key_ids,
-            "post_indptr": self.post_indptr,
-            "post_positions": self.post_positions,
-        }
-        params: dict = {
-            "n_records": self.n_records,
-            "symmetric": self.symmetric,
-        }
-        if self.count_rule is not None:
-            rule_arrays, rule_params = self.count_rule.export_state()
-            arrays.update(rule_arrays)
-            params["count_rule"] = rule_params
-        else:
-            verifier_arrays, verifier_params = self.verifier.export_state()
-            arrays.update(verifier_arrays)
-            params["verifier"] = verifier_params
-        return arrays, params
-
-    @classmethod
-    def from_state(
-        cls, arrays: dict[str, np.ndarray], params: dict
-    ) -> "BatchNeighborEngine":
-        count_rule = None
-        verifier = None
-        if "count_rule" in params:
-            count_rule = OverlapCountRule.from_state(
-                arrays, params["count_rule"]
-            )
-        else:
-            verifier = SetSimilarityBatch.from_state(
-                arrays, params["verifier"]
-            )
-        return cls(
-            params["n_records"],
-            arrays["key_indptr"],
-            arrays["key_ids"],
-            arrays["post_indptr"],
-            arrays["post_positions"],
-            count_rule=count_rule,
-            verifier=verifier,
-            symmetric=params.get("symmetric", True),
-        )
-
-
-def save_engine_state(engine: BatchNeighborEngine, path) -> None:
-    """Persist an engine's :meth:`~BatchNeighborEngine.export_state`
-    into one checksummed array container (:mod:`repro.storage.layout`).
-
-    Arrays go in the body, the params dict in the header (floats
-    survive the JSON round-trip exactly — Python's float repr is
-    shortest-exact).
-    """
-    from ..storage.layout import write_arrays
-
-    arrays, params = engine.export_state()
-    write_arrays(
-        path, arrays, {"kind": "batch-neighbor-engine", "params": params}
-    )
-
-
-def load_engine_state(path) -> BatchNeighborEngine:
-    """Rebuild a member-probe engine with its arrays memory-mapped.
-
-    ``np.memmap`` is an ``ndarray`` subclass, so every kernel —
-    ``gather_rows``, ``intersection_counts``, the block rules — gathers
-    rows straight from the mapped file; nothing is copied until a page
-    is touched, and verdicts are bit-identical to the resident engine.
-    """
-    from ..storage.layout import ArrayFileError, MappedArrays
-
-    mapped = MappedArrays(path)
-    if mapped.meta.get("kind") != "batch-neighbor-engine":
-        raise ArrayFileError(
-            f"{path} is not a serialized neighbor engine "
-            f"(kind={mapped.meta.get('kind')!r})"
-        )
-    return BatchNeighborEngine.from_state(
-        dict(mapped.arrays), mapped.meta["params"]
-    )

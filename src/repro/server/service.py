@@ -43,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..core.health import HealthCheck, HealthMonitor
+from ..core.incremental import validate_insert
 from ..core.resilience import ExecutionPolicy
 from ..core.retry import RetryPolicy
 from .admission import (
@@ -672,29 +673,13 @@ class QueryService:
                 },
                 OUTCOME_UNAVAILABLE,
             )
-        fields = payload.get("fields")
-        if not isinstance(fields, dict) or not all(
-            isinstance(key, str) and isinstance(value, str)
-            for key, value in fields.items()
-        ):
-            return self._finish(
-                verb,
-                started,
-                400,
-                {"error": "fields must be a string-to-string object"},
-                OUTCOME_INVALID,
-            )
         try:
-            weight = float(payload.get("weight", 1.0))
-            if not math.isfinite(weight):
-                raise ValueError
-        except (TypeError, ValueError):
+            fields, weight = validate_insert(
+                payload.get("fields"), payload.get("weight", 1.0)
+            )
+        except ValueError as exc:
             return self._finish(
-                verb,
-                started,
-                400,
-                {"error": "weight must be a finite number"},
-                OUTCOME_INVALID,
+                verb, started, 400, {"error": str(exc)}, OUTCOME_INVALID
             )
         decision = self.admission.try_admit(CLASS_INSERT)
         if not decision.admitted:
@@ -710,7 +695,7 @@ class QueryService:
                 OUTCOME_SHED,
             )
         future = asyncio.get_running_loop().create_future()
-        self._insert_queue.put_nowait(_InsertItem(dict(fields), weight, future))
+        self._insert_queue.put_nowait(_InsertItem(fields, weight, future))
         try:
             result = await asyncio.wait_for(
                 future, timeout=self.config.request_hard_timeout_seconds

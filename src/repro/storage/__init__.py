@@ -1,36 +1,30 @@
-"""Columnar record storage with memory-mapped on-disk generations.
+"""Columnar engine checkpoints: the array sidecar and its parts.
 
-The package that takes the reproduction from "all records are resident
-Python objects" to "a million-record corpus cold-starts by mapping a
-compacted checkpoint":
+Every :class:`~repro.core.incremental.IncrementalTopK` checkpoint keeps
+its bulk state in one ``columnar-<entries>.col`` array container next
+to a small JSON checkpoint file.  The layers:
 
 - :mod:`~repro.storage.layout` — the physical array container
   (named, checksummed NumPy buffers in one file, opened via
   ``np.memmap``).
 - :mod:`~repro.storage.strings` — dictionary-encoded string pools.
-- :mod:`~repro.storage.columnar` — records as CSR field columns, plus
-  the hybrid (mapped base + in-memory tail) container the incremental
-  engine mutates.
+- :mod:`~repro.storage.columnar` — records as CSR field columns,
+  decoded back into a record list in one bulk pass.
 - :mod:`~repro.storage.postings` — blocking-key postings as flat
   arrays with a tagged key codec.
-- :mod:`~repro.storage.engine_state` — the ``columnar-<entries>.col``
-  checkpoint sidecar schema and its vectorised closure validation.
+- :mod:`~repro.storage.engine_state` — the sidecar schema and its
+  vectorised closure validation.
 
-See ``docs/storage.md`` for the layout, the mmap lifecycle, and how
-checkpoint compaction interacts with WAL pruning.
+See ``docs/storage.md`` for the layout and how checkpoint sidecars
+interact with WAL pruning.
 """
 
-from .columnar import FrozenRecordView, HybridRecordList, RecordColumns
+from .columnar import RecordColumns
 from .engine_state import (
-    SIDECAR_PREFIX,
-    SIDECAR_SUFFIX,
     EngineStateColumns,
     build_sidecar_arrays,
     open_sidecar,
     resolve_roots,
-    sidecar_name,
-    sidecar_path,
-    write_sidecar,
 )
 from .layout import ArrayFileError, MappedArrays, read_header_meta, write_arrays
 from .postings import (
@@ -45,13 +39,9 @@ from .strings import StringPool
 __all__ = [
     "ArrayFileError",
     "EngineStateColumns",
-    "FrozenRecordView",
-    "HybridRecordList",
     "KeyEncodingError",
     "MappedArrays",
     "RecordColumns",
-    "SIDECAR_PREFIX",
-    "SIDECAR_SUFFIX",
     "StringPool",
     "build_sidecar_arrays",
     "decode_key",
@@ -61,8 +51,5 @@ __all__ = [
     "postings_to_arrays",
     "read_header_meta",
     "resolve_roots",
-    "sidecar_name",
-    "sidecar_path",
     "write_arrays",
-    "write_sidecar",
 ]

@@ -1,33 +1,25 @@
 """Columnar record storage: CSR field columns over string dictionaries.
 
 A :class:`RecordColumns` is the immutable columnar image of a record
-sequence — the on-disk generation a compacted checkpoint maps at cold
-start.  Layout per record: a CSR slice of ``(field_id, value_id)``
-pairs (field order preserved exactly as inserted, so a round-tripped
+sequence — the record part of an engine checkpoint sidecar.  Layout per
+record: a CSR slice of ``(field_id, value_id)`` pairs (field order
+preserved exactly as inserted, so a round-tripped
 :class:`~repro.core.records.Record` equals the original, including the
 missing-field-vs-empty-string distinction) plus a float64 weight.
 Field names and field values are dictionary-encoded into
 :class:`~repro.storage.strings.StringPool`\\ s, so repeated values cost
-one posting, not one copy.
-
-:class:`HybridRecordList` is the live engine-side container: an
-immutable mapped base generation plus an in-memory tail of records
-inserted since the last compaction.  It duck-types the ``list[Record]``
-surface the incremental engine uses (append / index / iterate / len),
-materialises base records lazily with memoisation, and freezes into a
-:class:`FrozenRecordView` for snapshot-isolated readers — freezing
-copies one tuple of tail references, never the base.
+one posting, not one copy — and :meth:`RecordColumns.to_records`
+decodes each pool entry once, so restored records share one ``str``
+per distinct value.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
 from ..core.records import Record
-from .layout import MappedArrays, write_arrays
 from .strings import StringPool
 
 _PREFIX = "records."
@@ -94,23 +86,30 @@ class RecordColumns:
             weights=weights,
         )
 
-    def record(self, record_id: int) -> Record:
-        """Materialise one :class:`Record` (field order preserved)."""
-        start = int(self.field_indptr[record_id])
-        end = int(self.field_indptr[record_id + 1])
-        names = self.field_names
-        values = self.values
-        fields = {
-            names[int(fid)]: values[int(vid)]
-            for fid, vid in zip(
-                self.field_ids[start:end], self.value_ids[start:end]
+    def to_records(self) -> list[Record]:
+        """Decode every record in one pass (field order preserved).
+
+        Each pool entry is decoded once; one gather per column then
+        lays the decoded strings out in CSR order, so every record
+        shares the pool's ``str`` objects.  ``tolist`` keeps every
+        float64 weight bit, ``-0.0`` included.
+        """
+        names = _gather(self.field_names.decode_all(), self.field_ids)
+        values = _gather(self.values.decode_all(), self.value_ids)
+        indptr = self.field_indptr.tolist()
+        return [
+            Record(
+                record_id=record_id,
+                fields=dict(
+                    zip(
+                        names[indptr[record_id] : indptr[record_id + 1]],
+                        values[indptr[record_id] : indptr[record_id + 1]],
+                    )
+                ),
+                weight=weight,
             )
-        }
-        return Record(
-            record_id=record_id,
-            fields=fields,
-            weight=float(self.weights[record_id]),
-        )
+            for record_id, weight in enumerate(self.weights.tolist())
+        ]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         arrays = {
@@ -134,140 +133,9 @@ class RecordColumns:
             weights=arrays[f"{_PREFIX}weights"],
         )
 
-    def save(self, path: str | Path, meta: dict | None = None) -> Path:
-        return write_arrays(path, self.to_arrays(), meta)
 
-    @classmethod
-    def open(cls, path: str | Path, *, verify: bool = False) -> "RecordColumns":
-        return cls.from_arrays(MappedArrays(path, verify=verify).arrays)
-
-
-class FrozenRecordView(Sequence):
-    """Immutable, lazily-materialising view of (base generation, tail).
-
-    What :meth:`IncrementalTopK.snapshot_state` hands to readers when
-    the engine runs on a columnar store: indexing materialises records
-    on demand (sharing the live engine's memo cache — item assignment
-    is atomic under the GIL and every writer stores an equal value, so
-    the benign race costs at most a duplicate materialisation).
-    """
-
-    __slots__ = ("_base", "_cache", "_tail")
-
-    def __init__(
-        self,
-        base: RecordColumns | None,
-        cache: list,
-        tail: tuple,
-    ):
-        self._base = base
-        self._cache = cache
-        self._tail = tail
-
-    def __len__(self) -> int:
-        base_n = self._base.n if self._base is not None else 0
-        return base_n + len(self._tail)
-
-    def __getitem__(self, record_id):
-        if isinstance(record_id, slice):
-            return tuple(
-                self[i] for i in range(*record_id.indices(len(self)))
-            )
-        n = len(self)
-        if record_id < 0:
-            record_id += n
-        if not 0 <= record_id < n:
-            raise IndexError(record_id)
-        base_n = self._base.n if self._base is not None else 0
-        if record_id >= base_n:
-            return self._tail[record_id - base_n]
-        record = self._cache[record_id]
-        if record is None:
-            record = self._base.record(record_id)
-            self._cache[record_id] = record
-        return record
-
-    def __iter__(self):
-        for record_id in range(len(self)):
-            yield self[record_id]
-
-
-class HybridRecordList:
-    """The engine's mutable record container over a mapped base.
-
-    Equivalent to ``list[Record]`` for the operations the incremental
-    engine performs, with the prefix ``[0, base.n)`` served from a
-    mapped :class:`RecordColumns` generation instead of resident
-    objects.  :meth:`swap_base` installs a freshly compacted generation
-    (after a columnar checkpoint) without touching published frozen
-    views — they keep the old base alive through their own references.
-    """
-
-    __slots__ = ("_base", "_cache", "_tail")
-
-    def __init__(self, base: RecordColumns | None = None):
-        self._base = base
-        self._cache: list = [None] * (base.n if base is not None else 0)
-        self._tail: list[Record] = []
-
-    @property
-    def base(self) -> RecordColumns | None:
-        return self._base
-
-    @property
-    def base_n(self) -> int:
-        return self._base.n if self._base is not None else 0
-
-    def append(self, record: Record) -> None:
-        self._tail.append(record)
-
-    def __len__(self) -> int:
-        return self.base_n + len(self._tail)
-
-    def __getitem__(self, record_id):
-        if isinstance(record_id, slice):
-            return [self[i] for i in range(*record_id.indices(len(self)))]
-        n = len(self)
-        if record_id < 0:
-            record_id += n
-        if not 0 <= record_id < n:
-            raise IndexError(record_id)
-        base_n = self.base_n
-        if record_id >= base_n:
-            return self._tail[record_id - base_n]
-        record = self._cache[record_id]
-        if record is None:
-            record = self._base.record(record_id)
-            self._cache[record_id] = record
-        return record
-
-    def __iter__(self):
-        for record_id in range(len(self)):
-            yield self[record_id]
-
-    def freeze(self) -> FrozenRecordView:
-        return FrozenRecordView(self._base, self._cache, tuple(self._tail))
-
-    def swap_base(self, base: RecordColumns) -> None:
-        """Replace the base with a compacted generation covering every
-        current record; the in-memory tail (and memo cache) is released."""
-        if base.n != len(self):
-            raise ValueError(
-                f"compacted generation holds {base.n} records but the "
-                f"live store holds {len(self)}"
-            )
-        self._base = base
-        self._cache = [None] * base.n
-        self._tail = []
-
-    def weights_array(self) -> np.ndarray:
-        """All record weights as float64, base served without
-        materialising records (used by the vectorised audit)."""
-        tail = np.asarray(
-            [record.weight for record in self._tail], dtype=np.float64
-        )
-        if self._base is None:
-            return tail
-        if not len(tail):
-            return self._base.weights
-        return np.concatenate([self._base.weights, tail])
+def _gather(pool: list[str], ids: np.ndarray) -> list[str]:
+    """``[pool[i] for i in ids]`` as one object-array gather."""
+    table = np.empty(len(pool), dtype=object)
+    table[:] = pool
+    return table[ids].tolist()

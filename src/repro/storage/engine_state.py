@@ -1,13 +1,13 @@
 """The engine checkpoint sidecar: full stream state as mapped arrays.
 
-A format-2 checkpoint splits the engine state in two: the ``.ckpt``
-file keeps the small JSON parts (header, dead letters, and a reference
-frame naming this sidecar), while the bulk — records, union-find
-closure, per-group weights, and the blocking-key index — lives in a
-``columnar-<entries>.col`` array container next to it.  Restoring from
-a compacted checkpoint maps the container and validates the closure
-with array kernels; no per-record Python work, no WAL replay beyond
-the checkpoint's tail.
+A checkpoint splits the engine state in two: the ``.ckpt`` file keeps
+the small JSON parts (header, dead letters, and a reference frame
+naming this sidecar), while the bulk — records, union-find closure,
+per-group weights, and the blocking-key index — lives in a
+``columnar-<entries>.col`` array container next to it.  Restoring maps
+the container, verifies every array's CRC32, validates the closure with
+array kernels and decodes the records and the key index in bulk; no WAL
+replay beyond the checkpoint's tail.
 
 This module owns the sidecar schema and the vectorised validation
 (root resolution by pointer jumping, weight sums by ``np.bincount`` —
@@ -17,29 +17,13 @@ bit for bit).
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
-from ..core.persistence import _COL_PREFIX, _COL_SUFFIX, columnar_sidecar_path
 from .columnar import RecordColumns
-from .layout import ArrayFileError, MappedArrays, write_arrays
+from .layout import ArrayFileError, MappedArrays
 from .postings import KeyEncodingError, postings_from_arrays, postings_to_arrays
-
-#: Name pattern of engine sidecar files inside a state directory
-#: (owned by the persistence layer, which prunes them with their
-#: checkpoints).
-SIDECAR_PREFIX = _COL_PREFIX
-SIDECAR_SUFFIX = _COL_SUFFIX
-
-
-def sidecar_name(entries: int) -> str:
-    return columnar_sidecar_path(".", entries).name
-
-
-def sidecar_path(directory: str | Path, entries: int) -> Path:
-    return columnar_sidecar_path(directory, entries)
 
 
 def resolve_roots(parent: np.ndarray) -> np.ndarray:
@@ -150,22 +134,25 @@ def build_sidecar_arrays(
     size: list[int],
     n_components: int,
     key_members,
-) -> tuple[dict[str, np.ndarray], dict, bool]:
+) -> tuple[dict[str, np.ndarray], dict]:
     """Assemble the sidecar arrays for the current engine state.
 
-    *records* is any sequence of :class:`~repro.core.records.Record`
-    (the hybrid container included — its mapped base is re-encoded so a
-    compacted generation is always self-contained).  Returns
-    ``(arrays, meta, has_postings)``; when some blocking key is outside
-    the codec's domain the postings are omitted and ``has_postings`` is
+    *records* is the engine's records in id order.  Returns
+    ``(arrays, meta)``; when some blocking key is outside the codec's
+    domain the postings are omitted and ``meta["has_postings"]`` is
     False (restore falls back to re-deriving the index).
-    """
-    from .columnar import HybridRecordList
 
-    if isinstance(records, HybridRecordList) and records.base_n == len(records):
-        columns = records.base  # already compacted, nothing new to encode
-    else:
-        columns = RecordColumns.from_records(list(records))
+    Raises :class:`ValueError` naming the first record whose fields are
+    not string-to-string valid UTF-8: new inserts are validated before
+    they are journaled, but state replayed from an older WAL or
+    checkpoint may hold such a record.
+    """
+    try:
+        columns = RecordColumns.from_records(records)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{_first_invalid_record(records)} cannot be encoded: {exc}"
+        ) from exc
     parent_arr = np.asarray(parent, dtype=np.int64)
     roots = resolve_roots(parent_arr) if len(parent_arr) else parent_arr
     n = len(parent_arr)
@@ -194,60 +181,20 @@ def build_sidecar_arrays(
         "n_components": int(n_components),
         "has_postings": has_postings,
     }
-    return arrays, meta, has_postings
+    return arrays, meta
 
 
-def write_sidecar(
-    directory: str | Path,
-    entries: int,
-    arrays: dict[str, np.ndarray],
-    meta: dict,
-    *,
-    fsync: bool = True,
-) -> Path:
-    path = sidecar_path(directory, entries)
-    write_arrays(path, arrays, meta, fsync=fsync)
-    return path
+def _first_invalid_record(records) -> str:
+    from ..core.incremental import validate_fields
+
+    for record in records:
+        try:
+            validate_fields(record.fields)
+        except ValueError as exc:
+            return f"record {record.record_id} ({exc})"
+    return "a record"
 
 
-def open_sidecar(path: str | Path, *, verify: bool = False) -> EngineStateColumns:
-    return EngineStateColumns(MappedArrays(path, verify=verify))
-
-
-def group_weight_map(columns: EngineStateColumns) -> dict[int, float]:
-    """The persisted ``root → weight`` map as plain Python values."""
-    return {
-        int(root): float(weight)
-        for root, weight in zip(
-            columns.group_roots.tolist(), columns.group_weights.tolist()
-        )
-    }
-
-
-def checkpoint_group_items(records, parent: list[int]) -> list[tuple[int, float]]:
-    """``sorted((root, weight))`` pairs for a checkpoint's groups
-    section, computed with array kernels instead of a scalar find loop.
-
-    Bit-identical to the scalar accumulation: ``np.bincount`` sums
-    weights strictly in input (record-id) order, exactly like the
-    ``group_weights[find(rid)] += weight`` loop it replaces.
-    """
-    parent_arr = np.asarray(parent, dtype=np.int64)
-    n = len(parent_arr)
-    if n == 0:
-        return []
-    roots = resolve_roots(parent_arr)
-    weights = (
-        records.weights_array()
-        if hasattr(records, "weights_array")
-        else np.asarray([r.weight for r in records], dtype=np.float64)
-    )
-    sums = np.bincount(roots, weights=weights, minlength=n)
-    counts = np.bincount(roots, minlength=n)
-    root_ids = np.nonzero(counts)[0]
-    return [(int(root), float(sums[root])) for root in root_ids.tolist()]
-
-
-def weight_total_close(total_group: float, total_records: float) -> bool:
-    """Shared tolerance for the audit's total-weight cross-check."""
-    return math.isclose(total_group, total_records, rel_tol=1e-9, abs_tol=1e-9)
+def open_sidecar(path: str | Path) -> EngineStateColumns:
+    """Map the sidecar at *path*, verifying every array's checksum."""
+    return EngineStateColumns(MappedArrays(path, verify=True))

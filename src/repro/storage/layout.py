@@ -9,10 +9,12 @@ once with ``numpy.memmap`` and expose zero-copy views, so opening a
 multi-gigabyte container costs page-table setup, not I/O — pages fault
 in lazily as kernels touch them.
 
-Array checksums are verified only on request (``verify=True``): a cold
-start must not read every byte of a mapped file just to serve the first
-query.  The header's own checksum is always verified, so a truncated or
-overwritten file is rejected before any view is handed out.
+The header's own checksum is always verified, so a truncated or
+overwritten file is rejected before any view is handed out; array
+checksums are verified on request (``verify=True``), which reads every
+byte once.  An engine restore always verifies: it decodes every array
+anyway, and a damaged body must fail the checkpoint, not decode into
+wrong records.
 
 Format (all integers little-endian inside array buffers; the framing
 is big-endian to match the WAL/checkpoint framing):
@@ -70,19 +72,21 @@ def _pad(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def write_arrays(
-    path: str | Path,
-    arrays: dict[str, np.ndarray],
-    meta: dict | None = None,
-    *,
-    fsync: bool = True,
-) -> Path:
-    """Atomically write *arrays* (with JSON-able *meta*) to *path*.
+def _crc32(array: np.ndarray) -> int:
+    """CRC32 of a C-contiguous array's bytes, read in place (no copy)."""
+    return zlib.crc32(array) & 0xFFFFFFFF
 
-    Arrays are coerced to C-contiguous little-endian buffers; the value
-    stored is exactly the value read back (lossless round-trip).
+
+def array_file_chunks(
+    arrays: dict[str, np.ndarray], meta: dict | None = None
+) -> list:
+    """Encode *arrays* (with JSON-able *meta*) as the container's bytes.
+
+    Returns the buffers to write in order: the framed header, then each
+    array body behind its zero padding.  Bodies are the (little-endian,
+    C-contiguous) arrays themselves, not copies.  The value stored is
+    exactly the value read back (lossless round-trip).
     """
-    path = Path(path)
     prepared: list[tuple[str, np.ndarray]] = []
     for name, array in arrays.items():
         if not isinstance(name, str) or not name:
@@ -108,7 +112,7 @@ def write_arrays(
                 "shape": list(array.shape),
                 "offset": 0,
                 "nbytes": int(array.nbytes),
-                "crc32": zlib.crc32(array.tobytes()) & 0xFFFFFFFF,
+                "crc32": _crc32(array),
             }
         )
     header = {"meta": meta or {}, "arrays": entries}
@@ -133,14 +137,31 @@ def write_arrays(
         raise ArrayFileError("array layout did not stabilise")
 
     blob = _encode()
+    head = MAGIC + _FRAME.pack(len(blob), zlib.crc32(blob) & 0xFFFFFFFF) + blob
+    chunks: list = [head]
+    written = len(head)
+    for entry, (_name, array) in zip(entries, prepared):
+        chunks.append(b"\x00" * (entry["offset"] - written))
+        chunks.append(array)
+        written = entry["offset"] + entry["nbytes"]
+    return chunks
+
+
+def write_arrays(
+    path: str | Path,
+    arrays: dict[str, np.ndarray],
+    meta: dict | None = None,
+    *,
+    fsync: bool = True,
+) -> Path:
+    """Atomically write *arrays* (with JSON-able *meta*) to *path*
+    (see :func:`array_file_chunks`)."""
+    path = Path(path)
+    chunks = array_file_chunks(arrays, meta)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(_FRAME.pack(len(blob), zlib.crc32(blob) & 0xFFFFFFFF))
-        handle.write(blob)
-        for entry, (_name, array) in zip(entries, prepared):
-            handle.write(b"\x00" * (entry["offset"] - handle.tell()))
-            handle.write(array.tobytes())
+        for chunk in chunks:
+            handle.write(chunk)
         handle.flush()
         if fsync:
             os.fsync(handle.fileno())
@@ -211,8 +232,7 @@ class MappedArrays:
             view = self._mm[offset : offset + nbytes].view(dtype).reshape(shape)
             view.flags.writeable = False
             if verify:
-                actual = zlib.crc32(view.tobytes()) & 0xFFFFFFFF
-                if actual != int(entry["crc32"]):
+                if _crc32(view) != int(entry["crc32"]):
                     raise ArrayFileError(
                         f"{self.path.name}: array {name!r} checksum mismatch"
                     )

@@ -26,6 +26,7 @@ import numpy as np
 
 _LEN = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+_S, _I, _T, _N, _TRUE, _FALSE, _F = b"sitnTFf"
 
 
 class KeyEncodingError(TypeError):
@@ -71,25 +72,19 @@ def decode_key(blob: bytes) -> Hashable:
 
 
 def _decode_from(blob: bytes, pos: int):
-    tag = blob[pos : pos + 1]
+    # Tags compare as ints (``blob[pos]``), strings and tuples first:
+    # they are what the library predicates emit.
+    tag = blob[pos]
     pos += 1
-    if tag == b"n":
-        return None, pos
-    if tag == b"T":
-        return True, pos
-    if tag == b"F":
-        return False, pos
-    if tag == b"f":
-        return _F64.unpack_from(blob, pos)[0], pos + _F64.size
-    if tag in (b"i", b"s"):
+    if tag == _S or tag == _I:
         (length,) = _LEN.unpack_from(blob, pos)
         pos += _LEN.size
         raw = blob[pos : pos + length]
         pos += length
-        if tag == b"i":
+        if tag == _I:
             return int(raw.decode("ascii")), pos
         return raw.decode("utf-8"), pos
-    if tag == b"t":
+    if tag == _T:
         (count,) = _LEN.unpack_from(blob, pos)
         pos += _LEN.size
         items = []
@@ -97,7 +92,15 @@ def _decode_from(blob: bytes, pos: int):
             item, pos = _decode_from(blob, pos)
             items.append(item)
         return tuple(items), pos
-    raise ValueError(f"unknown key tag {tag!r} at offset {pos - 1}")
+    if tag == _N:
+        return None, pos
+    if tag == _TRUE:
+        return True, pos
+    if tag == _FALSE:
+        return False, pos
+    if tag == _F:
+        return _F64.unpack_from(blob, pos)[0], pos + _F64.size
+    raise ValueError(f"unknown key tag {bytes([tag])!r} at offset {pos - 1}")
 
 
 def postings_to_arrays(
@@ -138,12 +141,13 @@ def postings_from_arrays(
     verification path slices lists by recency, both order-sensitive.
     """
     blob = np.asarray(arrays[f"{prefix}blob"], dtype=np.uint8).tobytes()
-    offsets = arrays[f"{prefix}offsets"]
-    indptr = arrays[f"{prefix}indptr"]
-    members = arrays[f"{prefix}members"]
+    # One bulk conversion per array: indexing a mapped array per key
+    # would cost a NumPy scalar read each.
+    offsets = arrays[f"{prefix}offsets"].tolist()
+    indptr = arrays[f"{prefix}indptr"].tolist()
+    members = arrays[f"{prefix}members"].tolist()
     index: defaultdict[Hashable, list[int]] = defaultdict(list)
-    member_list = [int(m) for m in members.tolist()]
     for slot in range(len(offsets) - 1):
-        key = decode_key(blob[int(offsets[slot]) : int(offsets[slot + 1])])
-        index[key] = member_list[int(indptr[slot]) : int(indptr[slot + 1])]
+        key = decode_key(blob[offsets[slot] : offsets[slot + 1]])
+        index[key] = members[indptr[slot] : indptr[slot + 1]]
     return index

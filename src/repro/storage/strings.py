@@ -1,10 +1,12 @@
 """Dictionary-encoded string storage: one UTF-8 blob + int64 offsets.
 
-The columnar record store never materialises Python strings at load
-time: a :class:`StringPool` keeps every distinct string as a slice of a
-single mapped byte blob, decoded on demand.  This extends the intent of
-:class:`repro.similarity.encoding.TokenDictionary` (string → small int
-at ingest) with the inverse direction served from disk.
+A :class:`StringPool` keeps every distinct string as a slice of a
+single (possibly mapped) byte blob: ``pool[i]`` decodes one string,
+:meth:`StringPool.decode_all` decodes every string once, which is how
+a checkpoint restore gets one ``str`` per distinct field value.  This
+extends the intent of :class:`repro.similarity.encoding.TokenDictionary`
+(string → small int at ingest) with the inverse direction served from
+disk.
 """
 
 from __future__ import annotations
@@ -53,11 +55,17 @@ class StringPool(Sequence):
         return self._blob[start:end].tobytes().decode("utf-8")
 
     def __iter__(self):
-        offsets = self._offsets
-        for i in range(len(offsets) - 1):
-            yield self._blob[offsets[i] : offsets[i + 1]].tobytes().decode(
-                "utf-8"
-            )
+        return iter(self.decode_all())
+
+    def decode_all(self) -> list[str]:
+        """Every string in order, each decoded once from one bulk read
+        of the blob."""
+        blob = self._blob.tobytes()
+        offsets = self._offsets.tolist()
+        return [
+            blob[start:end].decode("utf-8")
+            for start, end in zip(offsets, offsets[1:])
+        ]
 
     def index(self) -> dict[str, int]:
         """The reverse map (str → id), built on first use and cached."""

@@ -11,6 +11,10 @@ write-ahead log at every entry boundary (and inside entries), crashes
 checkpoint writes mid-rename, and checks recovery restores exactly the
 surviving prefix.
 
+:mod:`repro.testing.checkpoints` writes an engine checkpoint in the
+inline-JSON layout that predates the array sidecar, so the restore path
+for such state directories stays tested, or in either layout by name.
+
 :mod:`repro.testing.faultplane` is the unified fault plane: one seeded
 :class:`FaultPlane` hooks every ``fire_fault`` site of the storage layer
 (WAL appends, fsyncs, checkpoint writes) and bridges to the older chaos
@@ -24,6 +28,7 @@ from .chaos import (
     FaultPlan,
     chaos_levels,
 )
+from .checkpoints import checkpoint_as, write_json_checkpoint
 from .crashpoints import (
     CheckpointCrashPoint,
     CheckpointCrashResult,
@@ -51,6 +56,7 @@ __all__ = [
     "FaultPlan",
     "FaultPlane",
     "chaos_levels",
+    "checkpoint_as",
     "enumerate_crash_points",
     "reference_fingerprints",
     "run_checkpoint_crash_sweep",
@@ -58,5 +64,6 @@ __all__ = [
     "simulate_checkpoint_crash",
     "simulate_crash",
     "stream_fingerprint",
+    "write_json_checkpoint",
     "write_stream",
 ]

@@ -120,17 +120,16 @@ def write_stream(
     fsync: bool = False,
     keep_checkpoints: int = 2,
     prune: bool = True,
-    store: str = "memory",
 ) -> IncrementalTopK:
     """Run *events* through a durable engine rooted at *state_dir*.
 
     The checkpoint-crash sweep passes ``prune=False`` (and a generous
     *keep_checkpoints*) so the full WAL and every checkpoint survive,
     keeping each checkpoint-write moment reconstructible from the
-    final directory.  With ``store="columnar"`` checkpoints compact to
-    mapped sidecar files; the crash simulators leave sidecars of
-    deleted checkpoints in place, which is exactly the shape a real
-    crash produces (the sidecar is written *before* its checkpoint).
+    final directory.  Every checkpoint writes an array sidecar; the
+    crash simulators leave sidecars of deleted checkpoints in place,
+    which is exactly the shape a real crash produces (the sidecar is
+    written *before* its checkpoint).
     """
     policy = DurabilityPolicy(
         state_dir=state_dir,
@@ -138,7 +137,7 @@ def write_stream(
         fsync=fsync,
         keep_checkpoints=keep_checkpoints,
     )
-    engine = IncrementalTopK(make_levels(), durability=policy, store=store)
+    engine = IncrementalTopK(make_levels(), durability=policy)
     for position, (fields, weight) in enumerate(events, start=1):
         engine.add(fields, weight)
         if checkpoint_every and position % checkpoint_every == 0:
@@ -308,7 +307,6 @@ def run_checkpoint_crash_sweep(
     *,
     segment_bytes: int = 4096,
     checkpoint_every: int = 25,
-    store: str = "memory",
 ) -> list[CheckpointCrashResult]:
     """Crash every checkpoint write at three byte offsets of its tmp file.
 
@@ -330,7 +328,6 @@ def run_checkpoint_crash_sweep(
         checkpoint_every=checkpoint_every,
         keep_checkpoints=max(1, len(events)),
         prune=False,
-        store=store,
     )
     references = reference_fingerprints(make_levels, events)
     results: list[CheckpointCrashResult] = []
@@ -348,9 +345,7 @@ def run_checkpoint_crash_sweep(
             )
             clone = simulate_checkpoint_crash(state_dir, scratch_dir, point)
             try:
-                recovered = IncrementalTopK.restore(
-                    clone, make_levels(), store=store
-                )
+                recovered = IncrementalTopK.restore(clone, make_levels())
             except Exception as exc:  # noqa: BLE001 — report, don't crash
                 results.append(
                     CheckpointCrashResult(
@@ -397,7 +392,6 @@ def run_crash_sweep(
     segment_bytes: int = 4096,
     checkpoint_every: int = 0,
     mid_entry_per_segment: int = 3,
-    store: str = "memory",
 ) -> list[CrashPointResult]:
     """The full crash-point sweep; see the module docstring.
 
@@ -417,7 +411,6 @@ def run_crash_sweep(
         state_dir,
         segment_bytes=segment_bytes,
         checkpoint_every=checkpoint_every,
-        store=store,
     )
     references = reference_fingerprints(make_levels, events)
     if stream_fingerprint(final) != references[-1]:
@@ -444,9 +437,7 @@ def run_crash_sweep(
             continue
         clone = simulate_crash(state_dir, scratch_dir, point)
         try:
-            recovered = IncrementalTopK.restore(
-                clone, make_levels(), store=store
-            )
+            recovered = IncrementalTopK.restore(clone, make_levels())
         except Exception as exc:  # noqa: BLE001 — report, don't crash the sweep
             results.append(
                 CrashPointResult(point, -1, False, f"restore raised {exc!r}")

@@ -65,7 +65,8 @@ class FaultPlane:
             ``EIO``.
         checkpoint_rate: Fraction of checkpoint writes that fail with
             ``EIO`` mid-write (the tmp file may be left behind; the
-            prior checkpoint must survive untouched).
+            prior checkpoint must survive untouched).  A checkpoint's
+            array sidecar and its checkpoint file draw separately.
         persistent: Ignore the attempt number in fault draws, so a
             faulted site keeps failing across retries — the
             "infrastructure is actually down" scenario that must end in

@@ -326,32 +326,6 @@ def test_vectorized_index_matches_scalar_index(predicate):
         assert vector.neighbors(probe).tolist() == scalar.neighbors(probe).tolist()
 
 
-def test_engine_state_roundtrip_preserves_member_queries():
-    predicate = CitationS2(min_coauthors=2)
-    rng = random.Random(13)
-    store = RecordStore.from_rows(_citation_rows(rng, 60))
-    records = list(store)
-    engine = BatchNeighborEngine.build(
-        predicate, records, build_key_index(predicate, records)
-    )
-    arrays, params = engine.export_state()
-    rebuilt = BatchNeighborEngine.from_state(arrays, params)
-
-    class _Sink:
-        predicate_evaluations = 0
-        cache_hits = 0
-
-    for position in range(len(records)):
-        assert rebuilt.member_neighbors(position, _Sink()).tolist() == (
-            engine.member_neighbors(position, _Sink()).tolist()
-        )
-    # Array rebuilds drop the probe-encoding state: external probes
-    # must report "cannot encode" (None), never a wrong answer.
-    assert (
-        rebuilt.probe_neighbors(records[0], {"x"}, -1, _Sink()) is None
-    )
-
-
 def test_engine_csr_matches_per_member_lists():
     predicate = NgramOverlapPredicate(field="author", threshold=0.6)
     rng = random.Random(17)

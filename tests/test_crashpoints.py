@@ -180,9 +180,9 @@ def test_simulate_checkpoint_crash_leaves_only_the_tmp(tmp_path):
 
 @pytest.mark.timeout(300)
 def test_columnar_store_sweep_with_checkpoints(tmp_path):
-    # The columnar store compacts checkpoints into mapped sidecars; a
-    # crash anywhere in the WAL (sidecars of vanished checkpoints
-    # included — they are written first) must recover identically.
+    # Every checkpoint writes an array sidecar; a crash anywhere in the
+    # WAL (sidecars of vanished checkpoints included — they are written
+    # first) must recover identically.
     events = seeded_events(200, seed=11, poison_rate=0.05)
     results = run_crash_sweep(
         make_levels,
@@ -191,7 +191,6 @@ def test_columnar_store_sweep_with_checkpoints(tmp_path):
         tmp_path / "scratch",
         segment_bytes=2048,
         checkpoint_every=60,
-        store="columnar",
     )
     assert_all_ok(results)
     assert any(
@@ -209,7 +208,8 @@ def test_columnar_checkpoint_crash_sweep_all_recover(tmp_path):
         tmp_path / "state",
         tmp_path / "scratch",
         checkpoint_every=30,
-        store="columnar",
     )
     assert_all_ok(results)
     assert {r.point.entries for r in results} == {30, 60, 90, 120}
+    # Each interrupted checkpoint left its sidecar (written first).
+    assert len(list((tmp_path / "state").glob("columnar-*.col"))) == 4

@@ -1,6 +1,7 @@
 """Tests for the durable stream state layer (checkpoint + WAL + recovery)."""
 
 import json
+import math
 import random
 import struct
 
@@ -18,6 +19,7 @@ from repro.core.persistence import (
     wal_entry_spans,
 )
 from repro.predicates.base import FunctionPredicate, PredicateLevel
+from repro.testing import checkpoint_as, write_json_checkpoint
 from repro.testing.crashpoints import stream_fingerprint
 from tests.conftest import exact_name_predicate, shared_word_predicate
 
@@ -51,6 +53,18 @@ def policy_for(tmp_path, **kwargs):
 def feed(engine, names, weight=1.0):
     for name in names:
         engine.add({"name": name}, weight)
+
+
+def flip_body_byte(sidecar, array_name):
+    """Flip the low bit of the first body byte of *array_name* in an
+    array sidecar, leaving its header (and so its recorded CRC32)
+    intact."""
+    data = bytearray(sidecar.read_bytes())
+    (length,) = struct.unpack(">I", data[8:12])
+    header = json.loads(data[16 : 16 + length])
+    (entry,) = [e for e in header["arrays"] if e["name"] == array_name]
+    data[entry["offset"]] ^= 0x01
+    sidecar.write_bytes(bytes(data))
 
 
 class TestDurabilityPolicy:
@@ -271,6 +285,39 @@ class TestCheckpoint:
         assert stream_fingerprint(restored) == stream_fingerprint(engine)
         restored.close()
 
+    def test_lone_corrupt_checkpoint_with_pruned_wal_fails_restore(
+        self, tmp_path
+    ):
+        # The checkpoint subsumed (and pruned) the whole WAL: skipping
+        # it would restore an empty stream as if nothing was lost.
+        engine = IncrementalTopK(plain_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["a", "b", "a"])
+        path = engine.checkpoint()
+        engine.close()
+        assert not list((tmp_path / "state").glob("wal-*.log"))
+        path.write_bytes(b"\x00" * 64)
+        with pytest.raises(CheckpointError, match="entry 3 is unusable"):
+            IncrementalTopK.restore(tmp_path / "state", plain_levels())
+
+    def test_restore_clears_tmp_files_of_interrupted_checkpoints(
+        self, tmp_path
+    ):
+        engine = IncrementalTopK(plain_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["a", "b"])
+        engine.checkpoint()
+        engine.close()
+        state = tmp_path / "state"
+        stale = [
+            state / "checkpoint-000000000009.ckpt.tmp",
+            state / "columnar-000000000009.col.tmp",
+        ]
+        for path in stale:
+            path.write_bytes(b"half-written")
+        restored = IncrementalTopK.restore(state, plain_levels())
+        assert not any(path.exists() for path in stale)
+        assert stream_fingerprint(restored) == stream_fingerprint(engine)
+        restored.close()
+
     def test_checkpoint_retention(self, tmp_path):
         engine = IncrementalTopK(
             plain_levels(), durability=policy_for(tmp_path, keep_checkpoints=2)
@@ -318,13 +365,14 @@ class TestCheckpoint:
         assert header["entries_applied"] == 7
         assert sections["records"] == rows
         assert store.checkpoint_usable(path)
-        loaded = store.load_latest_checkpoint()
-        assert loaded is not None and loaded[2] == path
+        assert store.checkpoints() == [(7, path)]
 
     def test_tampered_group_weights_fail_restore(self, tmp_path):
+        # Inline-JSON checkpoints carry their own per-group weights;
+        # restore cross-checks them against the records.
         engine = IncrementalTopK(plain_levels(), durability=policy_for(tmp_path))
         feed(engine, ["a", "a", "b"], 2.0)
-        path = engine.checkpoint()
+        path = write_json_checkpoint(engine)
         engine.close()
         header, sections = DurableStateStore.read_checkpoint(path)
         sections["groups"] = [[root, weight + 1.0] for root, weight in sections["groups"]]
@@ -337,6 +385,191 @@ class TestCheckpoint:
         with pytest.raises(StateAuditError, match="group weights"):
             IncrementalTopK.restore(tmp_path / "state", plain_levels())
 
+    def test_inline_json_checkpoint_restores_bit_identical(self, tmp_path):
+        # State directories written before every checkpoint carried an
+        # array sidecar hold inline-JSON checkpoints: they restore to
+        # the same state, and the next checkpoint writes a sidecar.
+        engine = IncrementalTopK(make_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["ann smith", "poison", "ann smith", "bob jones"], 2.5)
+        engine.add({"name": "carol", "city": ""}, -0.0)
+        path = write_json_checkpoint(engine)
+        feed(engine, ["bob jones", "dave"], 1.5)
+        engine.close()
+        _header, sections = DurableStateStore.read_checkpoint(path)
+        assert "records" in sections and "columnar" not in sections
+        assert not list((tmp_path / "state").glob("columnar-*.col"))
+
+        restored = IncrementalTopK.restore(tmp_path / "state", make_levels())
+        assert restored.last_recovery.checkpoint_path == path
+        assert restored.last_recovery.entries_replayed == 2
+        assert stream_fingerprint(restored) == stream_fingerprint(engine)
+        (carol,) = [r for r in restored.current_store() if r["name"] == "carol"]
+        assert list(carol.fields.items()) == [("name", "carol"), ("city", "")]
+        assert math.copysign(1.0, carol.weight) == -1.0
+        assert restored.query(2).groups.weights() == engine.query(2).groups.weights()
+
+        next_path = restored.checkpoint()
+        restored.close()
+        _header, sections = DurableStateStore.read_checkpoint(next_path)
+        assert "columnar" in sections and "records" not in sections
+        assert (tmp_path / "state" / sections["columnar"]["file"]).exists()
+        again = IncrementalTopK.restore(tmp_path / "state", make_levels())
+        assert again.last_recovery.checkpoint_path == next_path
+        assert again.last_recovery.entries_replayed == 0
+        assert stream_fingerprint(again) == stream_fingerprint(engine)
+        again.close()
+
+    def test_failed_sidecar_write_counts_as_failed_checkpoint(self, tmp_path):
+        import errno
+
+        from repro.core.persistence import CheckpointWriteError
+        from repro.core.retry import install_fault_hook
+
+        engine = IncrementalTopK(plain_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["a", "b"])
+        first = engine.checkpoint()
+        feed(engine, ["c"])
+
+        def disk_full(site, ids):
+            if ids.get("file") == "sidecar":
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        previous = install_fault_hook(disk_full)
+        try:
+            with pytest.raises(CheckpointWriteError, match="sidecar"):
+                engine.checkpoint()
+        finally:
+            install_fault_hook(previous)
+        assert engine.durability_status()["checkpoints_failed"] == 1
+        assert not list((tmp_path / "state").glob("*.tmp"))
+        engine.close()
+        restored = IncrementalTopK.restore(tmp_path / "state", plain_levels())
+        assert restored.last_recovery.checkpoint_path == first
+        assert restored.last_recovery.entries_replayed == 1
+        assert stream_fingerprint(restored) == stream_fingerprint(engine)
+        restored.close()
+
+    def test_transient_sidecar_write_error_is_retried(self, tmp_path):
+        import errno
+
+        from repro.core.retry import install_fault_hook
+
+        engine = IncrementalTopK(plain_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["a", "b", "a"])
+        attempts = []
+
+        def flaky_sidecar(site, ids):
+            if ids.get("file") == "sidecar":
+                attempts.append(ids["attempt"])
+                if ids["attempt"] == 0:
+                    raise OSError(errno.EIO, "injected: transient I/O error")
+
+        previous = install_fault_hook(flaky_sidecar)
+        try:
+            path = engine.checkpoint()
+        finally:
+            install_fault_hook(previous)
+        assert attempts == [0, 1]
+        assert engine.durability_status()["checkpoints_failed"] == 0
+        engine.close()
+        restored = IncrementalTopK.restore(tmp_path / "state", plain_levels())
+        assert restored.last_recovery.checkpoint_path == path
+        assert restored.last_recovery.entries_replayed == 0
+        assert stream_fingerprint(restored) == stream_fingerprint(engine)
+        restored.close()
+
+    def test_open_breaker_refuses_before_encoding_the_sidecar(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.persistence import CheckpointWriteError
+        from repro.storage import engine_state
+
+        engine = IncrementalTopK(plain_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["a", "b"])
+        breaker = engine._durable.breaker
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure()
+        assert not breaker.allow()
+
+        def must_not_encode(*args, **kwargs):
+            raise AssertionError("sidecar encoded behind an open breaker")
+
+        monkeypatch.setattr(engine_state, "build_sidecar_arrays", must_not_encode)
+        with pytest.raises(CheckpointWriteError, match="breaker"):
+            engine.checkpoint()
+        assert engine.durability_status()["checkpoints_failed"] == 1
+        engine.close()
+
+    @pytest.mark.parametrize("bad_value", ["\ud800", 2009])
+    def test_unencodable_replayed_record_fails_checkpoint_visibly(
+        self, tmp_path, bad_value
+    ):
+        # add() rejects such fields, but state replayed from a WAL
+        # written before it did can hold them: every checkpoint must
+        # then fail as a counted write failure naming the record, with
+        # the prior checkpoint and the WAL kept.
+        from repro.core.persistence import CheckpointWriteError
+
+        engine = IncrementalTopK(plain_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["a"])
+        first = engine.checkpoint()
+        engine._apply_add({"name": bad_value}, 1.0)  # the WAL-replay path
+        with pytest.raises(CheckpointWriteError, match="record 1"):
+            engine.checkpoint()
+        assert engine.durability_status()["checkpoints_failed"] == 1
+        assert sorted((tmp_path / "state").glob("checkpoint-*.ckpt")) == [first]
+        assert not list((tmp_path / "state").glob("*.tmp"))
+        engine.close()
+
+    def test_damaged_newest_sidecar_body_falls_back(self, tmp_path):
+        # A body byte flipped so that it still decodes (record 0's
+        # weight moves by one ulp, inside the group-weight tolerance):
+        # only the body checksum can tell.  Restore must skip that
+        # checkpoint for the older one and replay the WAL kept for it.
+        engine = IncrementalTopK(
+            plain_levels(), durability=policy_for(tmp_path, keep_checkpoints=2)
+        )
+        feed(engine, ["a"] * 4)
+        first = engine.checkpoint()
+        feed(engine, ["b"] * 4)
+        newest = engine.checkpoint()
+        engine.close()
+        state = tmp_path / "state"
+        (sidecar,) = state.glob("columnar-000000000008.col")
+        flip_body_byte(sidecar, "records.weights")
+        store = DurableStateStore(policy_for(tmp_path))
+        assert not store.checkpoint_usable(newest)
+        assert store.checkpoint_usable(first)
+        restored = IncrementalTopK.restore(state, plain_levels())
+        assert restored.last_recovery.corrupt_checkpoints_skipped == 1
+        assert restored.last_recovery.checkpoint_path == first
+        assert restored.last_recovery.entries_replayed == 4
+        assert stream_fingerprint(restored) == stream_fingerprint(engine)
+        restored.close()
+
+    def test_damaged_sidecar_body_fails_restore_cleanly(self, tmp_path):
+        # A sidecar whose checksums hold but whose record id points
+        # outside its string pool must surface as a CheckpointError,
+        # never a raw IndexError — and with no older checkpoint to fall
+        # back to, restore must fail rather than drop the entries.
+        import numpy as np
+
+        from repro.storage import MappedArrays, write_arrays
+
+        engine = IncrementalTopK(plain_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["ann smith", "bob jones"])
+        engine.checkpoint()
+        engine.close()
+        (sidecar,) = (tmp_path / "state").glob("columnar-*.col")
+        mapped = MappedArrays(sidecar)
+        arrays = {name: np.array(view) for name, view in mapped.arrays.items()}
+        meta = mapped.meta
+        del mapped
+        arrays["records.value_ids"][0] = 99
+        write_arrays(sidecar, arrays, meta)
+        with pytest.raises(CheckpointError, match="does not decode"):
+            IncrementalTopK.restore(tmp_path / "state", plain_levels())
+
 
 class TestPruneRetention:
     """Regression: prune must never count corrupt checkpoints toward
@@ -344,15 +577,14 @@ class TestPruneRetention:
     WAL segments needed to replay forward from it, turning a
     recoverable directory into an unrecoverable one."""
 
-    def _grow_state(self, tmp_path, *, store="memory", rounds=3):
+    def _grow_state(self, tmp_path, *, layout="sidecar", rounds=3):
         engine = IncrementalTopK(
             plain_levels(),
             durability=policy_for(tmp_path, keep_checkpoints=2),
-            store=store,
         )
         for round_number in range(rounds):
             feed(engine, [f"name-{round_number} shared"] * 10)
-            engine.checkpoint(prune=False)
+            checkpoint_as(engine, layout, prune=False)
         fingerprint = stream_fingerprint(engine)
         engine.close()
         return tmp_path / "state", fingerprint
@@ -365,11 +597,16 @@ class TestPruneRetention:
         store.prune()
         store.close()
 
-    @pytest.mark.parametrize("store_kind", ["memory", "columnar"])
+    # The ids keep the names these two cases had when the layouts came
+    # from two record stores: "memory" wrote inline JSON, "columnar"
+    # the sidecar.
+    @pytest.mark.parametrize(
+        "layout", ["json", "sidecar"], ids=["memory", "columnar"]
+    )
     def test_corrupt_checkpoints_do_not_occupy_retention_slots(
-        self, tmp_path, store_kind
+        self, tmp_path, layout
     ):
-        state, fingerprint = self._grow_state(tmp_path, store=store_kind)
+        state, fingerprint = self._grow_state(tmp_path, layout=layout)
         checkpoints = sorted(state.glob("checkpoint-*.ckpt"))
         assert len(checkpoints) == 3
         for path in checkpoints[1:]:  # entries 20 and 30 — the newest two
@@ -380,9 +617,7 @@ class TestPruneRetention:
         survivors = sorted(state.glob("checkpoint-*.ckpt"))
         assert survivors == [checkpoints[0]]
         assert any(p.name.startswith("wal-") for p in state.iterdir())
-        restored = IncrementalTopK.restore(
-            state, plain_levels(), store=store_kind
-        )
+        restored = IncrementalTopK.restore(state, plain_levels())
         assert stream_fingerprint(restored) == fingerprint
         assert restored.entries_applied == 30
         assert restored.last_recovery.checkpoint_entries == 10
@@ -407,7 +642,7 @@ class TestPruneRetention:
         restored.close()
 
     def test_columnar_sidecars_follow_their_checkpoints(self, tmp_path):
-        state, _ = self._grow_state(tmp_path, store="columnar", rounds=4)
+        state, _ = self._grow_state(tmp_path, rounds=4)
         assert len(sorted(state.glob("columnar-*.col"))) == 4
         # Fabricate an orphan sidecar (crash between sidecar write and
         # checkpoint rename leaves exactly this).
@@ -422,10 +657,27 @@ class TestPruneRetention:
             p.name.split("-")[1].split(".")[0] for p in sidecars
         } == kept
         assert not orphan.exists()
-        restored = IncrementalTopK.restore(
-            state, plain_levels(), store="columnar"
-        )
+        restored = IncrementalTopK.restore(state, plain_levels())
         assert restored.last_recovery.entries_replayed == 0
+        restored.close()
+
+    def test_damaged_sidecar_body_invalidates_checkpoint_for_retention(
+        self, tmp_path
+    ):
+        # A sidecar whose header is intact but whose body fails its
+        # checksum is as unusable as a missing one.
+        state, fingerprint = self._grow_state(tmp_path)
+        sidecars = sorted(state.glob("columnar-*.col"))
+        for path in sidecars[1:]:  # damage checkpoints 20 and 30
+            flip_body_byte(path, "uf.parent")
+        self._pruned_store(state)
+        survivors = sorted(state.glob("checkpoint-*.ckpt"))
+        assert [p.name for p in survivors] == [
+            "checkpoint-000000000010.ckpt"
+        ]
+        restored = IncrementalTopK.restore(state, plain_levels())
+        assert stream_fingerprint(restored) == fingerprint
+        assert restored.last_recovery.checkpoint_entries == 10
         restored.close()
 
     def test_missing_sidecar_invalidates_checkpoint_for_retention(
@@ -433,7 +685,7 @@ class TestPruneRetention:
     ):
         # A v2 checkpoint whose sidecar vanished must not count toward
         # retention either: restores cannot seed from it.
-        state, fingerprint = self._grow_state(tmp_path, store="columnar")
+        state, fingerprint = self._grow_state(tmp_path)
         sidecars = sorted(state.glob("columnar-*.col"))
         assert len(sidecars) == 3
         for path in sidecars[1:]:  # strand checkpoints 20 and 30
@@ -443,9 +695,7 @@ class TestPruneRetention:
         assert [p.name for p in survivors] == [
             "checkpoint-000000000010.ckpt"
         ]
-        restored = IncrementalTopK.restore(
-            state, plain_levels(), store="columnar"
-        )
+        restored = IncrementalTopK.restore(state, plain_levels())
         assert stream_fingerprint(restored) == fingerprint
         assert restored.last_recovery.checkpoint_entries == 10
         assert restored.last_recovery.entries_replayed == 20
@@ -488,6 +738,59 @@ class TestDeadLetterDurability:
         restored.close()
 
 
+class TestInsertValidation:
+    """An insert outside the record domain is rejected before it is
+    journaled: accepted, it would break every later checkpoint (a
+    non-string field value, or a string with a lone surrogate, cannot
+    enter the sidecar's UTF-8 string pool) or every later restore (a
+    non-finite weight fails the audit)."""
+
+    @pytest.mark.parametrize(
+        "fields, weight",
+        [
+            ({"name": "ann smith", "year": 2009}, 1.0),
+            ({"name": "ann smith", 7: "x"}, 1.0),
+            ({"name": "\ud800"}, 1.0),
+            ({"name": "ann smith", "\udfff": "x"}, 1.0),
+            (["name", "ann smith"], 1.0),
+            ({"name": "ann smith"}, float("nan")),
+            ({"name": "ann smith"}, float("-inf")),
+            ({"name": "ann smith"}, "heavy"),
+            ({"name": "ann smith"}, None),
+        ],
+    )
+    def test_rejected_insert_leaves_wal_and_engine_unchanged(
+        self, tmp_path, fields, weight
+    ):
+        engine = IncrementalTopK(make_levels(), durability=policy_for(tmp_path))
+        feed(engine, ["ann smith", "poison", "bob jones"])
+        state = tmp_path / "state"
+        wal_before = {p.name: p.read_bytes() for p in state.glob("wal-*.log")}
+        fingerprint = stream_fingerprint(engine)
+        with pytest.raises(ValueError, match="string-to-string|UTF-8|finite"):
+            engine.add(fields, weight)
+        assert {p.name: p.read_bytes() for p in state.glob("wal-*.log")} == (
+            wal_before
+        )
+        assert stream_fingerprint(engine) == fingerprint
+        assert engine.entries_applied == 3
+        assert len(engine.dead_letters) == 1
+        engine.add({"name": "ann smith"}, 2.0)
+        engine.checkpoint()
+        engine.add({"name": "cara"}, 0.5)
+        engine.close()
+        restored = IncrementalTopK.restore(state, make_levels())
+        assert stream_fingerprint(restored) == stream_fingerprint(engine)
+        restored.close()
+
+    def test_accepted_weight_is_stored_as_float(self):
+        engine = IncrementalTopK(plain_levels())
+        engine.add({"name": "a"}, 3)
+        engine.add({"name": "b"}, "2.5")
+        assert [r.weight for r in engine.current_store()] == [3.0, 2.5]
+        assert all(type(r.weight) is float for r in engine.current_store())
+
+
 class TestAudit:
     def test_healthy_engine_passes(self):
         engine = IncrementalTopK(plain_levels())
@@ -523,8 +826,10 @@ class TestAudit:
         assert any("members" in problem for problem in problems)
 
     def test_nonfinite_weight_detected(self):
+        # add() rejects a non-finite weight before journaling it, but a
+        # WAL written before that check can still replay one.
         engine = IncrementalTopK(plain_levels())
-        engine.add({"name": "a"}, weight=float("inf"))
+        engine._apply_add({"name": "a"}, float("inf"))
         problems = engine.audit(strict=False)
         assert any("non-finite" in problem for problem in problems)
 

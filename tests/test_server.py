@@ -242,6 +242,45 @@ def test_invalid_requests_are_400():
     run_async(scenario())
 
 
+def test_rejected_insert_is_400_and_journals_nothing(tmp_path):
+    # The handler and IncrementalTopK.add share one validator: a field
+    # value that is not a string or not valid UTF-8 (a lone surrogate is
+    # legal JSON; either would break every later checkpoint) or a NaN
+    # weight (it would fail every later restore) is refused before
+    # admission, with nothing journaled.
+    async def scenario():
+        engine = IncrementalTopK(
+            name_levels(), durability=DurabilityPolicy(tmp_path, fsync=False)
+        )
+        for name, weight in SEED_ROWS:
+            engine.add({"name": name}, weight)
+        service = make_service(engine=engine)
+        await service.start()
+        try:
+            for payload in (
+                {"fields": {"name": "ann smith", "year": 2009}},
+                json.loads('{"fields": {"name": "\\ud800"}}'),
+                {"fields": {"name": "ann smith"}, "weight": "nan"},
+            ):
+                status, body = await service.handle_insert(payload)
+                assert status == 400, payload
+                assert body["outcome"] == "invalid"
+            assert service.engine.entries_applied == len(SEED_ROWS)
+            status, body = await service.handle_insert(
+                {"fields": {"name": "ann smith"}, "weight": 4.0}
+            )
+            assert status == 200
+        finally:
+            report = await service.drain()
+        assert report["checkpointed"]
+
+    run_async(scenario())
+    restored = IncrementalTopK.restore(tmp_path, name_levels())
+    assert restored.entries_applied == len(SEED_ROWS) + 1
+    assert restored.last_recovery.entries_replayed == 0
+    restored.close()
+
+
 def test_insert_advances_reader_generation():
     async def scenario():
         service = make_service()

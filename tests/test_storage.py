@@ -1,11 +1,9 @@
-"""Unit tests for the columnar storage layer (:mod:`repro.storage`).
+"""Unit tests for the checkpoint storage layer (:mod:`repro.storage`).
 
 Covers the physical array container (round-trip, corruption detection),
 string pools, columnar records (field-order and missing-vs-empty
-fidelity), the postings key codec, the engine sidecar's vectorised
-validation, the hybrid record container, and the mapped serving paths
-built on top (TF-IDF index, dataset files, batch neighbor engines,
-snapshot answer-cache bounds).
+fidelity through the bulk decode), the postings key codec, the engine
+sidecar's vectorised validation, and the snapshot answer-cache bounds.
 """
 
 import math
@@ -16,7 +14,6 @@ import pytest
 from repro.core.records import Record
 from repro.storage import (
     ArrayFileError,
-    HybridRecordList,
     KeyEncodingError,
     MappedArrays,
     RecordColumns,
@@ -29,7 +26,6 @@ from repro.storage import (
     resolve_roots,
     write_arrays,
 )
-from repro.storage.columnar import FrozenRecordView
 from repro.storage.engine_state import EngineStateColumns
 from repro.storage.layout import read_header_meta
 
@@ -119,6 +115,8 @@ class TestStringPool:
         strings = ["", "hello", "héllo wörld", "", "a" * 1000]
         pool = StringPool.build(strings)
         assert list(pool) == strings
+        assert pool.decode_all() == strings
+        assert [pool[i] for i in range(len(pool))] == strings
         assert pool.index()["hello"] == 1
 
     def test_array_roundtrip(self, tmp_path):
@@ -147,10 +145,12 @@ class TestRecordColumns:
         records = _records()
         columns = RecordColumns.from_records(records)
         path = tmp_path / "r.col"
-        columns.save(path)
-        back = RecordColumns.open(path)
-        for i, original in enumerate(records):
-            got = back.record(i)
+        write_arrays(path, columns.to_arrays())
+        back = RecordColumns.from_arrays(MappedArrays(path).arrays)
+        decoded = back.to_records()
+        assert len(decoded) == len(records)
+        assert RecordColumns.from_records([]).to_records() == []
+        for original, got in zip(records, decoded):
             assert got == original
             # field insertion order and missing-vs-empty both survive
             assert list(got.fields) == list(original.fields)
@@ -160,52 +160,20 @@ class TestRecordColumns:
 
     def test_missing_field_reads_empty_via_record(self):
         columns = RecordColumns.from_records(_records())
-        rec = columns.record(2)
+        rec = columns.to_records()[2]
         assert rec["name"] == ""  # Record contract for absent fields
         assert "name" not in rec.fields
 
-
-class TestHybridRecordList:
-    def test_list_surface(self):
-        base = RecordColumns.from_records(_records())
-        hybrid = HybridRecordList(base)
-        assert len(hybrid) == 4
-        hybrid.append(
-            Record(record_id=4, fields={"name": "eve"}, weight=1.0)
-        )
-        assert len(hybrid) == 5
-        assert hybrid[0] == _records()[0]
-        assert hybrid[-1].fields["name"] == "eve"
-        assert [r.record_id for r in hybrid] == list(range(5))
-        assert hybrid[1:3] == [_records()[1], _records()[2]]
-        with pytest.raises(IndexError):
-            hybrid[5]
-
-    def test_freeze_is_immutable_view(self):
-        hybrid = HybridRecordList(RecordColumns.from_records(_records()))
-        frozen = hybrid.freeze()
-        hybrid.append(
-            Record(record_id=4, fields={"name": "eve"}, weight=1.0)
-        )
-        assert len(frozen) == 4 and len(hybrid) == 5
-        assert frozen[3] == _records()[3]
-        assert tuple(frozen[i] for i in range(4)) == frozen[0:4]
-
-    def test_swap_base_requires_full_coverage(self):
-        hybrid = HybridRecordList()
-        hybrid.append(Record(record_id=0, fields={"a": "b"}, weight=1.0))
-        with pytest.raises(ValueError, match="holds"):
-            hybrid.swap_base(RecordColumns.from_records(_records()))
-        compacted = RecordColumns.from_records(list(hybrid))
-        hybrid.swap_base(compacted)
-        assert hybrid.base is compacted and len(hybrid) == 1
-
-    def test_weights_array_matches_records(self):
-        hybrid = HybridRecordList(RecordColumns.from_records(_records()))
-        hybrid.append(Record(record_id=4, fields={}, weight=7.0))
-        assert hybrid.weights_array().tolist() == [
-            r.weight for r in hybrid
+    def test_bulk_decode_shares_one_string_per_pool_entry(self):
+        columns = RecordColumns.from_records(_records())
+        decoded = columns.to_records()
+        # "ann" is one pool entry: both records hold the same object,
+        # and so do the field names.
+        assert decoded[0].fields["name"] is decoded[3].fields["name"]
+        name_keys = [
+            key for record in decoded for key in record.fields if key == "name"
         ]
+        assert all(key is name_keys[0] for key in name_keys)
 
 
 # -- postings codec ---------------------------------------------------
@@ -278,30 +246,30 @@ class TestEngineState:
 
     def test_build_validate_roundtrip(self, tmp_path):
         records, parent, size, n_components, key_members = self._state()
-        arrays, meta, has_postings = build_sidecar_arrays(
+        arrays, meta = build_sidecar_arrays(
             records, parent, size, n_components, key_members
         )
-        assert has_postings
+        assert meta["has_postings"]
         path = tmp_path / "e.col"
         write_arrays(path, arrays, meta)
         columns = EngineStateColumns(MappedArrays(path))
         columns.validate()
         assert columns.key_members() == key_members
-        assert [columns.records.record(i) for i in range(4)] == records
+        assert columns.records.to_records() == records
 
     def test_unencodable_key_degrades_postings(self, tmp_path):
         records, parent, size, n_components, _ = self._state()
-        arrays, meta, has_postings = build_sidecar_arrays(
+        arrays, meta = build_sidecar_arrays(
             records, parent, size, n_components, {object(): [0]}
         )
-        assert not has_postings
+        assert not meta["has_postings"]
         path = tmp_path / "e.col"
         write_arrays(path, arrays, meta)
         assert EngineStateColumns(MappedArrays(path)).key_members() is None
 
     def test_validate_rejects_tampered_weights(self, tmp_path):
         records, parent, size, n_components, key_members = self._state()
-        arrays, meta, _ = build_sidecar_arrays(
+        arrays, meta = build_sidecar_arrays(
             records, parent, size, n_components, key_members
         )
         arrays = dict(arrays)
@@ -313,135 +281,13 @@ class TestEngineState:
 
     def test_validate_rejects_wrong_component_count(self, tmp_path):
         records, parent, size, _, key_members = self._state()
-        arrays, meta, _ = build_sidecar_arrays(
+        arrays, meta = build_sidecar_arrays(
             records, parent, size, 7, key_members
         )
         path = tmp_path / "e.col"
         write_arrays(path, arrays, meta)
         with pytest.raises(ArrayFileError, match="n_components"):
             EngineStateColumns(MappedArrays(path)).validate()
-
-
-# -- mapped TF-IDF serving --------------------------------------------
-
-
-class TestMappedTfIdf:
-    def test_bit_identical_candidates(self, tmp_path):
-        import random
-
-        from repro.similarity import (
-            IdfTable,
-            TfIdfIndex,
-            load_tfidf_index,
-            save_tfidf_index,
-        )
-
-        rng = random.Random(7)
-        vocab = [f"w{i}" for i in range(40)] + ["common"]
-        docs = [
-            [rng.choice(vocab) for _ in range(rng.randint(1, 10))] + ["common"]
-            for _ in range(60)
-        ]
-        index = TfIdfIndex(IdfTable(docs))
-        for i, doc in enumerate(docs):
-            index.add(i * 2, doc)  # non-contiguous doc ids
-        path = tmp_path / "tfidf.col"
-        save_tfidf_index(index, path)
-        mapped = load_tfidf_index(path)
-        assert len(mapped) == len(index)
-        assert mapped.n_posting_entries == index.n_posting_entries
-        assert mapped.vector(0) == index.vector(0)
-        assert mapped.cosine(0, 2) == index.cosine(0, 2)
-        for probe in docs[:10] + [["unseen"], []]:
-            for threshold in (0.0, 0.25, 0.7):
-                assert mapped.candidates_above(
-                    probe, threshold
-                ) == index.candidates_above(probe, threshold)
-        assert mapped.idf.idf("common") == index._idf.idf("common")
-        assert mapped.idf.idf("unseen") == index._idf.idf("unseen")
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        from repro.similarity import load_tfidf_index
-
-        path = tmp_path / "x.col"
-        write_arrays(path, _sample_arrays(), {"kind": "other"})
-        with pytest.raises(ArrayFileError, match="kind"):
-            load_tfidf_index(path)
-
-
-# -- columnar datasets ------------------------------------------------
-
-
-class TestColumnarDataset:
-    def test_roundtrip_exact(self, tmp_path):
-        from repro.datasets import (
-            load_dataset_columnar,
-            save_dataset_columnar,
-        )
-        from repro.datasets.students import generate_students
-
-        dataset = generate_students(n_records=80, seed=5)
-        path = tmp_path / "students.col"
-        save_dataset_columnar(dataset, str(path))
-        back = load_dataset_columnar(str(path))
-        assert back.labels == dataset.labels
-        assert len(back.store) == len(dataset.store)
-        for restored, original in zip(back.store, dataset.store):
-            assert restored == original
-        assert back.store.total_weight() == dataset.store.total_weight()
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        from repro.datasets import load_dataset_columnar
-
-        path = tmp_path / "x.col"
-        write_arrays(path, _sample_arrays(), {"kind": "other"})
-        with pytest.raises(ArrayFileError, match="kind"):
-            load_dataset_columnar(str(path))
-
-
-# -- mapped neighbor engines ------------------------------------------
-
-
-class _Sink:
-    predicate_evaluations = 0
-    cache_hits = 0
-
-
-class TestMappedNeighborEngine:
-    def test_member_verdicts_identical(self, tmp_path):
-        import random
-
-        from repro.core.records import RecordStore
-        from repro.predicates.batch import (
-            BatchNeighborEngine,
-            load_engine_state,
-            save_engine_state,
-        )
-        from repro.predicates.blocking import build_key_index
-        from repro.predicates.library import NgramOverlapPredicate
-
-        rng = random.Random(13)
-        rows = [
-            {"author": " ".join(rng.choice("abcdefgh") for _ in range(4))}
-            for _ in range(50)
-        ]
-        store = RecordStore.from_rows(rows)
-        records = list(store)
-        predicate = NgramOverlapPredicate(field="author", threshold=0.5)
-        engine = BatchNeighborEngine.build(
-            predicate, records, build_key_index(predicate, records)
-        )
-        path = tmp_path / "engine.col"
-        save_engine_state(engine, path)
-        mapped = load_engine_state(path)
-        for position in range(len(records)):
-            assert mapped.member_neighbors(position, _Sink()).tolist() == (
-                engine.member_neighbors(position, _Sink()).tolist()
-            )
-        indptr_a, flat_a = engine.member_neighbors_csr(range(0, 50, 3), _Sink())
-        indptr_b, flat_b = mapped.member_neighbors_csr(range(0, 50, 3), _Sink())
-        assert indptr_a.tolist() == indptr_b.tolist()
-        assert flat_a.tolist() == flat_b.tolist()
 
 
 # -- snapshot answer-cache bounds (serving-path bugfixes) -------------
@@ -522,45 +368,3 @@ class TestSnapshotCacheBounds:
         with pytest.raises(ValueError, match="finite"):
             snapshot.query_threshold(bad)
         assert snapshot.cache_size == 0  # no dead entry cached
-
-
-class TestFrozenViewInSnapshots:
-    def test_columnar_engine_snapshot_answers_match(self):
-        from repro.core import IncrementalTopK
-        from repro.core.records import group_fingerprint
-        from repro.predicates.base import PredicateLevel
-        from repro.server import EngineSnapshot
-
-        from .conftest import exact_name_predicate, shared_word_predicate
-
-        def levels():
-            return [
-                PredicateLevel(
-                    exact_name_predicate(), shared_word_predicate()
-                )
-            ]
-
-        memory = IncrementalTopK(levels())
-        columnar = IncrementalTopK(levels(), store="columnar")
-        for i in range(10):
-            fields = {"name": f"name {i % 4}"}
-            memory.add(fields, float(i + 1))
-            columnar.add(fields, float(i + 1))
-        snap_memory = EngineSnapshot.freeze(memory)
-        snap_columnar = EngineSnapshot.freeze(columnar)
-        assert isinstance(
-            snap_columnar._state.records, FrozenRecordView
-        )
-        assert snap_columnar.consistency_problems() == []
-        for k in (1, 3, 5):
-            assert group_fingerprint(
-                snap_columnar.query_topk(k).groups
-            ) == group_fingerprint(snap_memory.query_topk(k).groups)
-        assert (
-            snap_columnar.query_rank(3).ranking
-            == snap_memory.query_rank(3).ranking
-        )
-        assert (
-            snap_columnar.query_threshold(4.0).ranking
-            == snap_memory.query_threshold(4.0).ranking
-        )

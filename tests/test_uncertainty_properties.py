@@ -207,11 +207,11 @@ def _name_store() -> RecordStore:
     return RecordStore.from_rows([{"name": name} for name in NAMES])
 
 
-def _engine(store_kind: str) -> IncrementalTopK:
+def _engine(durability=None) -> IncrementalTopK:
     engine = IncrementalTopK(
         generic_levels("name", 0.3),
         scorer=generic_scorer("name", -3.0),
-        store=store_kind,
+        durability=durability,
     )
     for name in NAMES:
         engine.add({"name": name}, 1.0)
@@ -234,18 +234,24 @@ def _comparable(result):
 
 
 class TestEngineBitIdentity:
-    def test_store_kinds_agree(self):
-        results = []
-        for kind in ("memory", "columnar"):
-            engine = _engine(kind)
-            try:
-                results.append(engine.query(2, kind="interval", r=8))
-            finally:
-                engine.close()
-        assert _comparable(results[0]) == _comparable(results[1])
+    def test_restored_engine_agrees(self, tmp_path):
+        live = _engine(durability=tmp_path / "state")
+        live.checkpoint()
+        live.close()
+        restored = IncrementalTopK.restore(
+            tmp_path / "state",
+            generic_levels("name", 0.3),
+            scorer=generic_scorer("name", -3.0),
+        )
+        try:
+            assert _comparable(
+                restored.query(2, kind="interval", r=8)
+            ) == _comparable(live.query(2, kind="interval", r=8))
+        finally:
+            restored.close()
 
     def test_snapshot_cache_returns_identical_answer(self):
-        engine = _engine("memory")
+        engine = _engine()
         try:
             first = engine.query(2, kind="interval", r=8)
             second = engine.query(2, kind="interval", r=8)
