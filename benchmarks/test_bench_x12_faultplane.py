@@ -2,11 +2,12 @@
 
 Times the durable-stream workload (journal every citation record, then
 answer the top-K count query) with no fault hook, with a zero-rate
-FaultPlane armed, and with the plane armed plus metrics attached, best
-of three runs each.  The zero-rate armed mode must stay within 5% of
-the unhooked path, the plane must inject nothing, and answers must be
-bit-identical in every mode — the robustness machinery is free until a
-fault actually fires.
+FaultPlane armed, and with the plane armed plus metrics attached, the
+three modes interleaved in each of five repeats (order reversed every
+other repeat), best of five each.  The zero-rate armed mode must stay
+within 5% of the unhooked path, the plane must inject nothing, and
+answers must be bit-identical in every mode — the robustness machinery
+is free until a fault actually fires.
 """
 
 from repro.experiments import (

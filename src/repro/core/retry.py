@@ -4,11 +4,12 @@ The storage layer talks to infrastructure that fails routinely — disks
 fill, writes and fsync return ``EIO``.  This module is the one place
 its recovery discipline lives:
 
+* :func:`seeded_draw` — the one seeded uniform draw: retry jitter and
+  every fault the :class:`~repro.testing.faultplane.FaultPlane` injects
+  hash through it, so a pinned seed reproduces its schedule across runs.
 * :class:`RetryPolicy` — bounded exponential backoff with
-  **deterministic seeded jitter** (a :func:`hashlib.blake2b` draw of
-  ``(seed, key, attempt)``, the same discipline the chaos harness uses
-  for fault draws, so a retry schedule is reproducible across runs) and
-  a cooperative per-attempt timeout.
+  **deterministic seeded jitter** (a :func:`seeded_draw` of
+  ``(seed, key, attempt)``) and a cooperative per-attempt timeout.
 * :class:`CircuitBreaker` — the classic closed / open / half-open
   automaton, keyed per subsystem through :class:`BreakerRegistry`, so a
   persistently failing dependency (the WAL device) is stood down
@@ -37,6 +38,21 @@ from typing import Callable
 
 #: Denominator turning a 64-bit hash prefix into a uniform draw in [0, 1).
 _DRAW_SPACE = float(2**64)
+
+
+def seeded_draw(seed: int, salt: str, key: str) -> float:
+    """Uniform [0, 1) draw, a pure function of ``(seed, salt, key)``.
+
+    The first 8 bytes of the blake2b hash of ``f"{seed}|{salt}|{key}"``,
+    over 2**64.  The hashed string is part of every pinned schedule:
+    changing how a caller spells *salt* or *key* reshuffles the faults
+    or jitter of every seed that caller draws for.
+    """
+    digest = hashlib.blake2b(
+        f"{seed}|{salt}|{key}".encode(), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big") / _DRAW_SPACE
+
 
 # -- fault sites ------------------------------------------------------------
 # One constant per hardened fault site; the site string is the contract
@@ -124,8 +140,9 @@ class RetryPolicy:
             retry up to :attr:`max_delay_seconds`.
         max_delay_seconds: Upper bound on any single backoff sleep.
         jitter: Fraction of each backoff randomized *deterministically*:
-            the sleep is scaled into ``[1 - jitter, 1]`` by a blake2b
-            draw of ``(seed, key, attempt)``.  0 disables jitter.
+            the sleep is scaled into ``[1 - jitter, 1]`` by a
+            :func:`seeded_draw` of ``(seed, key, attempt)``.  0 disables
+            jitter.
         seed: Root of the jitter draws — a pinned seed reproduces the
             exact schedule.
         attempt_timeout_seconds: Cooperative per-attempt budget: an
@@ -166,10 +183,7 @@ class RetryPolicy:
         )
         if not self.jitter or raw <= 0:
             return raw
-        digest = hashlib.blake2b(
-            f"{self.seed}|{key}|{attempt}".encode(), digest_size=8
-        ).digest()
-        draw = int.from_bytes(digest, "big") / _DRAW_SPACE
+        draw = seeded_draw(self.seed, key, str(attempt))
         return raw * (1.0 - self.jitter * draw)
 
     def call(

@@ -31,7 +31,6 @@ from .accuracy import (
     run_figure7,
     table1,
 )
-from .chaos import chaos_checks, run_chaos_sweep
 from .durability import (
     durability_checks,
     run_durability_overhead,
@@ -81,7 +80,6 @@ __all__ = [
     "accuracy_shape_checks",
     "address_pipeline",
     "benchmark_scale",
-    "chaos_checks",
     "citation_pipeline",
     "cpn_vs_naive_checks",
     "durability_checks",
@@ -92,7 +90,6 @@ __all__ = [
     "prune_iteration_checks",
     "rank_query_checks",
     "run_accuracy_case",
-    "run_chaos_sweep",
     "run_cpn_vs_naive",
     "run_cpn_vs_naive_constructed",
     "observability_overhead_checks",

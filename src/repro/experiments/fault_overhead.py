@@ -15,7 +15,10 @@ three ways — unhooked (the production default), armed with a zero-rate
 :class:`~repro.testing.faultplane.FaultPlane`, and armed with metrics
 attached — best of *repeats* runs per mode, and verifies the answers
 are bit-identical in every mode and that the zero-rate plane injected
-nothing.
+nothing.  The modes run interleaved inside each repeat, in reversed
+order on every other repeat: a host's speed can drift over a run by
+more than the 5% budget, and timing each mode as one block would charge
+that drift to whichever mode ran at the slow end.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def run_fault_plane_overhead(
     n_records: int | None = None,
     k: int = 10,
     seed: int = 0,
-    repeats: int = 3,
+    repeats: int = 5,
 ) -> list[dict[str, object]]:
     """Time the durable-stream workload under each fault-plane mode.
 
@@ -66,17 +69,6 @@ def run_fault_plane_overhead(
     pipeline = citation_pipeline(n_records=n, seed=seed, with_scorer=False)
     store, levels = pipeline.store, pipeline.levels
 
-    def timed(run):
-        best_seconds, best_payload = float("inf"), None
-        for _ in range(repeats):
-            with tempfile.TemporaryDirectory() as tmp:
-                start = time.perf_counter()
-                payload = run(Path(tmp))
-                seconds = time.perf_counter() - start
-            if seconds < best_seconds:
-                best_seconds, best_payload = seconds, payload
-        return best_seconds, best_payload
-
     def unhooked(root: Path):
         return _stream_once(store, levels, k, root), 0
 
@@ -86,27 +78,25 @@ def run_fault_plane_overhead(
             payload = _stream_once(store, levels, k, root)
         return payload, plane.total_injected
 
-    base_seconds, (base_payload, _) = timed(unhooked)
-    rows: list[dict[str, object]] = [
-        {
-            "n_records": n,
-            "K": k,
-            "mode": "unhooked (default)",
-            "seconds": base_seconds,
-            "overhead_pct": 0.0,
-            "faults_injected": 0,
-            "identical": True,
-        }
-    ]
     modes = (
-        ("armed (zero rates)", lambda root: armed(root)),
-        (
-            "armed+metrics",
-            lambda root: armed(root, metrics=MetricsRegistry()),
-        ),
+        ("unhooked (default)", unhooked),
+        ("armed (zero rates)", armed),
+        ("armed+metrics", lambda root: armed(root, metrics=MetricsRegistry())),
     )
-    for mode, run in modes:
-        seconds, (payload, injected) = timed(run)
+    best = {mode: (float("inf"), None) for mode, _ in modes}
+    for repeat in range(repeats):
+        for mode, run in modes if repeat % 2 == 0 else modes[::-1]:
+            with tempfile.TemporaryDirectory() as tmp:
+                start = time.perf_counter()
+                payload = run(Path(tmp))
+                seconds = time.perf_counter() - start
+            if seconds < best[mode][0]:
+                best[mode] = (seconds, payload)
+
+    base_seconds, (base_answer, _) = best["unhooked (default)"]
+    rows: list[dict[str, object]] = []
+    for mode, _ in modes:
+        seconds, (answer, injected) = best[mode]
         rows.append(
             {
                 "n_records": n,
@@ -117,7 +107,7 @@ def run_fault_plane_overhead(
                 if base_seconds > 0
                 else 0.0,
                 "faults_injected": injected,
-                "identical": payload == base_payload,
+                "identical": answer == base_answer,
             }
         )
     return rows

@@ -1,8 +1,13 @@
 """Test-support utilities shipped with the library.
 
-:mod:`repro.testing.chaos` is the seeded fault-injection harness used by
-the chaos test suite and the x8 benchmark to exercise the resilience
-layer (:mod:`repro.core.resilience`) under deterministic failures.
+:mod:`repro.testing.faultplane` is the fault plane: one seeded
+:class:`FaultPlane` injects both fault families the engine must
+survive — storage faults at every ``fire_fault`` site of the storage
+layer (WAL appends, fsyncs, checkpoint writes), and predicate faults
+through :meth:`FaultPlane.wrap_levels`, which wraps a level list in
+fault-injecting :class:`ChaosPredicate` wrappers to exercise the
+resilience layer (:mod:`repro.core.resilience`).  One seed drives a
+whole-system fault schedule.
 
 :mod:`repro.testing.crashpoints` is the crash-point injection harness
 used by the crash-recovery suite and the x9 benchmark to exercise the
@@ -14,20 +19,8 @@ surviving prefix.
 :mod:`repro.testing.checkpoints` writes an engine checkpoint in the
 inline-JSON layout that predates the array sidecar, so the restore path
 for such state directories stays tested, or in either layout by name.
-
-:mod:`repro.testing.faultplane` is the unified fault plane: one seeded
-:class:`FaultPlane` hooks every ``fire_fault`` site of the storage layer
-(WAL appends, fsyncs, checkpoint writes) and bridges to the older chaos
-plans, so a single seed drives a whole-system fault schedule.
 """
 
-from .chaos import (
-    ChaosError,
-    ChaosPredicate,
-    ChaosScorer,
-    FaultPlan,
-    chaos_levels,
-)
 from .checkpoints import checkpoint_as, write_json_checkpoint
 from .crashpoints import (
     CheckpointCrashPoint,
@@ -43,19 +36,16 @@ from .crashpoints import (
     stream_fingerprint,
     write_stream,
 )
-from .faultplane import FaultPlane
+from .faultplane import ChaosError, ChaosPredicate, FaultPlane
 
 __all__ = [
     "ChaosError",
     "ChaosPredicate",
-    "ChaosScorer",
     "CheckpointCrashPoint",
     "CheckpointCrashResult",
     "CrashPoint",
     "CrashPointResult",
-    "FaultPlan",
     "FaultPlane",
-    "chaos_levels",
     "checkpoint_as",
     "enumerate_crash_points",
     "reference_fingerprints",

@@ -1,4 +1,6 @@
-"""Tests for the seeded chaos harness and the headline chaos scenario.
+"""Tests for the fault plane's predicate faults and the headline scenario.
+
+Predicate faults are injected only through ``FaultPlane.wrap_levels``.
 
 The acceptance scenario from the robustness issue: a citation-dataset
 query with 20% injected predicate exceptions plus one stalling pair must
@@ -24,19 +26,12 @@ from repro.datasets import (
     suggest_min_idf,
 )
 from repro.experiments import citation_pipeline
-from repro.experiments.chaos import chaos_checks, refines, run_chaos_sweep
 from repro.predicates import citation_levels
 from repro.predicates.base import Predicate, PredicateLevel
 from repro.predicates.blocking import NeighborIndex
-from repro.scoring.pairwise import PairwiseScorer
-from repro.testing.chaos import (
-    ChaosError,
-    ChaosPredicate,
-    ChaosScorer,
-    FaultPlan,
-    chaos_levels,
-)
+from repro.testing import ChaosError, ChaosPredicate, FaultPlane
 from tests.conftest import exact_name_predicate, make_store, shared_word_predicate
+from tests.test_fault_sweep import refines
 
 
 def level():
@@ -48,9 +43,15 @@ def records_ab():
     return store[0], store[1]
 
 
-class ConstantScorer(PairwiseScorer):
-    def score(self, a, b):
-        return 1.0
+def chaos_predicate(inner=None, **faults):
+    """The sufficient-role wrapper ``wrap_levels`` puts around *inner*."""
+    inner = inner or shared_word_predicate()
+    [wrapped] = FaultPlane().wrap_levels(
+        [PredicateLevel(inner, shared_word_predicate())],
+        roles="sufficient",
+        **faults,
+    )
+    return wrapped.sufficient
 
 
 class RecordingPredicate(Predicate):
@@ -75,47 +76,40 @@ class RecordingPredicate(Predicate):
 
 class TestFaultPlan:
     def test_draw_is_deterministic_and_order_free(self):
-        plan = FaultPlan(seed=11)
-        assert plan.draw("x", 3, 7) == plan.draw("x", 7, 3)
-        assert plan.draw("x", 3, 7) == FaultPlan(seed=11).draw("x", 3, 7)
-        assert plan.draw("x", 3, 7) != plan.draw("y", 3, 7)
-        assert plan.draw("x", 3, 7) != FaultPlan(seed=12).draw("x", 3, 7)
-
-    def test_draw_is_roughly_uniform(self):
-        plan = FaultPlan(seed=0)
-        draws = [plan.draw("u", i) for i in range(2000)]
-        assert all(0.0 <= d < 1.0 for d in draws)
-        below = sum(d < 0.2 for d in draws) / len(draws)
-        assert 0.15 < below < 0.25
+        plane = FaultPlane(seed=11)
+        assert plane.record_draw("x", 3, 7) == plane.record_draw("x", 7, 3)
+        assert plane.record_draw("x", 3, 7) == FaultPlane(seed=11).record_draw(
+            "x", 3, 7
+        )
+        assert plane.record_draw("x", 3, 7) != plane.record_draw("y", 3, 7)
+        assert plane.record_draw("x", 3, 7) != FaultPlane(seed=12).record_draw(
+            "x", 3, 7
+        )
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError, match="error_rate"):
-            FaultPlan(error_rate=1.5)
+            FaultPlane().wrap_levels(level(), error_rate=1.5)
+        with pytest.raises(ValueError, match="keying_error_rate"):
+            FaultPlane().wrap_levels(level(), keying_error_rate=-0.1)
         with pytest.raises(ValueError, match="stall_seconds"):
-            FaultPlan(stall_seconds=-1.0)
-
-    def test_stall_pair_matches_either_order(self):
-        plan = FaultPlan(stall_pair=(4, 9))
-        assert plan.is_stall_pair(9, 4)
-        assert not plan.is_stall_pair(4, 5)
-        assert not FaultPlan().is_stall_pair(4, 9)
+            FaultPlane().wrap_levels(level(), stall_seconds=-1.0)
 
 
 class TestChaosPredicate:
     def test_error_rate_one_always_raises(self):
         a, b = records_ab()
-        chaos = ChaosPredicate(shared_word_predicate(), FaultPlan(error_rate=1.0))
+        chaos = chaos_predicate(error_rate=1.0)
         with pytest.raises(ChaosError):
             chaos.evaluate(a, b)
 
     def test_error_rate_zero_never_raises(self):
         a, b = records_ab()
-        chaos = ChaosPredicate(shared_word_predicate(), FaultPlan())
+        chaos = chaos_predicate()
         assert chaos.evaluate(a, b) is True
 
     def test_same_pair_faults_identically_across_calls(self):
         store = make_store([f"name {i}" for i in range(60)])
-        chaos = ChaosPredicate(shared_word_predicate(), FaultPlan(error_rate=0.4))
+        chaos = chaos_predicate(error_rate=0.4)
         outcomes = {}
         for trial in range(2):
             for i in range(0, 60, 2):
@@ -131,39 +125,33 @@ class TestChaosPredicate:
                     assert outcomes[(i, i + 1)] == result
         assert set(outcomes.values()) == {"ok", "raise"}
 
-    def test_flip_negates_the_inner_verdict(self):
-        a, b = records_ab()  # share "ann" -> inner says True
-        chaos = ChaosPredicate(shared_word_predicate(), FaultPlan(flip_rate=1.0))
-        assert chaos.evaluate(a, b) is False
-
     def test_keying_error_rate_one_always_raises(self):
         store = make_store(["ann smith"])
-        chaos = ChaosPredicate(
-            shared_word_predicate(), FaultPlan(keying_error_rate=1.0)
-        )
+        chaos = chaos_predicate(keying_error_rate=1.0)
         with pytest.raises(ChaosError, match="keying"):
             chaos.blocking_keys(store[0])
 
     def test_stall_pair_sleeps(self):
         a, b = records_ab()
-        chaos = ChaosPredicate(
-            shared_word_predicate(),
-            FaultPlan(stall_pair=(0, 1), stall_seconds=0.05),
-        )
+        chaos = chaos_predicate(stall_pair=(0, 1), stall_seconds=0.05)
         started = time.perf_counter()
         chaos.evaluate(a, b)
         assert time.perf_counter() - started >= 0.05
 
     def test_forces_pairwise_verification_and_no_verdict_cache(self):
-        chaos = ChaosPredicate(exact_name_predicate(), FaultPlan())
+        chaos = chaos_predicate(exact_name_predicate())
+        assert isinstance(chaos, ChaosPredicate)
         assert chaos.key_implies_match is False
         assert chaos.symmetric is False
         assert chaos.inner.key_implies_match is True
 
     def test_salts_decorrelate_roles(self):
-        plan = FaultPlan(seed=3, error_rate=0.5)
-        s = ChaosPredicate(shared_word_predicate(), plan, salt="S0")
-        n = ChaosPredicate(shared_word_predicate(), plan, salt="N0")
+        [both] = FaultPlane(seed=3).wrap_levels(
+            [PredicateLevel(shared_word_predicate(), shared_word_predicate())],
+            error_rate=0.5,
+        )
+        s, n = both.sufficient, both.necessary
+        assert (s.salt, n.salt) == ("S0", "N0")
         store = make_store([f"x {i}" for i in range(40)])
         differs = False
         for i in range(0, 40, 2):
@@ -178,35 +166,26 @@ class TestChaosPredicate:
         assert differs
 
 
-class TestChaosScorer:
-    def test_error_injection(self):
-        a, b = records_ab()
-        chaos = ChaosScorer(ConstantScorer(), FaultPlan(error_rate=1.0))
-        with pytest.raises(ChaosError):
-            chaos.score(a, b)
-        assert ChaosScorer(ConstantScorer(), FaultPlan()).score(a, b) == 1.0
-
-
 class TestChaosLevels:
     def test_roles_selectable(self):
-        [only_s] = chaos_levels(level(), FaultPlan(), roles="sufficient")
+        plane = FaultPlane()
+        [only_s] = plane.wrap_levels(level(), roles="sufficient")
         assert isinstance(only_s.sufficient, ChaosPredicate)
         assert not isinstance(only_s.necessary, ChaosPredicate)
-        [only_n] = chaos_levels(level(), FaultPlan(), roles="necessary")
+        [only_n] = plane.wrap_levels(level(), roles="necessary")
         assert not isinstance(only_n.sufficient, ChaosPredicate)
         assert isinstance(only_n.necessary, ChaosPredicate)
         with pytest.raises(ValueError, match="roles"):
-            chaos_levels(level(), FaultPlan(), roles="everything")
+            plane.wrap_levels(level(), roles="everything")
 
     def test_chaos_runs_are_reproducible(self):
         names = [f"e{i % 5} v{i % 5}x{i % 3}" for i in range(50)]
         results = []
         for _ in range(2):
-            plan = FaultPlan(seed=21, error_rate=0.3)
             result = pruned_dedup(
                 make_store(names),
                 2,
-                chaos_levels(level(), plan),
+                FaultPlane(seed=21).wrap_levels(level(), error_rate=0.3),
                 policy=ExecutionPolicy(),
             )
             results.append(
@@ -222,22 +201,11 @@ class TestChaosLevels:
         # Chaos faults are per-pair draws, so chaos runs must keep the
         # scalar path even when a guard forwards the batch hooks.
         pipeline = citation_pipeline(n_records=200, seed=0, with_scorer=False)
-        levels = chaos_levels(
-            pipeline.levels, FaultPlan(seed=0, error_rate=0.05)
-        )
+        levels = FaultPlane(seed=0).wrap_levels(pipeline.levels, error_rate=0.05)
         state = ExecutionPolicy().start(PipelineCounters())
         for guarded in guard_levels(levels, state):
             index = NeighborIndex(guarded.necessary, list(pipeline.store))
             assert index.batch_engine is None
-
-
-class TestChaosSweep:
-    def test_sweep_checks_hold_on_small_citations(self):
-        rows = run_chaos_sweep(
-            error_rates=(0.0, 0.2), n_records=300, k=5, seed=0
-        )
-        checks = chaos_checks(rows)
-        assert all(checks.values()), checks
 
 
 def citation_setup(n_records=700, seed=3):
@@ -254,24 +222,22 @@ class TestAcceptanceScenario:
 
     def test_degraded_but_safe_and_bounded(self):
         dataset, levels = citation_setup()
-        plan = FaultPlan(seed=7, error_rate=0.2, stall_seconds=1.5)
+        plane = FaultPlane(seed=7)
 
         # Dry run (same fault schedule, no stall pair yet) to find a
         # pair the chaos pipeline actually evaluates; injecting the
         # stall there guarantees the stall fires in the real run.
         recorders = [RecordingPredicate(p) for p in (levels[0].sufficient,)]
-        probe_levels = chaos_levels(
+        probe_levels = plane.wrap_levels(
             [PredicateLevel(recorders[0], levels[0].necessary, name=levels[0].name)]
             + levels[1:],
-            plan,
+            error_rate=0.2,
+            stall_seconds=1.5,
         )
         pruned_dedup(dataset.store, 5, probe_levels, policy=ExecutionPolicy())
         assert recorders[0].pairs, "probe run evaluated no pairs"
         stall_pair = recorders[0].pairs[0]
 
-        stall_plan = FaultPlan(
-            seed=7, error_rate=0.2, stall_seconds=1.5, stall_pair=stall_pair
-        )
         policy = ExecutionPolicy(
             deadline_seconds=1.0,
             call_timeout_seconds=0.25,
@@ -281,7 +247,9 @@ class TestAcceptanceScenario:
         result = pruned_dedup(
             dataset.store,
             5,
-            chaos_levels(levels, plan=stall_plan),
+            plane.wrap_levels(
+                levels, error_rate=0.2, stall_seconds=1.5, stall_pair=stall_pair
+            ),
             policy=policy,
         )
         elapsed = time.perf_counter() - started
@@ -314,8 +282,9 @@ class TestAcceptanceScenario:
 
 class TestChaosQuarantine:
     def test_chaos_keying_faults_divert_to_dead_letters(self):
-        plan = FaultPlan(seed=5, keying_error_rate=0.3)
-        chaotic = chaos_levels(level(), plan, roles="sufficient")
+        chaotic = FaultPlane(seed=5).wrap_levels(
+            level(), roles="sufficient", keying_error_rate=0.3
+        )
         stream = IncrementalTopK(chaotic)
         names = [f"e{i % 4} v{i % 4}x{i % 2}" for i in range(40)]
         accepted = sum(stream.add({"name": name}) >= 0 for name in names)
@@ -332,9 +301,10 @@ class TestChaosQuarantine:
 
     def test_quarantine_is_deterministic(self):
         def run():
-            plan = FaultPlan(seed=5, keying_error_rate=0.3)
             stream = IncrementalTopK(
-                chaos_levels(level(), plan, roles="sufficient")
+                FaultPlane(seed=5).wrap_levels(
+                    level(), roles="sufficient", keying_error_rate=0.3
+                )
             )
             for i in range(30):
                 stream.add({"name": f"e{i % 3} v{i % 3}x{i % 2}"})

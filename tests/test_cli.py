@@ -368,11 +368,14 @@ class TestErrorExitCodes:
         [
             ('{"worker_crash_rate": 0.1}', "worker_crash_rate"),
             ('{"bogus": 1}', "bogus"),
+            ('{"error_rate": 0.1}', "error_rate"),
         ],
     )
     def test_fault_plane_unknown_key(self, spec, key, capsys, monkeypatch):
         # A stored spec naming a rate the plane no longer has (or never
         # had) must not crash `serve` with a TypeError traceback.
+        # Predicate fault rates are wrap_levels arguments, and serve
+        # never wraps its levels, so it refuses them too.
         monkeypatch.setenv("REPRO_FAULT_PLANE", spec)
         code = main(["serve", "--field", "name", "--port", "0"])
         assert code == 2

@@ -8,8 +8,14 @@ silently wrong answer, never a corrupted store: every recovery here
 must reproduce the exact fingerprint of replaying the journaled prefix,
 and every restore must pass ``audit()``.
 
+Under predicate faults — sufficient and necessary predicates raising
+at increasing rates — a containment policy must keep the answer safe
+in both directions: never merge across the fault-free run's groups,
+never lose a true Top-K entity.
+
 The sweep is 160 parameterized cases across the storage fault families
-× seeds, with the clean references cached per seed.
+× seeds, with the clean references cached per seed, plus 4 predicate
+fault rates on 800 citations.
 """
 
 import functools
@@ -18,6 +24,16 @@ import pytest
 
 from repro.core import DurabilityPolicy, IncrementalTopK
 from repro.core.persistence import CheckpointWriteError
+from repro.core.pruned_dedup import pruned_dedup
+from repro.core.records import GroupSet
+from repro.core.resilience import ExecutionPolicy
+from repro.datasets import (
+    author_idf,
+    author_string_idf,
+    generate_citations,
+    suggest_min_idf,
+)
+from repro.predicates import citation_levels
 from repro.testing import FaultPlane
 from repro.testing.crashpoints import reference_fingerprints, stream_fingerprint
 from tests.test_crashpoints import make_levels, seeded_events
@@ -198,3 +214,55 @@ def test_restore_under_armed_plane(tmp_path, seed, rates):
             )
         finally:
             recovered.close()
+
+
+# -- predicate faults -------------------------------------------------------
+
+
+def refines(groups: GroupSet, baseline: GroupSet) -> bool:
+    """True when every group of *groups* sits inside one baseline group.
+
+    This is the no-over-merge criterion: with sufficient-predicate
+    faults falling back to False, a faulted run may merge *less* than
+    the fault-free run but never across its group boundaries.
+    """
+    owner = {
+        record_id: position
+        for position, group in enumerate(baseline)
+        for record_id in group.member_ids
+    }
+    return all(
+        len({owner[r] for r in group.member_ids if r in owner}) <= 1
+        for group in groups
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _citations():
+    """800 citations, their levels, and the fault-free K=5 run."""
+    dataset = generate_citations(n_records=800, seed=0)
+    idf = author_idf(dataset.store)
+    levels = citation_levels(
+        idf, suggest_min_idf(idf), anchor_idf=author_string_idf(dataset.store)
+    )
+    return dataset, levels, pruned_dedup(dataset.store, 5, levels)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.2, 0.4])
+def test_predicate_faults_are_contained(rate):
+    # Both roles raise at *rate*; every fault is contained (a failing S
+    # reads False, a failing N reads True) without degrading the run.
+    dataset, levels, baseline = _citations()
+    faulty = FaultPlane(seed=0).wrap_levels(levels, error_rate=rate)
+    result = pruned_dedup(
+        dataset.store, 5, faulty, policy=ExecutionPolicy(on_error="degrade")
+    )
+    assert (result.counters.total_contained > 0) == (rate > 0)
+    assert refines(result.groups, baseline.groups)
+    surviving = {
+        dataset.labels[record_id]
+        for group in result.groups
+        for record_id in group.member_ids
+    }
+    assert all(entity in surviving for entity, _ in dataset.true_topk(5))
+    assert not result.degraded

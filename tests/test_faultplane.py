@@ -1,4 +1,5 @@
-"""Unit tests for the unified fault plane (repro.testing.faultplane)."""
+"""Unit tests for the fault plane (repro.testing.faultplane): its seeded
+draws, rate validation, storage-site hook and lifecycle."""
 
 import errno
 
@@ -9,12 +10,19 @@ from repro.core.retry import (
     SITE_CHECKPOINT_WRITE,
     SITE_WAL_APPEND,
     SITE_WAL_FSYNC,
+    RetryPolicy,
     fault_hook_installed,
     fire_fault,
     install_fault_hook,
 )
 from repro.observability import MetricsRegistry
-from repro.testing import FaultPlan, FaultPlane
+from repro.predicates.base import PredicateLevel
+from repro.testing import FaultPlane
+from tests.conftest import exact_name_predicate, shared_word_predicate
+
+
+def level():
+    return [PredicateLevel(exact_name_predicate(), shared_word_predicate())]
 
 
 def test_rate_validation():
@@ -24,6 +32,29 @@ def test_rate_validation():
         FaultPlane(wal_fsync_rate=-0.1)
     with pytest.raises(ValueError):
         FaultPlane(wal_enospc_rate=2.0)
+
+
+def test_pinned_seeds_keep_their_schedules():
+    # Literal draws: a pinned seed must keep its fault and jitter
+    # schedule across refactors, so the hashed strings may not change.
+    plane = FaultPlane(seed=7)
+    assert plane.record_draw("S0:raise", 3, 11) == 0.9113636526024427
+    assert plane.record_draw("S0:raise", 11, 3) == 0.9113636526024427
+    assert plane.record_draw("N0:keying", 4) == 0.14758315432821892
+    assert (
+        plane.draw("wal.append", {"index": 5, "attempt": 0})
+        == 0.24269658518456233
+    )
+    assert (
+        FaultPlane(seed=7, persistent=True).draw(
+            "wal.append", {"index": 5, "attempt": 2}
+        )
+        == 0.5030322509127855
+    )
+    policy = RetryPolicy(
+        base_delay_seconds=0.01, max_delay_seconds=0.05, jitter=0.5, seed=3
+    )
+    assert policy.backoff_seconds(2, key="wal.append") == 0.017562501794913397
 
 
 def test_draw_is_deterministic_and_order_independent():
@@ -38,6 +69,23 @@ def test_draw_is_deterministic_and_order_independent():
     assert FaultPlane(seed=12).draw(
         "wal.append", {"index": 5, "attempt": 0}
     ) != a
+
+
+def test_draw_is_roughly_uniform():
+    plane = FaultPlane(seed=0)
+    draws = [plane.record_draw("u", i) for i in range(2000)]
+    assert all(0.0 <= d < 1.0 for d in draws)
+    below = sum(d < 0.2 for d in draws) / len(draws)
+    assert 0.15 < below < 0.25
+
+
+def test_stall_pair_matches_either_order():
+    [stalled] = FaultPlane().wrap_levels(level(), stall_pair=(4, 9))
+    assert stalled.sufficient.is_stall_pair(9, 4)
+    assert stalled.necessary.is_stall_pair(4, 9)
+    assert not stalled.sufficient.is_stall_pair(4, 5)
+    [clean] = FaultPlane().wrap_levels(level())
+    assert not clean.sufficient.is_stall_pair(4, 9)
 
 
 def test_persistent_plane_ignores_attempt():
@@ -140,11 +188,3 @@ def test_active_attaches_metrics_to_injections():
         == 1.0
     )
     assert plane.total_injected == 1
-
-
-def test_chaos_bridges_share_the_seed():
-    plane = FaultPlane(seed=9)
-    plan = plane.chaos_plan(error_rate=0.1)
-    assert isinstance(plan, FaultPlan)
-    assert plan.seed == 9
-    assert plan.error_rate == 0.1

@@ -16,7 +16,7 @@ from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import topk_rank_query
 from repro.core.resilience import ExecutionPolicy
 from repro.predicates.base import PredicateLevel
-from repro.testing.chaos import FaultPlan, chaos_levels
+from repro.testing import FaultPlane
 from tests.conftest import exact_name_predicate, make_store, shared_word_predicate
 
 
@@ -101,9 +101,9 @@ class TestPruningSafety:
 class TestContainmentSafetyProperties:
     """Role-safe fallbacks stay safe under arbitrary injected faults.
 
-    The chaos wrappers raise deterministically per (seed, pair); the
-    guards substitute False for a failing sufficient predicate and True
-    for a failing necessary one.  Whatever the fault schedule, that must
+    The fault plane's wrappers raise deterministically per (seed, pair);
+    the guards substitute False for a failing sufficient predicate and
+    True for a failing necessary one.  Whatever the fault schedule, that must
     never merge across entities nor prune the true Top-K away.
     """
 
@@ -117,8 +117,9 @@ class TestContainmentSafetyProperties:
         self, instance, seed, error_rate
     ):
         names, labels = instance
-        plan = FaultPlan(seed=seed, error_rate=error_rate)
-        faulty = chaos_levels(level(), plan, roles="sufficient")
+        faulty = FaultPlane(seed=seed).wrap_levels(
+            level(), roles="sufficient", error_rate=error_rate
+        )
         result = pruned_dedup(
             make_store(names), 2, faulty, policy=ExecutionPolicy()
         )
@@ -137,8 +138,9 @@ class TestContainmentSafetyProperties:
         self, instance, seed, error_rate, k
     ):
         names, labels = instance
-        plan = FaultPlan(seed=seed, error_rate=error_rate)
-        faulty = chaos_levels(level(), plan, roles="necessary")
+        faulty = FaultPlane(seed=seed).wrap_levels(
+            level(), roles="necessary", error_rate=error_rate
+        )
         result = pruned_dedup(
             make_store(names), k, faulty, policy=ExecutionPolicy()
         )
@@ -163,8 +165,9 @@ class TestContainmentSafetyProperties:
         # N-graph; the pipeline must stand pruning down rather than
         # over-prune (collapse keying failures just merge less).
         names, labels = instance
-        plan = FaultPlan(seed=seed, keying_error_rate=rate)
-        faulty = chaos_levels(level(), plan, roles="both")
+        faulty = FaultPlane(seed=seed).wrap_levels(
+            level(), roles="both", keying_error_rate=rate
+        )
         result = pruned_dedup(
             make_store(names), 2, faulty, policy=ExecutionPolicy()
         )
