@@ -32,7 +32,7 @@ import sys
 from collections.abc import Sequence
 
 from .core.health import HealthMonitor
-from .core.incremental import IncrementalTopK
+from .core.incremental import EngineSnapshot, IncrementalTopK
 from .core.persistence import WalCorruptionError, has_state
 from .core.pruned_dedup import PrunedDedupResult
 from .core.rank_query import thresholded_rank_query, topk_rank_query
@@ -770,8 +770,9 @@ def run_stream(args: argparse.Namespace) -> int:
         result = engine.query(args.k, policy=policy_from_args(args))
         if result.degraded:
             _warn_degraded(result.degraded_reason)
+        store = result.groups.store
         for group in result.groups[: args.k]:
-            label = engine.current_store()[group.representative_id][args.field]
+            label = store[group.representative_id][args.field]
             print(f"{group.weight:12.2f}  {label}")
         if engine.dead_letters:
             print(
@@ -795,7 +796,8 @@ def run_checkpoint(args: argparse.Namespace) -> int:
         path = engine.checkpoint()
         print(
             f"checkpoint {path.name}: {engine.entries_applied} entries, "
-            f"{len(engine)} records, {len(engine.collapsed_groups())} groups"
+            f"{len(engine)} records, "
+            f"{EngineSnapshot.freeze(engine).n_components} groups"
         )
     finally:
         engine.close()
@@ -811,7 +813,7 @@ def run_restore(args: argparse.Namespace) -> int:
         _print_recovery(engine)
         print(
             f"state ok: {engine.entries_applied} entries, {len(engine)} "
-            f"records, {len(engine.collapsed_groups())} groups, "
+            f"records, {EngineSnapshot.freeze(engine).n_components} groups, "
             f"{len(engine.dead_letters)} dead letters "
             f"({engine.dead_letters_dropped} dropped); audit passed"
         )

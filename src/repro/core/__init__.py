@@ -6,7 +6,7 @@ from .health import (
     HealthMonitor,
     HealthSnapshot,
 )
-from .incremental import DeadLetter, IncrementalTopK
+from .incremental import DeadLetter, EngineSnapshot, IncrementalTopK
 from .persistence import (
     CheckpointError,
     CheckpointWriteError,
@@ -83,6 +83,7 @@ __all__ = [
     "DeadLetter",
     "DurabilityPolicy",
     "DurableStateStore",
+    "EngineSnapshot",
     "EntityGroup",
     "HealthCheck",
     "HealthMonitor",

@@ -9,13 +9,18 @@ existing groups through the predicate's blocking keys, so a query only
 pays for bound-estimation, pruning and the later levels on the *current
 collapsed state*, never re-tokenizing history.
 
-Queries are answered through the same machinery as the batch engine
-(:func:`repro.core.pruned_dedup.run_level_pipeline`), so results match
-a from-scratch :func:`repro.core.pruned_dedup.pruned_dedup` run on the
-accumulated records (verified by the test suite) — including execution
-policies: a query armed with an
-:class:`~repro.core.resilience.ExecutionPolicy` degrades anytime instead
-of hanging.
+Queries are answered by :class:`EngineSnapshot`, an immutable copy of
+one engine version and the one code path over a maintained closure:
+:meth:`IncrementalTopK.query` freezes its current version on the first
+query after an insert and answers through it, and the query service
+(:mod:`repro.server`) publishes one per generation.  A snapshot runs
+the batch engine's machinery
+(:func:`repro.core.pruned_dedup.run_level_pipeline`) from the
+maintained collapse on, so results match a from-scratch
+:func:`repro.core.pruned_dedup.pruned_dedup` run on the accumulated
+records (verified by the test suite) — including execution policies: a
+query armed with an :class:`~repro.core.resilience.ExecutionPolicy`
+degrades anytime instead of hanging.
 
 Streams are hardened against poison records: an insert whose keying or
 pairwise verification raises is **quarantined** into an inspectable,
@@ -36,14 +41,17 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from collections import defaultdict, deque
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from ..graphs.union_find import UnionFind
+from ..observability import NULL_METRICS
 from ..predicates.base import PredicateLevel
 from .persistence import (
     CheckpointError,
@@ -55,40 +63,11 @@ from .persistence import (
     WalCorruptionError,
     as_policy,
 )
-from .pruned_dedup import run_level_pipeline
+from .pruned_dedup import PrunedDedupResult, run_level_pipeline
+from .rank_query import RankQueryResult, thresholded_rank_query, topk_rank_query
 from .records import Group, GroupSet, Record, RecordStore, merge_groups
 from .resilience import ExecutionPolicy, run_is_clean
 from .verification import VerificationContext
-
-
-@dataclass(frozen=True)
-class EngineSnapshotState:
-    """Immutable copy of the engine state one query generation serves.
-
-    Produced by :meth:`IncrementalTopK.snapshot_state` under the
-    single-writer discipline: the writer (and only the writer) freezes
-    the state between inserts, so the copy is never torn.  Everything
-    inside is either immutable (:class:`~repro.core.records.Record`)
-    or copied at freeze time (the component membership lists), so a
-    reader holding this snapshot is isolated from every later insert.
-
-    Attributes:
-        records: All records at freeze time, in id order, as a tuple
-            (isolated from every later insert).
-        components: The level-1 sufficient closure as member-id tuples,
-            ordered by smallest member id (deterministic across runs).
-        generation: The engine :attr:`~IncrementalTopK.version` the
-            snapshot reflects.
-        entries_applied: WAL position at freeze time.
-        dead_letters: Quarantine size at freeze time (a health signal,
-            not replayable state).
-    """
-
-    records: tuple[Record, ...]
-    components: tuple[tuple[int, ...], ...]
-    generation: int
-    entries_applied: int
-    dead_letters: int
 
 
 @dataclass(frozen=True)
@@ -240,10 +219,9 @@ class IncrementalTopK:
         self._key_members: dict[Hashable, list[int]] = defaultdict(list)
         self._version = 0
         self._entries_applied = 0
-        # Clean answers of the current version only (see query()), keyed
-        # by ("count", k) or ("interval", k, r, min_probability); emptied
-        # whenever the version advances.
-        self._query_cache: dict[tuple, object] = {}
+        # The snapshot query() answers from; refrozen when the version
+        # has moved on (see snapshot()).
+        self._snapshot: EngineSnapshot | None = None
         self._dead_letters: deque[DeadLetter] = deque()
         self._dead_letter_limit = dead_letter_limit
         self._dead_letters_dropped = 0
@@ -390,7 +368,6 @@ class IncrementalTopK:
         for key in keys:
             self._key_members[key].append(record.record_id)
         self._version += 1
-        self._query_cache.clear()
         return record.record_id
 
     def _divert(
@@ -409,31 +386,6 @@ class IncrementalTopK:
         if metrics.enabled:
             metrics.counter("repro_records_quarantined_total", stage=stage).inc()
 
-    def snapshot_state(self) -> EngineSnapshotState:
-        """Freeze the current closure for snapshot-isolated readers.
-
-        Must be called by the stream's single writer (never concurrently
-        with :meth:`add`): the records tuple and the component member
-        lists are copied here, so the returned snapshot is immune to
-        every later insert — the query service publishes these through
-        an atomic generation pointer and long-running readers never
-        observe a torn in-flight add.
-        """
-        by_root: dict[int, list[int]] = defaultdict(list)
-        for record_id in range(len(self._records)):
-            by_root[self._uf.find(record_id)].append(record_id)
-        components = tuple(
-            tuple(members)
-            for members in sorted(by_root.values(), key=lambda m: m[0])
-        )
-        return EngineSnapshotState(
-            records=tuple(self._records),
-            components=components,
-            generation=self._version,
-            entries_applied=self._entries_applied,
-            dead_letters=len(self._dead_letters),
-        )
-
     def add_store(self, store: RecordStore) -> None:
         """Bulk-insert every record of *store* (ids are reassigned)."""
         for record in store:
@@ -441,26 +393,25 @@ class IncrementalTopK:
 
     def current_store(self) -> RecordStore:
         """Snapshot of all accumulated records."""
-        return RecordStore(list(self._records))
+        return RecordStore(self._records)
 
-    def collapsed_groups(self) -> GroupSet:
-        """The maintained level-1 sufficient closure as a GroupSet."""
-        store = self.current_store()
-        by_root: dict[int, list[int]] = defaultdict(list)
-        for record_id in range(len(self._records)):
-            by_root[self._uf.find(record_id)].append(record_id)
-        groups = []
-        for members in by_root.values():
-            singletons = [
-                Group.singleton(0, self._records[m]) for m in members
-            ]
-            groups.append(merge_groups(store, singletons))
-        return GroupSet(store=store, groups=groups)
+    def snapshot(self) -> EngineSnapshot:
+        """The :class:`EngineSnapshot` that :meth:`query` answers from.
+
+        Frozen on the first call after an insert and kept until the
+        version moves on, so ``add`` (and WAL replay) stays O(keys) and
+        every query at one version shares the snapshot's answer cache.
+        """
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.generation != self._version:
+            snapshot = self._snapshot = EngineSnapshot.freeze(
+                self, metrics=self._verification.metrics
+            )
+        return snapshot
 
     def query(
         self,
         k: int,
-        prune_iterations: int = 2,
         policy: ExecutionPolicy | None = None,
         kind: str = "count",
         r: int = 8,
@@ -469,103 +420,36 @@ class IncrementalTopK:
         """Answer the Top-K query on the current stream state.
 
         With ``kind="count"`` (the default) returns the pruning result
-        (:class:`~repro.core.pruned_dedup.PrunedDedupResult`), exactly
-        as before.  With ``kind="interval"`` the engine must have been
-        constructed with a ``scorer``; the query then enumerates the *r*
-        highest-scoring dedup worlds over the pruned state and returns
-        an :class:`~repro.uncertainty.IntervalQueryResult` with
-        per-entity count intervals and top-K membership probabilities
-        (entities below *min_probability* membership mass are pruned).
+        (:class:`~repro.core.pruned_dedup.PrunedDedupResult`).  With
+        ``kind="interval"`` the engine must have been constructed with a
+        ``scorer``; the query then enumerates the *r* highest-scoring
+        dedup worlds over the pruned state and returns an
+        :class:`~repro.uncertainty.IntervalQueryResult` with per-entity
+        count intervals and top-K membership probabilities (entities
+        below *min_probability* membership mass are pruned).
 
-        Clean results (:func:`~repro.core.resilience.run_is_clean`: not
-        degraded, no containment) are cached per ``(kind, k[, r,
-        min_probability])`` until the next insert.  The key leaves
-        the policy out — a clean answer is the same under any policy —
-        and degraded or containment-touched answers are never cached,
-        so a later request always gets a fresh run.  With a *policy*,
-        the query degrades anytime exactly like the batch engine: on
-        deadline/budget exhaustion it returns the best answer derivable
-        from the current collapsed state, flagged ``degraded``.
+        The query runs on :meth:`snapshot` with the engine's lifetime
+        :attr:`verification` context, so queries at one version share
+        its neighbour index, and clean answers are cached by the
+        snapshot (see :class:`EngineSnapshot`) until the next insert.
+        With a *policy*, the query degrades anytime exactly like the
+        batch engine: on deadline/budget exhaustion it returns the best
+        answer derivable from the current collapsed state, flagged
+        ``degraded``.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if kind not in ("count", "interval"):
-            raise ValueError(f"kind must be 'count' or 'interval', got {kind!r}")
-        if kind == "interval" and self._scorer is None:
-            raise ValueError(
-                "interval queries need a pairwise scorer: construct the "
-                "engine with scorer=..."
+        if kind == "count":
+            return self.snapshot().query_topk(
+                k, policy=policy, context=self._verification
             )
         if kind == "interval":
-            cache_key: tuple = ("interval", k, r, min_probability)
-        else:
-            cache_key = ("count", k)
-        cached = self._query_cache.get(cache_key)
-        if cached is not None:
-            return cached
-
-        d = len(self._records)
-        context = self._verification
-        span_kind = "stream" if kind == "count" else "stream_interval"
-        with context.span("query", kind=span_kind, k=k):
-            before_run = context.counters.snapshot()
-            # Interval queries arm the policy up front so pruning and
-            # world scoring share one deadline (as in the batch engine);
-            # count queries keep arming it inside the level pipeline.
-            state = (
-                policy.start(context.counters)
-                if policy is not None and kind == "interval"
-                else None
-            )
-            with context.span("collapse"):
-                with context.stage("collapse"):
-                    groups = self.collapsed_groups()
-            pruning = run_level_pipeline(
-                groups,
+            return self.snapshot().query_interval(
                 k,
-                self._levels,
-                context=context,
-                prune_iterations=prune_iterations,
-                policy=policy if state is None else None,
-                execution_state=state,
-                skip_first_collapse=True,
-                n_starting_records=d,
-                before_run=before_run,
+                r=r,
+                min_probability=min_probability,
+                policy=policy,
+                context=self._verification,
             )
-            if kind == "interval":
-                from ..uncertainty.query import interval_from_pruning
-
-                result = interval_from_pruning(
-                    pruning,
-                    k,
-                    self._scorer,
-                    self._levels[-1].necessary,
-                    r=r,
-                    min_probability=min_probability,
-                    context=context,
-                    state=state,
-                )
-            else:
-                result = pruning
-            run = context.counters.delta(before_run)
-        metrics = context.metrics
-        if metrics.enabled:
-            if kind == "interval":
-                from ..uncertainty.query import publish_interval_metrics
-
-                publish_interval_metrics(context, result, None)
-                context.publish_pipeline_metrics(pruning.counters)
-            else:
-                metrics.counter("repro_queries_total", kind="stream").inc()
-                if result.degraded:
-                    metrics.counter(
-                        "repro_degraded_queries_total",
-                        reason=result.degraded_reason,
-                    ).inc()
-                context.publish_pipeline_metrics(result.counters)
-        if run_is_clean(result.degraded, run):
-            self._query_cache[cache_key] = result
-        return result
+        raise ValueError(f"kind must be 'count' or 'interval', got {kind!r}")
 
     # -- durability ----------------------------------------------------
 
@@ -1082,3 +966,385 @@ class IncrementalTopK:
         """
         if self._durable is not None:
             self._durable.close()
+
+
+class EngineSnapshot:
+    """One immutable, queryable version of the stream engine.
+
+    :meth:`freeze` copies what a reader needs out of the live engine —
+    the records as a tuple and the level-1 closure as member-id tuples
+    — so the snapshot shares nothing mutable with it and no later
+    insert can reach it.  It is the one code path that answers queries
+    over a maintained closure: :meth:`IncrementalTopK.query` answers
+    through the snapshot of its current version, and the query service
+    publishes one per generation.
+
+    Each query runs on the caller's
+    :class:`~repro.core.verification.VerificationContext` or, without
+    one, on a fresh context over the registry given to :meth:`freeze`
+    (the service's readers run on worker threads; nothing here is
+    shared-mutable between concurrent queries except the answer cache,
+    which is lock-guarded).  Identical queries are cached per snapshot
+    — the state can never change under it — whenever the run was clean
+    (:func:`~repro.core.resilience.run_is_clean` on the run's own
+    counter delta: not degraded, no containment).  A clean answer is
+    the same under any policy, so the key leaves the policy out and
+    deadline-stamped requests share one entry; a degraded answer is
+    never cached.
+
+    The cache is **bounded** (``cache_limit`` distinct keys): a client
+    sweeping ``k`` or ``min_weight`` across a long-lived snapshot must
+    not grow memory without limit, so the oldest entries are evicted
+    FIFO — the same bounded-cache discipline as the engine's verdict
+    cache.  Evictions are counted (:attr:`cache_evictions`) and
+    published as ``repro_snapshot_cache_evictions_total``.
+    """
+
+    def __init__(
+        self,
+        records: tuple[Record, ...],
+        components: tuple[tuple[int, ...], ...],
+        levels: list[PredicateLevel],
+        *,
+        generation: int = 0,
+        entries_applied: int = 0,
+        dead_letters: int = 0,
+        cache_limit: int = 256,
+        scorer=None,
+        metrics=None,
+    ):
+        if cache_limit < 1:
+            raise ValueError(f"cache_limit must be >= 1, got {cache_limit}")
+        self._records = records
+        self._components = components
+        self._levels = levels
+        self._generation = generation
+        self._entries_applied = entries_applied
+        self._dead_letters = dead_letters
+        self._scorer = scorer
+        self._metrics = metrics if metrics is not None else NULL_METRICS
+        self._cache: dict[tuple, object] = {}
+        self._cache_lock = threading.Lock()
+        self._cache_limit = cache_limit
+        self._cache_evictions = 0
+
+    @classmethod
+    def freeze(
+        cls,
+        engine: IncrementalTopK,
+        *,
+        cache_limit: int = 256,
+        metrics=None,
+    ) -> "EngineSnapshot":
+        """Freeze *engine*'s current version.
+
+        Must be called by the stream's single writer (never concurrently
+        with :meth:`IncrementalTopK.add`): the records tuple and the
+        component member lists are copied here, so a reader holding the
+        snapshot never observes a torn in-flight add.  *metrics* is the
+        registry of the queries that bring no context of their own.
+        """
+        by_root: dict[int, list[int]] = defaultdict(list)
+        for record_id in range(len(engine._records)):
+            by_root[engine._uf.find(record_id)].append(record_id)
+        # Roots first appear at their smallest member, so the components
+        # come out ordered by smallest member id.
+        return cls(
+            tuple(engine._records),
+            tuple(tuple(members) for members in by_root.values()),
+            engine._levels,
+            generation=engine._version,
+            entries_applied=engine._entries_applied,
+            dead_letters=len(engine._dead_letters),
+            cache_limit=cache_limit,
+            scorer=engine._scorer,
+            metrics=metrics,
+        )
+
+    # -- identity ------------------------------------------------------
+
+    @property
+    def generation(self) -> int:
+        """Engine version this snapshot reflects (monotone per insert)."""
+        return self._generation
+
+    @property
+    def entries_applied(self) -> int:
+        """WAL position at freeze time."""
+        return self._entries_applied
+
+    @property
+    def n_records(self) -> int:
+        return len(self._records)
+
+    @property
+    def n_components(self) -> int:
+        """Groups of the level-1 sufficient closure."""
+        return len(self._components)
+
+    @property
+    def dead_letters(self) -> int:
+        """Quarantine size at freeze time (a health signal)."""
+        return self._dead_letters
+
+    @property
+    def supports_interval(self) -> bool:
+        """True when the engine carried a pairwise scorer at freeze time
+        (interval queries need one to score dedup worlds)."""
+        return self._scorer is not None
+
+    def record_label(self, record_id: int, field: str) -> str:
+        """Field value of one record (for response labelling)."""
+        return self._records[record_id][field]
+
+    def consistency_problems(self) -> list[str]:
+        """Structural self-check (the atomic-publication property).
+
+        A correctly published snapshot's components partition exactly
+        its own record ids — a mixed-generation index (members from a
+        newer record set, or records missing from the closure) shows up
+        here immediately.  Used by the isolation property suite and the
+        soak harness; cheap (O(n)).
+        """
+        problems: list[str] = []
+        n = len(self._records)
+        seen: set[int] = set()
+        for members in self._components:
+            for member in members:
+                if not 0 <= member < n:
+                    problems.append(
+                        f"component member {member} outside record range "
+                        f"0..{n - 1}"
+                    )
+                elif member in seen:
+                    problems.append(f"record {member} in two components")
+                seen.add(member)
+        if len(seen) != n:
+            problems.append(
+                f"components cover {len(seen)} records but the snapshot "
+                f"holds {n}"
+            )
+        for record_id, record in enumerate(self._records):
+            if record.record_id != record_id:
+                problems.append(
+                    f"record at position {record_id} carries id "
+                    f"{record.record_id}"
+                )
+        return problems
+
+    def collapsed_groups(self) -> GroupSet:
+        """The frozen level-1 closure as a fresh GroupSet (per call —
+        the level pipeline consumes its input)."""
+        store = RecordStore(self._records)
+        groups = [
+            merge_groups(
+                store, [Group.singleton(0, store[m]) for m in members]
+            )
+            for members in self._components
+        ]
+        return GroupSet(store=store, groups=groups)
+
+    # -- queries -------------------------------------------------------
+
+    @property
+    def cache_evictions(self) -> int:
+        """Answer-cache entries evicted over this snapshot's lifetime."""
+        with self._cache_lock:
+            return self._cache_evictions
+
+    @property
+    def cache_size(self) -> int:
+        with self._cache_lock:
+            return len(self._cache)
+
+    def _cached(self, key: tuple, context, compute):
+        """The cached answer for *key*, else *compute*'s on *context* (a
+        fresh one when None) — *compute* returns ``(result, the run's
+        counter delta)`` — cached only when the run was clean."""
+        with self._cache_lock:
+            hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        if context is None:
+            context = VerificationContext(metrics=self._metrics)
+        result, run = compute(context)
+        if not run_is_clean(result.degraded, run):
+            return result
+        evicted = 0
+        with self._cache_lock:
+            self._cache.setdefault(key, result)
+            excess = len(self._cache) - self._cache_limit
+            if excess > 0:
+                # dicts preserve insertion order, so the leading keys
+                # are the oldest answers — evict those first.
+                for oldest in list(islice(iter(self._cache), excess)):
+                    del self._cache[oldest]
+                self._cache_evictions += excess
+                evicted = excess
+        if evicted:
+            self._metrics.counter(
+                "repro_snapshot_cache_evictions_total"
+            ).inc(evicted)
+        return result
+
+    def _collapse(self, context: VerificationContext) -> GroupSet:
+        with context.span("collapse"):
+            with context.stage("collapse"):
+                return self.collapsed_groups()
+
+    def query_topk(
+        self,
+        k: int,
+        policy: ExecutionPolicy | None = None,
+        context: VerificationContext | None = None,
+    ) -> PrunedDedupResult:
+        """Top-K count query on the frozen closure: Algorithm 2 from
+        the maintained level-1 collapse on."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+
+        def compute(context):
+            with context.span("query", kind="stream", k=k):
+                before_run = context.counters.snapshot()
+                result = run_level_pipeline(
+                    self._collapse(context),
+                    k,
+                    self._levels,
+                    context=context,
+                    policy=policy,
+                    skip_first_collapse=True,
+                    n_starting_records=self.n_records,
+                    before_run=before_run,
+                )
+            context.publish_query_metrics("stream", result, before_run)
+            return result, result.counters
+
+        return self._cached(("topk", k), context, compute)
+
+    def query_interval(
+        self,
+        k: int,
+        r: int = 8,
+        min_probability: float = 0.0,
+        policy: ExecutionPolicy | None = None,
+        context: VerificationContext | None = None,
+    ):
+        """Interval-semantics Top-K query on the frozen closure.
+
+        Enumerates the *r* highest-scoring dedup worlds over the pruned
+        state and returns an
+        :class:`~repro.uncertainty.IntervalQueryResult` — per-entity
+        count intervals and top-K membership probabilities.  Requires
+        the engine to carry a pairwise scorer.
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if self._scorer is None:
+            raise ValueError(
+                "interval queries need a pairwise scorer: construct the "
+                "engine with scorer=..."
+            )
+
+        def compute(context):
+            from ..uncertainty.query import (
+                interval_from_pruning,
+                publish_interval_metrics,
+            )
+
+            with context.span("query", kind="stream_interval", k=k):
+                before_run = context.counters.snapshot()
+                # Arm the policy up front so pruning and world scoring
+                # share one deadline (as in the batch engine).
+                state = (
+                    policy.start(context.counters)
+                    if policy is not None
+                    else None
+                )
+                pruning = run_level_pipeline(
+                    self._collapse(context),
+                    k,
+                    self._levels,
+                    context=context,
+                    execution_state=state,
+                    skip_first_collapse=True,
+                    n_starting_records=self.n_records,
+                    before_run=before_run,
+                )
+                result = interval_from_pruning(
+                    pruning,
+                    k,
+                    self._scorer,
+                    self._levels[-1].necessary,
+                    r=r,
+                    min_probability=min_probability,
+                    context=context,
+                    state=state,
+                )
+            publish_interval_metrics(context, result, before_run)
+            return result, context.counters.delta(before_run)
+
+        # min_probability + 0.0 canonicalises -0.0 (see query_threshold).
+        return self._cached(
+            ("interval", k, r, min_probability + 0.0), context, compute
+        )
+
+    def query_rank(
+        self,
+        k: int,
+        policy: ExecutionPolicy | None = None,
+        context: VerificationContext | None = None,
+    ) -> RankQueryResult:
+        """Top-K rank query over the frozen record store."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+
+        def compute(context):
+            before = context.counters.snapshot()
+            result = topk_rank_query(
+                RecordStore(self._records),
+                k,
+                self._levels,
+                context=context,
+                policy=policy,
+            )
+            return result, context.counters.delta(before)
+
+        return self._cached(("rank", k), context, compute)
+
+    def query_threshold(
+        self,
+        min_weight: float,
+        policy: ExecutionPolicy | None = None,
+        context: VerificationContext | None = None,
+    ) -> RankQueryResult:
+        """Thresholded rank query over the frozen record store.
+
+        Rejects non-finite thresholds up front (the HTTP layer already
+        400s them; this guards embedded callers too): a NaN threshold
+        would cache a dead entry under a key that can never hit again
+        (``NaN != NaN``), and infinities answer nothing useful.  The
+        cache key canonicalises the sign of zero — ``-0.0 == 0.0``
+        answers identically, so the two must share one entry rather
+        than occupying two cache slots for one answer.
+        """
+        if not math.isfinite(min_weight):
+            raise ValueError(
+                f"min_weight must be finite, got {min_weight!r}"
+            )
+
+        def compute(context):
+            before = context.counters.snapshot()
+            result = thresholded_rank_query(
+                RecordStore(self._records),
+                min_weight,
+                self._levels,
+                context=context,
+                policy=policy,
+            )
+            return result, context.counters.delta(before)
+
+        # min_weight + 0.0 maps -0.0 to +0.0 (all other finite floats
+        # are unchanged), so both spellings of zero share one cache slot.
+        return self._cached(
+            ("threshold", min_weight + 0.0), context, compute
+        )

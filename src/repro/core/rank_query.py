@@ -222,19 +222,12 @@ def topk_rank_query(
 
     if context is None:
         context = VerificationContext()
-    metrics = context.metrics
-    before = context.counters.snapshot() if metrics.enabled else None
+    before = context.counters.snapshot() if context.metrics.enabled else None
     with context.span("query", kind="rank", k=k):
         result = _topk_rank_query(
             store, k, levels, prune_iterations, context, policy
         )
-    if metrics.enabled:
-        metrics.counter("repro_queries_total", kind="rank").inc()
-        if result.degraded:
-            metrics.counter(
-                "repro_degraded_queries_total", reason=result.degraded_reason
-            ).inc()
-        context.publish_pipeline_metrics(context.counters.delta(before))
+    context.publish_query_metrics("rank", result, before)
     return result
 
 
@@ -364,19 +357,12 @@ def thresholded_rank_query(
 
     if context is None:
         context = VerificationContext()
-    metrics = context.metrics
-    before = context.counters.snapshot() if metrics.enabled else None
+    before = context.counters.snapshot() if context.metrics.enabled else None
     with context.span("query", kind="threshold", threshold=threshold):
         result = _thresholded_rank_query(
             store, threshold, levels, prune_iterations, context, policy
         )
-    if metrics.enabled:
-        metrics.counter("repro_queries_total", kind="threshold").inc()
-        if result.degraded:
-            metrics.counter(
-                "repro_degraded_queries_total", reason=result.degraded_reason
-            ).inc()
-        context.publish_pipeline_metrics(context.counters.delta(before))
+    context.publish_query_metrics("threshold", result, before)
     return result
 
 

@@ -136,8 +136,7 @@ def topk_count_query(
     """
     if context is None:
         context = VerificationContext()
-    metrics = context.metrics
-    before = context.counters.snapshot() if metrics.enabled else None
+    before = context.counters.snapshot() if context.metrics.enabled else None
     with context.span("query", kind="topk", k=k, r=r):
         result = _topk_count_query(
             store,
@@ -155,13 +154,7 @@ def topk_count_query(
             context=context,
             policy=policy,
         )
-    if metrics.enabled:
-        metrics.counter("repro_queries_total", kind="topk").inc()
-        if result.degraded:
-            metrics.counter(
-                "repro_degraded_queries_total", reason=result.degraded_reason
-            ).inc()
-        context.publish_pipeline_metrics(context.counters.delta(before))
+    context.publish_query_metrics("topk", result, before)
     return result
 
 

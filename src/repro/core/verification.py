@@ -358,6 +358,28 @@ class VerificationContext:
         for stage, seconds in delta.stage_seconds.items():
             metrics.counter("repro_stage_seconds_total", stage=stage).inc(seconds)
 
+    def publish_query_metrics(
+        self, kind: str, result, before: PipelineCounters | None
+    ) -> None:
+        """Publish one answered query into the metrics registry.
+
+        Counts ``repro_queries_total{kind=}``, and
+        ``repro_degraded_queries_total{reason=}`` when *result* is
+        degraded, then publishes the counters accrued since the
+        *before* snapshot (:meth:`publish_pipeline_metrics`).  No-op
+        under :data:`NULL_METRICS`, so callers may skip the snapshot
+        (and pass None) when ``metrics.enabled`` is False.
+        """
+        metrics = self.metrics
+        if not metrics.enabled:
+            return
+        metrics.counter("repro_queries_total", kind=kind).inc()
+        if result.degraded:
+            metrics.counter(
+                "repro_degraded_queries_total", reason=result.degraded_reason
+            ).inc()
+        self.publish_pipeline_metrics(self.counters.delta(before))
+
     def cached_verdicts(self, predicate: Predicate) -> int:
         """Number of pair verdicts currently cached for *predicate*."""
         return len(self._verdicts.get(id(predicate), ()))

@@ -9,7 +9,7 @@ split over the warm incremental engine:
   :class:`~repro.core.incremental.IncrementalTopK`.  It drains admitted
   inserts in batches, applies them through the normal WAL path, runs
   periodic checkpoints, then freezes and publishes a fresh
-  :class:`~repro.server.snapshot.EngineSnapshot`.  Apply work runs on a
+  :class:`~repro.core.incremental.EngineSnapshot`.  Apply work runs on a
   dedicated single-thread executor, so the event loop keeps answering
   probes while fsync stalls.
 * **Readers** — queries dereference the published snapshot once and run
@@ -85,7 +85,6 @@ class ServerConfig:
         label_field: Record field used to label answer groups in
             responses (None = ids only).
         admission: Capacity contract (queue depths, deadlines, cost).
-        prune_iterations: Upper-bound refinement passes per query.
         snapshot_cache_limit: Distinct cached answers per snapshot; the
             oldest are evicted FIFO past this bound (a parameter sweep
             must not grow server memory without limit).
@@ -111,7 +110,6 @@ class ServerConfig:
     port: int = 0
     label_field: str | None = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    prune_iterations: int = 2
     snapshot_cache_limit: int = 256
     max_insert_batch: int = 64
     checkpoint_every: int = 0
@@ -289,7 +287,6 @@ class QueryService:
     def _freeze(self) -> EngineSnapshot:
         return EngineSnapshot.freeze(
             self.engine,
-            prune_iterations=self.config.prune_iterations,
             cache_limit=self.config.snapshot_cache_limit,
             metrics=self.metrics,
         )
@@ -510,9 +507,7 @@ class QueryService:
                 policy = self._base_policy.with_deadline(remaining)
                 if kind == "topk":
                     run = lambda: snapshot.query_topk(  # noqa: E731
-                        k,
-                        policy=policy,
-                        metrics=self.metrics,
+                        k, policy=policy
                     )
                 elif kind == "interval":
                     run = lambda: snapshot.query_interval(  # noqa: E731
@@ -520,19 +515,14 @@ class QueryService:
                         r=worlds,
                         min_probability=min_probability,
                         policy=policy,
-                        metrics=self.metrics,
                     )
                 elif kind == "rank":
                     run = lambda: snapshot.query_rank(  # noqa: E731
-                        k,
-                        policy=policy,
-                        metrics=self.metrics,
+                        k, policy=policy
                     )
                 else:
                     run = lambda: snapshot.query_threshold(  # noqa: E731
-                        min_weight,
-                        policy=policy,
-                        metrics=self.metrics,
+                        min_weight, policy=policy
                     )
                 result = await asyncio.wait_for(
                     loop.run_in_executor(self._query_executor, run),

@@ -28,7 +28,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.incremental import IncrementalTopK
+from ..core.incremental import EngineSnapshot, IncrementalTopK
 from ..core.persistence import (
     DurabilityPolicy,
     _CKPT_PREFIX,
@@ -77,7 +77,7 @@ def stream_fingerprint(engine: IncrementalTopK) -> tuple:
     groups = tuple(
         sorted(
             (tuple(sorted(g.member_ids)), g.weight)
-            for g in engine.collapsed_groups()
+            for g in EngineSnapshot.freeze(engine).collapsed_groups()
         )
     )
     dead = tuple(

@@ -119,9 +119,15 @@ class ChaosPredicate(Predicate):
         return self._inner.evaluate(a, b)
 
     def blocking_keys(self, record: Record) -> Iterable[Hashable]:
+        # The draw covers the fields as well as the id: a stream gives a
+        # quarantined insert's id to the next record, which must draw
+        # afresh rather than inherit the poison.
         if (
             self.keying_error_rate
-            and self.plane.record_draw(f"{self.salt}:keying", record.record_id)
+            and self.plane.record_draw(
+                f"{self.salt}:keying:{sorted(record.fields.items())!r}",
+                record.record_id,
+            )
             < self.keying_error_rate
         ):
             raise ChaosError(

@@ -160,8 +160,7 @@ def topk_interval_query(
     _validate(k, r, min_probability)
     if context is None:
         context = VerificationContext()
-    metrics = context.metrics
-    before = context.counters.snapshot() if metrics.enabled else None
+    before = context.counters.snapshot() if context.metrics.enabled else None
     with context.span("query", kind="interval", k=k, r=r):
         state = policy.start(context.counters) if policy is not None else None
         pruning = pruned_dedup(
@@ -404,7 +403,9 @@ def publish_interval_metrics(
     result: IntervalQueryResult,
     before,
 ) -> None:
-    """Record the interval-query metric family on *context*'s registry."""
+    """Record the interval-query metric family on *context*'s registry,
+    then the query itself (:meth:`VerificationContext.publish_query_metrics`
+    with the counters accrued since *before*)."""
     metrics = context.metrics
     if not metrics.enabled:
         return
@@ -420,7 +421,6 @@ def publish_interval_metrics(
         "repro_probabilistic_prunes_total",
         "Candidates cut early by the membership probability bound",
     )
-    metrics.counter("repro_queries_total", kind="interval").inc()
     metrics.counter("repro_worlds_enumerated_total").inc(
         result.worlds_enumerated
     )
@@ -430,12 +430,7 @@ def publish_interval_metrics(
     width = metrics.histogram("repro_interval_width", buckets=SIZE_BUCKETS)
     for entity in result.entities:
         width.observe(entity.count_hi - entity.count_lo)
-    if result.degraded:
-        metrics.counter(
-            "repro_degraded_queries_total", reason=result.degraded_reason
-        ).inc()
-    if before is not None:
-        context.publish_pipeline_metrics(context.counters.delta(before))
+    context.publish_query_metrics("interval", result, before)
 
 
 def _validate(k: int, r: int, min_probability: float) -> None:

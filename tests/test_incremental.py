@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.incremental import IncrementalTopK
+from repro.core.incremental import EngineSnapshot, IncrementalTopK
 from repro.core.pruned_dedup import pruned_dedup
 from repro.datasets import author_idf, generate_citations, suggest_min_idf
 from repro.predicates import citation_levels
@@ -26,7 +26,7 @@ class TestIncrementalBasics:
         engine = IncrementalTopK(one_level())
         for name in ["a", "b", "a", "a", "b"]:
             engine.add({"name": name})
-        groups = engine.collapsed_groups()
+        groups = EngineSnapshot.freeze(engine).collapsed_groups()
         assert len(groups) == 2
         assert groups.weights() == [3.0, 2.0]
 
@@ -34,7 +34,7 @@ class TestIncrementalBasics:
         engine = IncrementalTopK(one_level())
         engine.add({"name": "a"}, weight=2.0)
         engine.add({"name": "a"}, weight=5.0)
-        assert engine.collapsed_groups().weights() == [7.0]
+        assert EngineSnapshot.freeze(engine).collapsed_groups().weights() == [7.0]
 
     def test_query_result_shape(self):
         engine = IncrementalTopK(one_level())

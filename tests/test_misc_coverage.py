@@ -76,7 +76,7 @@ class TestIncrementalCapBehavior:
         assert calls["n"] <= 50 * 5
 
     def test_key_implies_match_skips_verification(self):
-        from repro.core.incremental import IncrementalTopK
+        from repro.core.incremental import EngineSnapshot, IncrementalTopK
         from repro.predicates.base import PredicateLevel
         from repro.predicates.library import ExactFieldsPredicate
         from tests.conftest import shared_word_predicate
@@ -87,7 +87,7 @@ class TestIncrementalCapBehavior:
         engine = IncrementalTopK([level])
         for _ in range(20):
             engine.add({"name": "same"})
-        groups = engine.collapsed_groups()
+        groups = EngineSnapshot.freeze(engine).collapsed_groups()
         assert len(groups) == 1
         assert groups[0].weight == 20.0
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.incremental import IncrementalTopK
+from repro.core.incremental import EngineSnapshot, IncrementalTopK
 from repro.core.prune import prune
 from repro.core.pruned_dedup import pruned_dedup
 from repro.core.rank_query import thresholded_rank_query, topk_rank_query
@@ -583,9 +583,11 @@ class TestIncrementalResilience:
             for i in range(20)
         ]
         assert all(answer is answers[0] for answer in answers)
-        assert len(stream._query_cache) == 1
+        assert stream.snapshot().cache_size == 1
         stream.add({"name": "cara lee"})
-        assert len(stream._query_cache) == 0  # the insert evicted it
+        # The insert moved the version on: the next query answers from
+        # a new snapshot, whose cache starts empty.
+        assert stream.snapshot().cache_size == 0
         assert stream.query(1) is not answers[0]
 
     def test_contained_answer_is_never_cached(self):
@@ -658,7 +660,7 @@ class TestQuarantine:
         stream.add({"name": "poison pill"})
         assert stream.version == version_before
         assert len(stream.current_store()) == 1
-        groups = stream.collapsed_groups()
+        groups = EngineSnapshot.freeze(stream).collapsed_groups()
         assert {r for g in groups for r in g.member_ids} == {0}
 
     def test_quarantine_disabled_propagates(self):
@@ -1312,7 +1314,26 @@ class TestGuardedSweep:
         assert first.counters.predicate_errors_contained > 0
         assert first.counters.cache_hits > 0  # the guarded sweep shared
         assert stream.query(2, policy=ExecutionPolicy()) is not first
-        assert stream._query_cache == {}
+        assert stream.snapshot().cache_size == 0
+
+    def test_clean_rerun_after_a_contained_one_is_cached(self):
+        # Clean-ness is judged on each run's own counters: the fault the
+        # first run contained stays in the engine's lifetime totals, yet
+        # a clean rerun at the same version is cached.
+        necessary = BlockFaultNgram()
+        stream = IncrementalTopK(
+            [PredicateLevel(exact_name_predicate(), necessary)]
+        )
+        for name in name_grid():
+            stream.add({"name": name})
+        first = stream.query(2, policy=ExecutionPolicy())
+        assert first.counters.predicate_errors_contained > 0
+        necessary.trigger = "-never-"
+        clean = stream.query(2, policy=ExecutionPolicy())
+        assert clean.counters.total_contained == 0
+        assert stream.verification.counters.predicate_errors_contained > 0
+        assert stream.query(2) is clean
+        assert stream.snapshot().cache_size == 1
 
     @pytest.mark.parametrize("shape", ["count-rule", "verifier"])
     def test_on_error_raise_propagates_from_a_sweep_chunk(self, shape):
@@ -1537,7 +1558,7 @@ class TestScorerBlockContainment:
         first = engine.query(2, kind="interval", r=4, policy=ExecutionPolicy())
         second = engine.query(2, kind="interval", r=4, policy=ExecutionPolicy())
         assert first is not second
-        assert engine._query_cache == {}
+        assert engine.snapshot().cache_size == 0
         assert engine.verification.counters.scorer_errors_contained > 0
         clean = IncrementalTopK(
             key_implies_levels(), scorer=BlockScorer(trigger="-never-")

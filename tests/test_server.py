@@ -868,6 +868,37 @@ def test_interval_query_round_trip():
     run_async(scenario())
 
 
+def test_every_served_verb_is_counted():
+    async def scenario():
+        metrics = MetricsRegistry()
+        service = QueryService(
+            interval_engine(),
+            config=ServerConfig(label_field="name"),
+            metrics=metrics,
+        )
+        await service.start()
+        try:
+            neighbor_queries = "repro_pipeline_neighbor_queries_total"
+            before = metrics.value(neighbor_queries)
+            status, _ = await service.handle_query({"kind": "topk", "k": 2})
+            assert status == 200
+            assert metrics.value(neighbor_queries) > before
+            for payload in (
+                {"kind": "rank", "k": 2},
+                {"kind": "threshold", "min_weight": 3.0},
+                {"kind": "interval", "k": 2, "worlds": 4},
+            ):
+                status, _ = await service.handle_query(payload)
+                assert status == 200
+            # Served top-K answers count under the engine's "stream".
+            for kind in ("stream", "rank", "threshold", "interval"):
+                assert metrics.value("repro_queries_total", kind=kind) == 1.0
+        finally:
+            await service.drain()
+
+    run_async(scenario())
+
+
 def test_interval_query_without_scorer_is_400():
     async def scenario():
         service = make_service()  # seeded_engine carries no scorer
