@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from .core.health import HealthMonitor
 from .core.incremental import EngineSnapshot, IncrementalTopK
 from .core.persistence import WalCorruptionError, has_state
-from .core.pruned_dedup import PrunedDedupResult
+from .core.pruned_dedup import LevelStats
 from .core.rank_query import thresholded_rank_query, topk_rank_query
 from .core.records import RecordStore
 from .core.resilience import ExecutionPolicy
@@ -525,7 +525,7 @@ def _counter_line(label: str, counters: PipelineCounters) -> str:
 
 def print_stats(
     counters: PipelineCounters | None,
-    pruning: PrunedDedupResult | None = None,
+    level_stats: Sequence[LevelStats] = (),
     file=None,
 ) -> None:
     """Write the verification-work report for ``--stats`` to *file*.
@@ -538,13 +538,12 @@ def print_stats(
         print("verification stats: unavailable", file=out)
         return
     print("verification stats", file=out)
-    if pruning is not None:
-        for stats in pruning.stats:
-            if stats.counters is not None:
-                print(
-                    "  " + _counter_line(stats.level_name, stats.counters),
-                    file=out,
-                )
+    for stats in level_stats:
+        if stats.counters is not None:
+            print(
+                "  " + _counter_line(stats.level_name, stats.counters),
+                file=out,
+            )
     print("  " + _counter_line("total", counters), file=out)
     if counters.total_contained:
         print(
@@ -590,10 +589,7 @@ def _run_topk_interval(args: argparse.Namespace) -> int:
             f"p={entity.membership_probability:.2f}  {entity.label}"
         )
     if args.stats:
-        pruning = result.pruning
-        print_stats(
-            pruning.counters if pruning is not None else None, pruning
-        )
+        print_stats(result.pruning.counters, result.pruning.stats)
     return 0
 
 
@@ -625,10 +621,7 @@ def run_topk(args: argparse.Namespace) -> int:
         if rank_index < len(result.answers):
             print()
     if args.stats:
-        pruning = result.pruning
-        print_stats(
-            pruning.counters if pruning is not None else None, pruning
-        )
+        print_stats(result.pruning.counters, result.pruning.stats)
     return 0
 
 
@@ -654,7 +647,7 @@ def run_rank(args: argparse.Namespace) -> int:
             f"{label}"
         )
     if args.stats:
-        print_stats(result.counters)
+        print_stats(result.counters, result.stats)
     return 0
 
 
@@ -678,7 +671,7 @@ def run_threshold(args: argparse.Namespace) -> int:
         label = store[entry.representative_id][args.field]
         print(f"{entry.weight:12.2f}  {label}")
     if args.stats:
-        print_stats(result.counters)
+        print_stats(result.counters, result.stats)
     return 0
 
 

@@ -1283,7 +1283,9 @@ class EngineSnapshot:
             publish_interval_metrics(context, result, before_run)
             return result, context.counters.delta(before_run)
 
-        # min_probability + 0.0 canonicalises -0.0 (see query_threshold).
+        # min_probability + 0.0 maps -0.0 to +0.0 (all other finite
+        # floats are unchanged), so both spellings of zero share one
+        # cache slot.
         return self._cached(
             ("interval", k, r, min_probability + 0.0), context, compute
         )
@@ -1319,18 +1321,10 @@ class EngineSnapshot:
     ) -> RankQueryResult:
         """Thresholded rank query over the frozen record store.
 
-        Rejects non-finite thresholds up front (the HTTP layer already
-        400s them; this guards embedded callers too): a NaN threshold
-        would cache a dead entry under a key that can never hit again
-        (``NaN != NaN``), and infinities answer nothing useful.  The
-        cache key canonicalises the sign of zero — ``-0.0 == 0.0``
-        answers identically, so the two must share one entry rather
-        than occupying two cache slots for one answer.
+        A threshold that is not finite and > 0 is rejected by
+        :func:`~repro.core.rank_query.thresholded_rank_query` inside the
+        computation, so no entry is cached for it.
         """
-        if not math.isfinite(min_weight):
-            raise ValueError(
-                f"min_weight must be finite, got {min_weight!r}"
-            )
 
         def compute(context):
             before = context.counters.snapshot()
@@ -1343,8 +1337,4 @@ class EngineSnapshot:
             )
             return result, context.counters.delta(before)
 
-        # min_weight + 0.0 maps -0.0 to +0.0 (all other finite floats
-        # are unchanged), so both spellings of zero share one cache slot.
-        return self._cached(
-            ("threshold", min_weight + 0.0), context, compute
-        )
+        return self._cached(("threshold", min_weight), context, compute)

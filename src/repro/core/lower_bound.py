@@ -28,6 +28,11 @@ from .records import GroupSet
 if TYPE_CHECKING:
     from .verification import VerificationContext
 
+#: Prefix size past which the Min-fill refinement is no longer re-run:
+#: its triangulation is cubic in the prefix graph, so beyond this the
+#: incremental bound alone drives the estimator.
+REFINE_MAX_VERTICES = 400
+
 
 def _sparse_enough(graph, max_density: float = 0.25) -> bool:
     """Min-fill refinement only pays off on sparse prefix graphs: on a
@@ -62,19 +67,17 @@ def estimate_lower_bound(
     group_set: GroupSet,
     necessary: Predicate,
     k: int,
-    refine: bool = True,
-    refine_max_vertices: int = 400,
     context: "VerificationContext | None" = None,
 ) -> LowerBoundEstimate:
     """Estimate ``(m, M)`` for a Top-*k* query over *group_set*.
 
     Groups are consumed in the set's (non-increasing weight) order.  After
-    each addition the cheap incremental bound is consulted; when *refine*
-    is set, the full Min-fill bound of Algorithm 1 is re-run at geometric
-    checkpoints past rank ``k`` to certify K earlier (tightening M) —
-    until the prefix graph exceeds *refine_max_vertices*, past which the
-    cubic Min-fill pass stops paying for itself and only the incremental
-    bound drives the loop.
+    each addition the cheap incremental bound is consulted, and the full
+    Min-fill bound of Algorithm 1 is re-run at geometric checkpoints past
+    rank ``k`` to certify K earlier (tightening M) — until the prefix
+    graph exceeds :data:`REFINE_MAX_VERTICES`, past which the cubic
+    Min-fill pass stops paying for itself and only the incremental bound
+    drives the loop.
 
     With a :class:`~repro.core.verification.VerificationContext`, the
     neighbor index is obtained from (and left in) the context so the
@@ -98,9 +101,7 @@ def estimate_lower_bound(
         row = index.neighbors(representative, exclude_position=position)
         bound = cpn.add_vertex(row[: int(np.searchsorted(row, position))].tolist())
         can_refine = (
-            refine
-            and position + 1 <= refine_max_vertices
-            and _sparse_enough(cpn.graph)
+            position + 1 <= REFINE_MAX_VERTICES and _sparse_enough(cpn.graph)
         )
         if bound < k and can_refine and position + 1 >= next_refine:
             bound = cpn.refine()
@@ -113,7 +114,7 @@ def estimate_lower_bound(
                 cpn=bound,
             )
 
-    if refine and n <= refine_max_vertices and _sparse_enough(cpn.graph):
+    if n <= REFINE_MAX_VERTICES and _sparse_enough(cpn.graph):
         final = cpn.refine()
     else:
         final = cpn.bound()

@@ -12,9 +12,14 @@ terminating early when exactly K groups remain.  The returned
 statistics in the exact shape of the paper's Figures 2–4 tables
 (n, m, M, n' — with n and n' as percentages of the starting records).
 
-The level loop itself lives in :func:`run_level_pipeline`, shared with
-the streaming engine (:class:`~repro.core.incremental.IncrementalTopK`)
-so that batch and incremental queries degrade, guard, and count work
+The level loop itself lives in :func:`run_level_pipeline`, the one
+implementation behind every query kind: the batch count query, the
+streaming engine (:class:`~repro.core.incremental.IncrementalTopK`),
+the interval query, and the Section 7 rank and thresholded rank
+queries (:mod:`repro.core.rank_query`), which differ from the count
+loop only in two switches — every ``u_i`` materialized (*all_bounds*)
+and, for thresholds, ``M = T`` fixed instead of estimated
+(*threshold*).  All of them therefore degrade, guard, and count work
 identically.  Passing an :class:`~repro.core.resilience.ExecutionPolicy`
 arms fault containment and anytime degradation: user predicates are
 wrapped in role-safe guards, and on deadline/budget exhaustion the
@@ -51,7 +56,8 @@ class LevelStats:
         n_groups_after_collapse: Group count after the S_l closure.
         n_pct: That count as a percentage of the starting records (the
             tables' ``n`` column).
-        m: Rank at which K distinct groups were certified.
+        m: Rank at which K distinct groups were certified (0 when a
+            threshold fixed M).
         bound: The weight lower bound M actually used for pruning (0.0
             when the level's necessary guard was compromised and pruning
             stood down).
@@ -59,7 +65,8 @@ class LevelStats:
         n_prime_pct: That count as a percentage of the starting records
             (the tables' ``n'`` column).
         certified: Whether the CPN bound reached K at this level (and
-            the bound was safe to act on).
+            the bound was safe to act on); False when a threshold fixed
+            M, since no bound was estimated.
         counters: Verification work done by this level (predicate
             evaluations, cache traffic, index builds, stage wall time);
             None for results produced without a context.
@@ -98,6 +105,15 @@ class PrunedDedupResult:
         stage_records: Per-stage completion trail
             (:class:`~repro.core.resilience.StageRecord`), including the
             abandoned stage of a degraded run.
+        upper_bounds: ``u_i`` per surviving group of the last completed
+            prune (``inf`` for groups at or above M unless the run
+            materialized every bound); they describe ``groups`` only
+            while no collapse has merged groups since.
+        compromised: True when some level's necessary guard lost
+            blocking keys and pruning stood down for that level.
+        levels: The predicate levels the loop ran — the guarded ones
+            under a policy — so Section 7's rank pass reads the same
+            necessary predicate and neighbor index.
     """
 
     groups: GroupSet
@@ -109,6 +125,9 @@ class PrunedDedupResult:
     degraded: bool = False
     degraded_reason: str = ""
     stage_records: list[StageRecord] = field(default_factory=list)
+    upper_bounds: list[float] = field(default_factory=list)
+    compromised: bool = False
+    levels: list[PredicateLevel] = field(default_factory=list)
 
     @property
     def retained_fraction(self) -> float:
@@ -124,27 +143,26 @@ def run_level_pipeline(
     levels: list[PredicateLevel],
     context: VerificationContext,
     prune_iterations: int = 2,
-    refine_bound: bool = True,
     policy: ExecutionPolicy | None = None,
     execution_state: ExecutionState | None = None,
     skip_first_collapse: bool = False,
     n_starting_records: int | None = None,
     before_run: PipelineCounters | None = None,
+    threshold: float | None = None,
+    all_bounds: bool = False,
 ) -> PrunedDedupResult:
     """Run the collapse/bound/prune loop of Algorithm 2 over *groups*.
 
-    The shared engine behind :func:`pruned_dedup` (batch) and
-    :meth:`~repro.core.incremental.IncrementalTopK.query` (streaming).
+    The one level loop: behind :func:`pruned_dedup` (batch), the
+    streaming engine, and the Section 7 rank and threshold queries.
 
     Args:
         groups: Starting group set (singletons for a batch run, the
             maintained level-1 closure for the streaming engine).
-        k: The K of the Top-K query.
+        k: The K of the Top-K query (unused when *threshold* fixes M).
         levels: Predicate levels in increasing cost/tightness order.
         context: Shared verification state (index + verdicts + counters).
         prune_iterations: Upper-bound refinement passes (Section 4.3).
-        refine_bound: Re-run the full Min-fill CPN bound at checkpoints
-            during lower-bound estimation.
         policy: Optional resilience contract; arms fault containment and
             anytime degradation.  Ignored when *execution_state* is
             given.
@@ -161,6 +179,13 @@ def run_level_pipeline(
             the result's counter delta; defaults to "now" (the
             streaming engine passes an earlier snapshot so its initial
             collapse stage is included).
+        threshold: Use ``M = threshold`` at every level instead of the
+            CPN estimate (Section 7.2).  Under a policy a transient
+            keying sweep of the necessary predicate takes the
+            lower-bound stage's place, so a keying failure still
+            surfaces before pruning.
+        all_bounds: Materialize every ``u_i`` (Section 7.1) and run
+            every level — no early stop at <= K groups.
     """
     d = (
         n_starting_records
@@ -179,6 +204,7 @@ def run_level_pipeline(
         groups=groups,
         n_starting_records=d,
         counters=context.counters,
+        levels=executed,
     )
     current = groups
 
@@ -214,22 +240,38 @@ def run_level_pipeline(
                 n_after_collapse = len(current)
                 level_span.set_attribute("n_after_collapse", n_after_collapse)
 
-                estimate: LowerBoundEstimate | None = runner.run(
-                    level.name,
-                    "lower_bound",
-                    lambda: estimate_lower_bound(
-                        current,
-                        level.necessary,
-                        k,
-                        refine=refine_bound,
-                        context=context,
-                    ),
-                )
-                if runner.aborted:
-                    return finalize(degraded=True)
-
-                bound = estimate.bound
-                certified = estimate.certified
+                if threshold is None:
+                    estimate: LowerBoundEstimate | None = runner.run(
+                        level.name,
+                        "lower_bound",
+                        lambda: estimate_lower_bound(
+                            current, level.necessary, k, context=context
+                        ),
+                    )
+                    if runner.aborted:
+                        return finalize(degraded=True)
+                    m, bound, certified = (
+                        estimate.m,
+                        estimate.bound,
+                        estimate.certified,
+                    )
+                else:
+                    if state is not None:
+                        # No lower-bound stage exercises the necessary
+                        # predicate's keying before pruning, so sweep it:
+                        # building the neighbor index (reused by prune)
+                        # attempts blocking_keys on every representative.
+                        runner.run(
+                            level.name,
+                            "prune",
+                            lambda: context.neighbor_index(
+                                level.necessary, current
+                            ),
+                            transient=True,
+                        )
+                        if runner.aborted:
+                            return finalize(degraded=True)
+                    m, bound, certified = 0, threshold, False
                 if necessary_compromised(level):
                     # Containment dropped blocking keys of the necessary
                     # predicate at this level: its neighbor graph may be
@@ -238,9 +280,8 @@ def run_level_pipeline(
                     # pruning down (role-safe).
                     bound = 0.0
                     certified = False
-                level_span.set_attributes(
-                    m=estimate.m, bound=bound, certified=certified
-                )
+                    result.compromised = True
+                level_span.set_attributes(m=m, bound=bound, certified=certified)
 
                 pruned = runner.run(
                     level.name,
@@ -250,12 +291,16 @@ def run_level_pipeline(
                         level.necessary,
                         bound,
                         iterations=prune_iterations,
+                        compute_all_bounds=all_bounds,
                         context=context,
                     ),
                 )
                 if runner.aborted:
                     return finalize(degraded=True)
                 current = pruned.retained
+                result.upper_bounds = [
+                    pruned.upper_bounds[i] for i in pruned.kept_group_ids
+                ]
                 level_span.set_attribute("n_after_prune", len(current))
 
                 result.stats.append(
@@ -263,7 +308,7 @@ def run_level_pipeline(
                         level_name=level.name,
                         n_groups_after_collapse=n_after_collapse,
                         n_pct=100.0 * n_after_collapse / d if d else 0.0,
-                        m=estimate.m,
+                        m=m,
                         bound=bound,
                         n_groups_after_prune=len(current),
                         n_prime_pct=100.0 * len(current) / d if d else 0.0,
@@ -276,7 +321,7 @@ def run_level_pipeline(
                 # later levels are pointless: at k they are the
                 # certified answer, below k the remaining groups are all
                 # that can ever be returned.
-                if len(current) <= k:
+                if not all_bounds and len(current) <= k:
                     result.terminated_early = True
                     result.terminated_below_k = len(current) < k
                     return finalize(degraded=False)
@@ -289,7 +334,6 @@ def pruned_dedup(
     k: int,
     levels: list[PredicateLevel],
     prune_iterations: int = 2,
-    refine_bound: bool = True,
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
     execution_state: ExecutionState | None = None,
@@ -301,8 +345,6 @@ def pruned_dedup(
         k: The K of the Top-K query.
         levels: Predicate levels in increasing cost/tightness order.
         prune_iterations: Passes of upper-bound refinement (Section 4.3).
-        refine_bound: Re-run the full Min-fill CPN bound at checkpoints
-            during lower-bound estimation (tighter M, more work).
         context: Shared verification state (neighbor index + pair-verdict
             cache + counters).  A fresh one is created when omitted;
             passing one lets callers accumulate counters across runs.
@@ -333,7 +375,6 @@ def pruned_dedup(
         levels,
         context=context,
         prune_iterations=prune_iterations,
-        refine_bound=refine_bound,
         policy=policy,
         execution_state=execution_state,
         n_starting_records=len(store),

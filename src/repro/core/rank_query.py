@@ -10,6 +10,11 @@ redundant (Section 7.1).
 The **thresholded rank query** replaces K with an explicit size
 threshold T: return every group of size >= T, ranked (Section 7.2).  It
 reuses the machinery with ``M = T`` fixed instead of estimated.
+
+Both run the count query's level loop
+(:func:`~repro.core.pruned_dedup.run_level_pipeline`) with every
+``u_i`` materialized, and add only Section 7's tail: the resolved-group
+pass and, for thresholds, the termination test.
 """
 
 from __future__ import annotations
@@ -21,18 +26,9 @@ from dataclasses import field as dataclass_field
 import numpy as np
 
 from ..predicates.base import PredicateLevel
-from ..predicates.blocking import NeighborIndex
-from .collapse import collapse
-from .lower_bound import estimate_lower_bound
-from .prune import prune
+from .pruned_dedup import LevelStats, PrunedDedupResult, run_level_pipeline
 from .records import GroupSet, RecordStore
-from .resilience import (
-    ExecutionPolicy,
-    StageRecord,
-    StageRunner,
-    guard_levels,
-    necessary_compromised,
-)
+from .resilience import ExecutionPolicy, ExecutionState, StageRecord, StageRunner
 from .verification import PipelineCounters, VerificationContext
 
 
@@ -77,6 +73,8 @@ class RankQueryResult:
             ``"stage_budget"``); empty otherwise.
         stage_records: Per-stage completion trail
             (:class:`~repro.core.resilience.StageRecord`).
+        stats: One :class:`~repro.core.pruned_dedup.LevelStats` per
+            level the shared level loop completed.
     """
 
     ranking: list[RankedGroup]
@@ -88,6 +86,7 @@ class RankQueryResult:
     degraded: bool = False
     degraded_reason: str = ""
     stage_records: list[StageRecord] = dataclass_field(default_factory=list)
+    stats: list[LevelStats] = dataclass_field(default_factory=list)
 
 
 def _resolved_flags(
@@ -124,7 +123,7 @@ def _rank_prune(
     necessary,
     upper: list[float],
     bound: float,
-    context: VerificationContext | None = None,
+    context: VerificationContext,
 ) -> tuple[list[int], list[bool]]:
     """Section 7.1's extra pruning: drop groups only adjacent to resolved
     groups (and themselves below M), returning kept ids + resolved flags.
@@ -132,10 +131,7 @@ def _rank_prune(
     n = len(group_set)
     weights = group_set.weights()
     representatives = group_set.representatives()
-    if context is not None:
-        index = context.neighbor_index(necessary, group_set)
-    else:
-        index = NeighborIndex(necessary, representatives)
+    index = context.neighbor_index(necessary, group_set)
     neighbor_rows = [
         index.neighbors(representatives[i], exclude_position=i)
         for i in range(n)
@@ -161,14 +157,15 @@ def _rank_prune(
 
 
 def _degraded_rank_result(
-    current: GroupSet,
-    upper: list[float],
-    runner: StageRunner,
+    pipeline: PrunedDedupResult,
     context: VerificationContext,
+    reason: str | None = None,
 ) -> RankQueryResult:
     """Anytime answer after policy exhaustion: the last consistent state
     in weight order, conservative upper bounds, nothing resolved."""
+    current = pipeline.groups
     weights = current.weights()
+    upper = pipeline.upper_bounds
     # Upper bounds only align with `current` when no merge has happened
     # since they were computed; otherwise fall back to "unknown".
     bounds = upper if len(upper) == len(current) else [math.inf] * len(current)
@@ -189,8 +186,9 @@ def _degraded_rank_result(
         certain=False,
         counters=context.counters,
         degraded=True,
-        degraded_reason=runner.reason,
-        stage_records=runner.records,
+        degraded_reason=reason if reason is not None else pipeline.degraded_reason,
+        stage_records=pipeline.stage_records,
+        stats=pipeline.stats,
     )
 
 
@@ -198,17 +196,18 @@ def topk_rank_query(
     store: RecordStore,
     k: int,
     levels: list[PredicateLevel],
-    prune_iterations: int = 2,
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> RankQueryResult:
     """Answer a Top-K *rank* query (Section 7.1).
 
-    Runs the count query's collapse/bound/prune per level, then the
-    rank-specific resolved-group pruning after the last level.  The
-    verification context (created when omitted) shares each level's
-    neighbor index between bound estimation, pruning, and the rank pass,
-    and carries pair verdicts across all of them.
+    Runs the count query's level loop with every ``u_i`` materialized
+    (:func:`~repro.core.pruned_dedup.run_level_pipeline` with
+    ``all_bounds``), then the rank-specific resolved-group pruning after
+    the last level.  The verification context (created when omitted)
+    shares each level's neighbor index between bound estimation,
+    pruning, and the rank pass, and carries pair verdicts across all of
+    them.
 
     With an :class:`~repro.core.resilience.ExecutionPolicy`, predicate
     faults are contained role-safely (a compromised necessary predicate
@@ -224,124 +223,33 @@ def topk_rank_query(
         context = VerificationContext()
     before = context.counters.snapshot() if context.metrics.enabled else None
     with context.span("query", kind="rank", k=k):
-        result = _topk_rank_query(
-            store, k, levels, prune_iterations, context, policy
+        state = policy.start(context.counters) if policy is not None else None
+        pipeline = run_level_pipeline(
+            GroupSet.singletons(store),
+            k,
+            levels,
+            context,
+            execution_state=state,
+            all_bounds=True,
         )
+        result = _rank_answer(pipeline, context, state)
     context.publish_query_metrics("rank", result, before)
     return result
-
-
-def _topk_rank_query(
-    store: RecordStore,
-    k: int,
-    levels: list[PredicateLevel],
-    prune_iterations: int,
-    context: VerificationContext,
-    policy: ExecutionPolicy | None,
-) -> RankQueryResult:
-    state = policy.start(context.counters) if policy is not None else None
-    executed = guard_levels(levels, state) if state is not None else levels
-    runner = StageRunner(context, state)
-
-    current = GroupSet.singletons(store)
-    bound = 0.0
-    upper: list[float] = []
-    compromised = False
-    for level in executed:
-        with context.span("level", level=level.name) as level_span:
-            collapsed = runner.run(
-                level.name,
-                "collapse",
-                lambda: collapse(current, level.sufficient),
-            )
-            if runner.aborted:
-                return _degraded_rank_result(current, upper, runner, context)
-            current = collapsed
-            level_span.set_attribute("n_after_collapse", len(current))
-            estimate = runner.run(
-                level.name,
-                "lower_bound",
-                lambda: estimate_lower_bound(
-                    current, level.necessary, k, context=context
-                ),
-            )
-            if runner.aborted:
-                return _degraded_rank_result(current, upper, runner, context)
-            bound = estimate.bound
-            if necessary_compromised(level):
-                # Missing N-edges: neither the bound nor neighbor-derived
-                # upper bounds are safe to prune with at this level.
-                bound = 0.0
-                compromised = True
-            level_span.set_attributes(m=estimate.m, bound=bound)
-            result = runner.run(
-                level.name,
-                "prune",
-                lambda: prune(
-                    current,
-                    level.necessary,
-                    bound,
-                    iterations=prune_iterations,
-                    compute_all_bounds=True,
-                    context=context,
-                ),
-            )
-            if runner.aborted:
-                return _degraded_rank_result(current, upper, runner, context)
-            current = result.retained
-            upper = [result.upper_bounds[i] for i in result.kept_group_ids]
-            level_span.set_attribute("n_after_prune", len(current))
-
-    if compromised:
-        # The final level's N-graph may be missing edges, so Section
-        # 7.1's resolution/redundancy reasoning is unsound: skip the
-        # extra pruning, keep everything, mark nothing resolved.
-        kept = list(range(len(current)))
-        flags = [False] * len(current)
-    else:
-        rank_pruned = runner.run(
-            "rank",
-            "rank_prune",
-            lambda: _rank_prune(
-                current, executed[-1].necessary, upper, bound, context=context
-            ),
-        )
-        if runner.aborted:
-            return _degraded_rank_result(current, upper, runner, context)
-        kept, flags = rank_pruned
-    retained = current.subset(kept)
-    ranking = [
-        RankedGroup(
-            representative_id=retained[pos].representative_id,
-            weight=retained[pos].weight,
-            upper_bound=upper[original],
-            resolved=flags[pos],
-        )
-        for pos, original in enumerate(kept)
-    ]
-    return RankQueryResult(
-        ranking=ranking,
-        groups=retained,
-        n_retained=len(kept),
-        n_extra_pruned=len(current) - len(kept),
-        counters=context.counters,
-        stage_records=runner.records,
-    )
 
 
 def thresholded_rank_query(
     store: RecordStore,
     threshold: float,
     levels: list[PredicateLevel],
-    prune_iterations: int = 2,
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> RankQueryResult:
     """Answer a thresholded rank query (Section 7.2): groups of size >= T.
 
-    Sets ``M = threshold`` directly (no estimation step).  The result is
-    ``certain`` when Section 7.2's termination test holds: some prefix of
-    the retained groups is each of weight >= T and rank-resolved, while
+    Runs the level loop with ``M = threshold`` fixed (no estimation
+    step) and every ``u_i`` materialized.  The result is ``certain``
+    when Section 7.2's termination test holds: some prefix of the
+    retained groups is each of weight >= T and rank-resolved, while
     every later group is redundant given the prefix.
 
     With an :class:`~repro.core.resilience.ExecutionPolicy`, predicate
@@ -349,9 +257,16 @@ def thresholded_rank_query(
     stands pruning down and forfeits certainty) and on deadline/budget
     exhaustion the query returns the last consistent state flagged
     ``degraded``.
+
+    Raises:
+        ValueError: *threshold* is not a finite number > 0 (no weight
+            reaches a NaN or infinite T, so such a query would be
+            answered ``certain`` with an empty ranking).
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(
+            f"threshold must be finite and > 0, got {threshold!r}"
+        )
     if not levels:
         raise ValueError("need at least one predicate level")
 
@@ -359,113 +274,68 @@ def thresholded_rank_query(
         context = VerificationContext()
     before = context.counters.snapshot() if context.metrics.enabled else None
     with context.span("query", kind="threshold", threshold=threshold):
-        result = _thresholded_rank_query(
-            store, threshold, levels, prune_iterations, context, policy
+        state = policy.start(context.counters) if policy is not None else None
+        pipeline = run_level_pipeline(
+            GroupSet.singletons(store),
+            0,
+            levels,
+            context,
+            execution_state=state,
+            threshold=threshold,
+            all_bounds=True,
         )
+        result = _rank_answer(pipeline, context, state, threshold)
     context.publish_query_metrics("threshold", result, before)
     return result
 
 
-def _thresholded_rank_query(
-    store: RecordStore,
-    threshold: float,
-    levels: list[PredicateLevel],
-    prune_iterations: int,
+def _rank_answer(
+    pipeline: PrunedDedupResult,
     context: VerificationContext,
-    policy: ExecutionPolicy | None,
+    state: ExecutionState | None,
+    threshold: float | None = None,
 ) -> RankQueryResult:
-    state = policy.start(context.counters) if policy is not None else None
-    executed = guard_levels(levels, state) if state is not None else levels
+    """Section 7's tail over the level loop's survivors: the rank pass,
+    then for a *threshold* the termination test, as ``rank_prune``
+    stages of the same execution state."""
+    if pipeline.degraded:
+        return _degraded_rank_result(pipeline, context)
+    current = pipeline.groups
+    upper = pipeline.upper_bounds
+    necessary = pipeline.levels[-1].necessary
     runner = StageRunner(context, state)
-
-    current = GroupSet.singletons(store)
-    upper: list[float] = []
-    compromised = False
-    for level in executed:
-        with context.span("level", level=level.name) as level_span:
-            collapsed = runner.run(
-                level.name,
-                "collapse",
-                lambda: collapse(current, level.sufficient),
-            )
-            if runner.aborted:
-                return _degraded_rank_result(current, upper, runner, context)
-            current = collapsed
-            level_span.set_attribute("n_after_collapse", len(current))
-            if state is not None:
-                # Unlike the count query there is no lower-bound stage to
-                # exercise the necessary predicate's keying before pruning,
-                # so sweep it now: building the neighbor index (reused by
-                # prune through the context cache) attempts blocking_keys on
-                # every representative and surfaces keying failures while
-                # pruning can still stand down.  (Transient span: the
-                # sweep only exists under a policy.)
-                runner.run(
-                    level.name,
-                    "prune",
-                    lambda: context.neighbor_index(level.necessary, current),
-                    transient=True,
-                )
-                if runner.aborted:
-                    return _degraded_rank_result(current, upper, runner, context)
-            bound = threshold
-            if necessary_compromised(level):
-                # Missing N-edges make the upper bounds unsafe: retain
-                # everything at this level rather than risk over-pruning.
-                bound = 0.0
-                compromised = True
-            level_span.set_attribute("bound", bound)
-            result = runner.run(
-                level.name,
-                "prune",
-                lambda: prune(
-                    current,
-                    level.necessary,
-                    bound,
-                    iterations=prune_iterations,
-                    compute_all_bounds=True,
-                    context=context,
-                ),
-            )
-            if runner.aborted:
-                return _degraded_rank_result(current, upper, runner, context)
-            current = result.retained
-            upper = [result.upper_bounds[i] for i in result.kept_group_ids]
-            level_span.set_attribute("n_after_prune", len(current))
-
-    if compromised:
+    runner.records = pipeline.stage_records
+    if pipeline.compromised:
+        # Some level's N-graph may be missing edges, so Section 7.1's
+        # resolution/redundancy reasoning is unsound: skip the extra
+        # pruning, keep everything, mark nothing resolved, certify
+        # nothing.
         kept = list(range(len(current)))
         flags = [False] * len(current)
-        certain = False
-        kept_upper = [upper[original] for original in kept]
     else:
+        # The last level's M: the estimate, or the threshold itself.
+        bound = pipeline.stats[-1].bound
         rank_pruned = runner.run(
             "rank",
             "rank_prune",
-            lambda: _rank_prune(
-                current, executed[-1].necessary, upper, threshold, context=context
-            ),
+            lambda: _rank_prune(current, necessary, upper, bound, context),
         )
         if runner.aborted:
-            return _degraded_rank_result(current, upper, runner, context)
+            return _degraded_rank_result(pipeline, context, runner.reason)
         kept, flags = rank_pruned
-        kept_upper = [upper[original] for original in kept]
-        retained_for_test = current.subset(kept)
+    retained = current.subset(kept)
+    kept_upper = [upper[original] for original in kept]
+    certain = False
+    if threshold is not None and not pipeline.compromised:
         certain = runner.run(
             "rank",
             "rank_prune",
             lambda: _threshold_termination(
-                retained_for_test.weights(),
-                kept_upper,
-                retained_for_test,
-                executed[-1].necessary,
-                threshold,
-                context=context,
+                retained, kept_upper, necessary, threshold, context
             ),
         )
         if runner.aborted:
-            return _degraded_rank_result(current, upper, runner, context)
-    retained = current.subset(kept)
+            return _degraded_rank_result(pipeline, context, runner.reason)
     ranking = [
         RankedGroup(
             representative_id=retained[pos].representative_id,
@@ -484,27 +354,25 @@ def _thresholded_rank_query(
         n_extra_pruned=len(current) - len(kept),
         certain=certain,
         counters=context.counters,
-        stage_records=runner.records,
+        stage_records=pipeline.stage_records,
+        stats=pipeline.stats,
     )
 
 
 def _threshold_termination(
-    weights: list[float],
-    upper: list[float],
     retained: GroupSet,
+    upper: list[float],
     necessary,
     threshold: float,
-    context: VerificationContext | None = None,
+    context: VerificationContext,
 ) -> bool:
     """Section 7.2's termination test for some prefix length k."""
-    n = len(weights)
+    n = len(retained)
     if n == 0:
         return True
+    weights = retained.weights()
     representatives = retained.representatives()
-    if context is not None:
-        index = context.neighbor_index(necessary, retained)
-    else:
-        index = NeighborIndex(necessary, representatives)
+    index = context.neighbor_index(necessary, retained)
     neighbor_rows = [
         index.neighbors(representatives[i], exclude_position=i)
         for i in range(n)

@@ -17,12 +17,13 @@ from ..clustering.correlation import ScoreMatrix
 from ..embedding.greedy import LinearEmbedding, greedy_embedding
 from ..embedding.segmentation import TopKAnswer, auto_max_span, top_k_answers
 from ..predicates.base import PredicateLevel
-from ..scoring.gibbs import gibbs_probabilities
+from ..scoring.gibbs import default_temperature, gibbs_probabilities
 from ..scoring.pairwise import PairwiseScorer
 from .pruned_dedup import PrunedDedupResult, pruned_dedup
 from .records import GroupSet, RecordStore
 from .resilience import (
     ExecutionPolicy,
+    ExecutionState,
     GuardedScorer,
     ResilienceExhausted,
     StageRecord,
@@ -92,16 +93,16 @@ def topk_count_query(
     scorer: PairwiseScorer,
     r: int = 1,
     label_field: str = "",
-    prune_iterations: int = 2,
     max_span: int | None = None,
-    aggregate_scores: bool = True,
-    alpha: float = 0.75,
     rank_answers_by: str = "score",
-    probability_temperature: float | None = None,
     context: VerificationContext | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> TopKQueryResult:
     """Answer a Top-K count query over *store*, returning R ranked answers.
+
+    Answer probabilities are the Gibbs normalization of the answer
+    scores at :func:`~repro.scoring.gibbs.default_temperature`, so they
+    stay informative even when aggregate scaling makes raw scores huge.
 
     Args:
         store: The raw (duplicate-ridden) records.
@@ -111,21 +112,12 @@ def topk_count_query(
         r: Number of alternative answers to return.
         label_field: Record field used as the entity display label;
             defaults to the first field of the representative.
-        prune_iterations: Upper-bound refinement passes (Section 4.3).
         max_span: Segment length cap for the segmentation DP; derived
             from the positive-score component sizes when None.
-        aggregate_scores: Scale P between collapsed groups by the product
-            of member counts, reflecting "the aggregate score over the
-            members on each side" (Section 4.1).
-        alpha: Decay of the greedy linear embedding (Eq. 3).
         rank_answers_by: ``"score"`` ranks the R answers by their best
             supporting segmentation; ``"mass"`` by their Gibbs log-mass
             over all supporting segmentations (the paper's
             sum-over-groupings answer score; only meaningful for r > 1).
-        probability_temperature: Temperature for the Gibbs normalization
-            of answer probabilities.  Defaults to the spread of the
-            answer scores, so reported probabilities stay informative
-            even when aggregate scaling makes raw scores huge.
         context: Shared verification state forwarded to the pruning
             pipeline; the run's counters land on ``result.pruning``.
         policy: Optional :class:`~repro.core.resilience.ExecutionPolicy`
@@ -145,12 +137,8 @@ def topk_count_query(
             scorer,
             r=r,
             label_field=label_field,
-            prune_iterations=prune_iterations,
             max_span=max_span,
-            aggregate_scores=aggregate_scores,
-            alpha=alpha,
             rank_answers_by=rank_answers_by,
-            probability_temperature=probability_temperature,
             context=context,
             policy=policy,
         )
@@ -165,12 +153,8 @@ def _topk_count_query(
     scorer: PairwiseScorer,
     r: int,
     label_field: str,
-    prune_iterations: int,
     max_span: int | None,
-    aggregate_scores: bool,
-    alpha: float,
     rank_answers_by: str,
-    probability_temperature: float | None,
     context: VerificationContext,
     policy: ExecutionPolicy | None,
 ) -> TopKQueryResult:
@@ -179,7 +163,6 @@ def _topk_count_query(
         store,
         k,
         levels,
-        prune_iterations=prune_iterations,
         context=context,
         execution_state=state,
     )
@@ -196,23 +179,15 @@ def _topk_count_query(
         answer = RankedAnswer(entities=entities, score=0.0, probability=1.0)
         return TopKQueryResult(answers=[answer], pruning=pruning, exact=True)
 
-    if state is not None:
-        state.begin_stage()
-        scorer = GuardedScorer(scorer, state)
     try:
         with context.span("score", n_groups=len(groups)):
-            if state is not None:
-                state.check()
-            scores = group_score_matrix(
-                groups, scorer, levels[-1].necessary, aggregate=aggregate_scores
+            scores, embedding, max_span = world_model(
+                groups,
+                scorer,
+                levels[-1].necessary,
+                max_span=max_span,
+                state=state,
             )
-            if state is not None:
-                state.check()
-            embedding = greedy_embedding(scores, alpha=alpha)
-            if max_span is None:
-                max_span = auto_max_span(scores)
-            if state is not None:
-                state.check()
             with context.span("segment_dp", r=r):
                 if r == 1:
                     raw_answers = _single_best_answer(
@@ -246,17 +221,48 @@ def _topk_count_query(
     answer_scores = [
         a.log_mass if a.log_mass is not None else a.score for a in raw_answers
     ]
-    if probability_temperature is None:
-        spread = max(answer_scores) - min(answer_scores) if answer_scores else 0.0
-        probability_temperature = max(spread / 4.0, 1.0)
     probabilities = gibbs_probabilities(
-        answer_scores, temperature=probability_temperature
+        answer_scores, temperature=default_temperature(answer_scores)
     )
     answers = [
         _to_ranked_answer(groups, raw, probability, label_field)
         for raw, probability in zip(raw_answers, probabilities)
     ]
     return TopKQueryResult(answers=answers, pruning=pruning, exact=False)
+
+
+def world_model(
+    groups: GroupSet,
+    scorer: PairwiseScorer,
+    necessary,
+    *,
+    max_span: int | None = None,
+    state: ExecutionState | None = None,
+) -> tuple[ScoreMatrix, LinearEmbedding, int]:
+    """The scoring front over *groups*: the aggregated P score matrix
+    over necessary-allowed pairs, its greedy linear embedding (Eq. 3),
+    and the segment length cap (*max_span*, else derived from the
+    scores).
+
+    The count query segments this model, the interval query enumerates
+    its worlds, and the brute-force possible-worlds oracle exhausts the
+    same world space.  Under the caller's execution *state* it is one
+    scoring stage: the scorer is guarded and the policy is checked
+    before each step.
+    """
+    if state is not None:
+        state.begin_stage()
+        scorer = GuardedScorer(scorer, state)
+        state.check()
+    scores = group_score_matrix(groups, scorer, necessary)
+    if state is not None:
+        state.check()
+    embedding = greedy_embedding(scores)
+    if max_span is None:
+        max_span = auto_max_span(scores)
+    if state is not None:
+        state.check()
+    return scores, embedding, max_span
 
 
 def _degraded_result(

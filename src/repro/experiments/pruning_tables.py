@@ -19,16 +19,13 @@ PAPER_K_VALUES = (1, 5, 10, 50, 100, 500, 1000)
 def run_pruning_table(
     pipeline: Pipeline,
     k_values: tuple[int, ...] = PAPER_K_VALUES,
-    prune_iterations: int = 2,
 ) -> list[dict[str, object]]:
     """Return one row per (K, level): the Figures 2-4 statistics."""
     rows: list[dict[str, object]] = []
     for k in k_values:
         if k > len(pipeline.store):
             continue
-        result = pruned_dedup(
-            pipeline.store, k, pipeline.levels, prune_iterations=prune_iterations
-        )
+        result = pruned_dedup(pipeline.store, k, pipeline.levels)
         for level_index, stats in enumerate(result.stats, start=1):
             rows.append(
                 {

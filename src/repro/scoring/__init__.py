@@ -1,7 +1,7 @@
 """Pairwise scoring: classifier, scorer wrappers, Gibbs normalization."""
 
 from .classifier import LogisticRegression
-from .gibbs import gibbs_probabilities, log_odds_to_probability
+from .gibbs import default_temperature, gibbs_probabilities, log_odds_to_probability
 from .pairwise import (
     CachedScorer,
     PairwiseScorer,
@@ -16,6 +16,7 @@ __all__ = [
     "PairwiseScorer",
     "TrainedScorer",
     "WeightedScorer",
+    "default_temperature",
     "gibbs_probabilities",
     "log_odds_to_probability",
     "train_scorer",

@@ -32,6 +32,16 @@ def gibbs_probabilities(
     return list(weights / weights.sum())
 
 
+def default_temperature(scores: Sequence[float]) -> float:
+    """Gibbs temperature for a set of answer (or world) scores: a
+    quarter of their spread, floored at 1 — the probabilities stay
+    informative however large aggregate scaling makes the raw scores."""
+    if not scores:
+        return 1.0
+    spread = max(scores) - min(scores)
+    return max(spread / 4.0, 1.0)
+
+
 def log_odds_to_probability(score: float) -> float:
     """Map a signed log-odds pair score to P(duplicate)."""
     if score >= 0:

@@ -5,6 +5,8 @@ and answers Top-K queries with per-entity count intervals and
 membership probabilities instead of a single ranked list.
 """
 
+from ..core.topk import world_model
+from ..scoring.gibbs import default_temperature
 from .intervals import EntityAggregate, aggregate_worlds
 from .query import (
     EntityInterval,
@@ -13,11 +15,9 @@ from .query import (
     interval_over_groups,
     membership_probabilities,
     topk_interval_query,
-    world_model,
 )
 from .worlds import (
     World,
-    default_temperature,
     enumerate_worlds,
     world_from_partition,
     world_from_segmentation,

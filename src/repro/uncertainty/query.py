@@ -16,20 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..clustering.correlation import ScoreMatrix, partition_score
+from ..clustering.correlation import partition_score
 from ..core.pruned_dedup import PrunedDedupResult, pruned_dedup
 from ..core.records import GroupSet, RecordStore
 from ..core.resilience import (
     ExecutionPolicy,
     ExecutionState,
-    GuardedScorer,
     ResilienceExhausted,
     StageRecord,
 )
-from ..core.topk import _entity, group_score_matrix
+from ..core.topk import _entity, world_model
 from ..core.verification import VerificationContext
-from ..embedding.greedy import LinearEmbedding, greedy_embedding
-from ..embedding.segmentation import auto_max_span, best_partition
+from ..embedding.segmentation import best_partition
 from ..observability.metrics import SIZE_BUCKETS
 from ..predicates.base import PredicateLevel
 from ..scoring.pairwise import PairwiseScorer
@@ -43,7 +41,6 @@ __all__ = [
     "membership_probabilities",
     "interval_over_groups",
     "interval_from_pruning",
-    "world_model",
 ]
 
 
@@ -127,10 +124,7 @@ def topk_interval_query(
     r: int = 8,
     min_probability: float = 0.0,
     label_field: str = "",
-    prune_iterations: int = 2,
     max_span: int | None = None,
-    aggregate_scores: bool = True,
-    alpha: float = 0.75,
     max_thresholds: int = 32,
     temperature: float | None = None,
     prune: bool = True,
@@ -164,12 +158,7 @@ def topk_interval_query(
     with context.span("query", kind="interval", k=k, r=r):
         state = policy.start(context.counters) if policy is not None else None
         pruning = pruned_dedup(
-            store,
-            k,
-            levels,
-            prune_iterations=prune_iterations,
-            context=context,
-            execution_state=state,
+            store, k, levels, context=context, execution_state=state
         )
         result = interval_from_pruning(
             pruning,
@@ -180,8 +169,6 @@ def topk_interval_query(
             min_probability=min_probability,
             label_field=label_field,
             max_span=max_span,
-            aggregate_scores=aggregate_scores,
-            alpha=alpha,
             max_thresholds=max_thresholds,
             temperature=temperature,
             prune=prune,
@@ -225,8 +212,6 @@ def interval_from_pruning(
     min_probability: float = 0.0,
     label_field: str = "",
     max_span: int | None = None,
-    aggregate_scores: bool = True,
-    alpha: float = 0.75,
     max_thresholds: int = 32,
     temperature: float | None = None,
     prune: bool = True,
@@ -252,24 +237,11 @@ def interval_from_pruning(
             groups, k, r, min_probability, label_field, pruning
         )
 
-    guarded = scorer
-    if state is not None:
-        state.begin_stage()
-        guarded = GuardedScorer(scorer, state)
     try:
         with context.span("score", n_groups=len(groups)):
-            if state is not None:
-                state.check()
-            scores = group_score_matrix(
-                groups, guarded, necessary, aggregate=aggregate_scores
+            scores, embedding, max_span = world_model(
+                groups, scorer, necessary, max_span=max_span, state=state
             )
-            if state is not None:
-                state.check()
-            embedding = greedy_embedding(scores, alpha=alpha)
-            if max_span is None:
-                max_span = auto_max_span(scores)
-            if state is not None:
-                state.check()
             with context.span("enumerate_worlds", r=r):
                 worlds = enumerate_worlds(
                     scores,
@@ -342,8 +314,6 @@ def interval_over_groups(
     min_probability: float = 0.0,
     label_field: str = "",
     max_span: int | None = None,
-    aggregate_scores: bool = True,
-    alpha: float = 0.75,
     max_thresholds: int = 32,
     temperature: float | None = None,
     prune: bool = True,
@@ -368,34 +338,11 @@ def interval_over_groups(
         min_probability=min_probability,
         label_field=label_field,
         max_span=max_span,
-        aggregate_scores=aggregate_scores,
-        alpha=alpha,
         max_thresholds=max_thresholds,
         temperature=temperature,
         prune=prune,
         context=context,
     )
-
-
-def world_model(
-    groups: GroupSet,
-    scorer: PairwiseScorer,
-    necessary,
-    *,
-    aggregate_scores: bool = True,
-    alpha: float = 0.75,
-    max_span: int | None = None,
-) -> tuple[ScoreMatrix, LinearEmbedding, int]:
-    """The (scores, embedding, max_span) triple the interval query
-    enumerates worlds over — exposed so the brute-force oracle can
-    exhaust exactly the same world space."""
-    scores = group_score_matrix(
-        groups, scorer, necessary, aggregate=aggregate_scores
-    )
-    embedding = greedy_embedding(scores, alpha=alpha)
-    if max_span is None:
-        max_span = auto_max_span(scores)
-    return scores, embedding, max_span
 
 
 def publish_interval_metrics(

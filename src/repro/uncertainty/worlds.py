@@ -22,7 +22,7 @@ from typing import Sequence
 from ..embedding.greedy import LinearEmbedding
 from ..embedding.segmentation import Segmentation, top_r_segmentations
 from ..clustering.correlation import ScoreMatrix
-from ..scoring.gibbs import gibbs_probabilities
+from ..scoring.gibbs import default_temperature, gibbs_probabilities
 
 __all__ = [
     "World",
@@ -30,7 +30,6 @@ __all__ = [
     "world_from_partition",
     "enumerate_worlds",
     "world_masses",
-    "default_temperature",
 ]
 
 
@@ -147,15 +146,6 @@ def enumerate_worlds(
     ]
     worlds.sort(key=World.sort_key)
     return worlds
-
-
-def default_temperature(scores: Sequence[float]) -> float:
-    """Gibbs temperature matching the count-query layer: a quarter of
-    the enumerated score spread, floored at 1."""
-    if not scores:
-        return 1.0
-    spread = max(scores) - min(scores)
-    return max(spread / 4.0, 1.0)
 
 
 def world_masses(

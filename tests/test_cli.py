@@ -274,12 +274,17 @@ class TestStatsFlag:
     def test_rank_stats(self, mentions_csv, capsys):
         code = main(self._args("rank", mentions_csv, "--k", "2"))
         assert code == 0
-        assert "verification stats" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "verification stats" in err
+        # One line per predicate level, as for topk.
+        assert "  cli-generic  evals=" in err
 
     def test_threshold_stats(self, mentions_csv, capsys):
         code = main(self._args("threshold", mentions_csv, "--min-weight", "5"))
         assert code == 0
-        assert "verification stats" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "verification stats" in err
+        assert "  cli-generic  evals=" in err
 
     def test_no_stats_by_default(self, mentions_csv, capsys):
         code = main(
@@ -334,6 +339,25 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "row 2" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_min_weight(self, mentions_csv, bad, capsys):
+        code = main(
+            [
+                "threshold",
+                "--input",
+                mentions_csv,
+                "--field",
+                "name",
+                f"--min-weight={bad}",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "must be finite" in captured.err
+        assert captured.out == ""
 
     def test_checkpoint_every_requires_state_dir(self, mentions_csv, capsys):
         code = main(

@@ -24,6 +24,9 @@ For every seed x dataset family this suite checks, per query type:
   is retained with identical membership and weight; when the query
   reports ``certain``, its >= T answer set matches the oracle's exactly.
 
+The rank query runs the count query's level loop, so for every level the
+count query ran it must also report the same (n, m, M, n', certified).
+
 Each check also re-runs the query under a generous
 :class:`~repro.core.resilience.ExecutionPolicy` (nothing should degrade
 at test scale) and requires the guarded answer to be bit-identical to
@@ -195,6 +198,35 @@ class TestTopKRankQuery:
         assert [g.member_ids for g in guarded.groups.groups] == [
             g.member_ids for g in plain.groups.groups
         ]
+
+
+def level_row(stats) -> tuple:
+    """A level's Figures 2-4 row: (n, m, M, n', certified)."""
+    return (
+        stats.level_name,
+        stats.n_groups_after_collapse,
+        stats.m,
+        stats.bound,
+        stats.n_groups_after_prune,
+        stats.certified,
+    )
+
+
+@pytest.mark.parametrize("k", (1, 5, 10, 50))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("kind", DATASETS)
+def test_rank_query_levels_match_count_query(kind, seed, k):
+    # The rank query runs the count query's level loop, only with every
+    # u_i materialized and no early stop: each level the count query
+    # ran must read the same in both.
+    store, levels, _ = pipeline_for(kind, seed)
+    count = pruned_dedup(store, k, levels)
+    rank = topk_rank_query(store, k, levels)
+    assert count.stats
+    assert [level_row(s) for s in rank.stats[: len(count.stats)]] == [
+        level_row(s) for s in count.stats
+    ]
+    assert len(rank.stats) == len(levels)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
